@@ -171,8 +171,10 @@ def _require(args: argparse.Namespace, *names: str) -> None:
         raise UsageError(f"missing required flag(s): {', '.join(missing)}")
 
 
-def _add_weight_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--weight", choices=["delta", "uniform", "laplace", "stretched"])
+def _add_weight_flags(
+    p: argparse.ArgumentParser, flag: str = "--weight", choices=("delta", "uniform", "laplace", "stretched")
+) -> None:
+    p.add_argument(flag, choices=choices)
     p.add_argument("--mu", type=float, default=0.0)
     p.add_argument("--sigma", type=float)
     p.add_argument("--half-width", type=float, dest="half_width")
@@ -181,26 +183,29 @@ def _add_weight_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--beta", type=float, default=1.0)
 
 
-def _build_weight(args: argparse.Namespace):
-    _require(args, "--weight")
-    kind = args.weight
+def _model_params(args: argparse.Namespace, flag: str = "--weight") -> ModelParams:
+    """The model named by ``flag``; any kind past delta, uniform and laplace is
+    a stretched weight (``stretched``, or the ``series``/``gaussian``/``saddle`` routes)."""
+    _require(args, flag)
+    kind = getattr(args, flag.lstrip("-"))
     if kind == "delta":
-        return Delta(mu=args.mu)
-    if kind == "uniform":
+        weight = Delta(mu=args.mu)
+    elif kind == "uniform":
         if args.half_width is None:
-            raise UsageError("--half-width is required for the uniform weight")
-        return Uniform(half_width=args.half_width)
-    if kind == "laplace":
+            raise UsageError(f"--half-width is required for {flag} {kind}")
+        weight = Uniform(half_width=args.half_width)
+    elif kind == "laplace":
         if args.sigma is None:
-            raise UsageError("--sigma is required for the laplace weight")
-        return Laplace(sigma=args.sigma)
-    if args.sigma is None or args.alpha is None:
-        raise UsageError("--sigma and --alpha are required for the stretched weight")
-    return StretchedExp(mu=args.mu, sigma=args.sigma, alpha=args.alpha)
-
-
-def _model_params(args: argparse.Namespace) -> ModelParams:
-    return ModelParams(weight=_build_weight(args), tau0=args.tau0, beta=args.beta)
+            raise UsageError(f"--sigma is required for {flag} {kind}")
+        weight = Laplace(sigma=args.sigma)
+    else:
+        alpha = 2.0 if (kind == "gaussian" and args.alpha is None) else args.alpha
+        if args.sigma is None or alpha is None:
+            raise UsageError(f"--sigma and --alpha are required for {flag} {kind}")
+        if kind == "gaussian" and alpha != 2.0:
+            raise UsageError("--model gaussian requires alpha = 2")
+        weight = StretchedExp(mu=args.mu, sigma=args.sigma, alpha=alpha)
+    return ModelParams(weight=weight, tau0=args.tau0, beta=args.beta)
 
 
 def _q_grid(qmin: float, qmax: float, qstep: float) -> np.ndarray:
@@ -235,16 +240,9 @@ def _build_parser():
     p.add_argument("--out")
 
     p = command("moments", help="tabulate an analytic normalized log-moment curve")
-    p.add_argument(
-        "--model",
-        choices=["delta", "uniform", "laplace", "series", "gaussian", "saddle", "mf", "hmf"],
+    _add_weight_flags(
+        p, "--model", ("delta", "uniform", "laplace", "series", "gaussian", "saddle", "mf", "hmf")
     )
-    p.add_argument("--mu", type=float, default=0.0)
-    p.add_argument("--sigma", type=float)
-    p.add_argument("--half-width", type=float, dest="half_width")
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--tau0", type=float, default=1.0)
-    p.add_argument("--beta", type=float, default=1.0)
     p.add_argument("--c0", type=float)
     p.add_argument("--b", type=float)
     p.add_argument("--b1", type=float)
@@ -315,27 +313,6 @@ def _cmd_ptd(args) -> int:
     return 0
 
 
-def _moments_family_params(args, kind: str) -> ModelParams:
-    if kind == "delta":
-        weight = Delta(mu=args.mu)
-    elif kind == "uniform":
-        if args.half_width is None:
-            raise UsageError("--half-width is required for --model uniform")
-        weight = Uniform(half_width=args.half_width)
-    elif kind == "laplace":
-        if args.sigma is None:
-            raise UsageError("--sigma is required for --model laplace")
-        weight = Laplace(sigma=args.sigma)
-    else:
-        alpha = 2.0 if (kind == "gaussian" and args.alpha is None) else args.alpha
-        if args.sigma is None or alpha is None:
-            raise UsageError(f"--sigma and --alpha are required for --model {kind}")
-        if kind == "gaussian" and alpha != 2.0:
-            raise UsageError("--model gaussian requires alpha = 2")
-        weight = StretchedExp(mu=args.mu, sigma=args.sigma, alpha=alpha)
-    return ModelParams(weight=weight, tau0=args.tau0, beta=args.beta)
-
-
 def _cmd_moments(args) -> int:
     _require(args, "--model")
     model = args.model
@@ -353,7 +330,7 @@ def _cmd_moments(args) -> int:
         curve = moments.hmf_curve(q, moments.HMFParams(args.alpha, args.c0, args.b, args.b1))
         values = curve.log_norm_moment
     elif model == "series":
-        params = _moments_family_params(args, "series")
+        params = _model_params(args, "--model")
         values = np.empty_like(q)
         for i, qi in enumerate(q):
             if qi == 0.0:
@@ -366,22 +343,10 @@ def _cmd_moments(args) -> int:
                 else math.inf
             )
     elif model == "saddle":
-        params = _moments_family_params(args, "saddle")
-        w = params.weight
-        c0 = math.log(params.tau0) + params.beta * w.mu
-        norm = math.log(2.0) + float(_special.gammaln(1.0 + 1.0 / w.alpha))
-        values = np.empty_like(q)
+        params = _model_params(args, "--model")
         with warnings.catch_warnings(record=True) as out_of_range:
             warnings.simplefilter("always", AsymptoticRangeWarning)
-            for i, qi in enumerate(q):
-                sp = moments.saddlepoint_iq(float(qi), w.alpha, params.beta * w.sigma)
-                gamma = w.alpha / (w.alpha - 1.0)
-                values[i] = (
-                    qi * c0
-                    + math.log(sp.prefactor)
-                    + sp.exponent_coeff * abs(qi) ** gamma
-                    - norm
-                )
+            values = np.array([moments._saddle_log_norm_moment(float(qi), params) for qi in q])
         if out_of_range:
             print(
                 f"note: saddle point kept leading order at {len(out_of_range)} order(s) "
@@ -389,7 +354,7 @@ def _cmd_moments(args) -> int:
                 file=sys.stderr,
             )
     else:
-        params = _moments_family_params(args, model)
+        params = _model_params(args, "--model")
         values = moments.model_curve(q, params).log_norm_moment
 
     _write_numeric_csv(_out_path(args.out, "moments.csv"), ["q", "log_norm_moment"], [q, values])

@@ -1,10 +1,12 @@
-"""Shared types and gamma-family special functions.
+"""Shared types, the weight families, and gamma-family special functions.
 
 The generative picture: each waiting period sits in a trap of depth ``eps``
 drawn from a fixed weight density, and the waiting time is exponential with
 mean ``tau(eps) = tau0 * exp(beta * eps)``.  Everything downstream (mixed
 densities, q-moment laws, simulation, fitting) is parameterized by a
-:class:`ModelParams` built from one of the four weight families below.
+:class:`ModelParams` built from one of the four weight families below; only
+the weight differs between models, so each family's class carries the formulas
+the other modules call.
 """
 
 from __future__ import annotations
@@ -78,6 +80,13 @@ class AsymptoticRangeWarning(UserWarning):
 # ---------------------------------------------------------------------------
 # Weight families
 # ---------------------------------------------------------------------------
+# A family is one class listed in WEIGHT_FAMILIES, with the methods every layer
+# calls: log_mgf(s, rtol) = ln E[exp(s eps)] (DivergentMomentError where
+# infinite), sample(rng, size), and ptd_kernel / sojourn_kernel(tau0, beta,
+# rtol), which return the scalar maps t -> psi(t) and t -> Psi(t).
+
+# 64-point Gauss-Legendre for the narrow-uniform survival fallback
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
 
 
 @dataclass(frozen=True)
@@ -90,6 +99,22 @@ class Delta:
         if not math.isfinite(self.mu):
             raise ModelDomainError("mu must be finite")
 
+    def log_mgf(self, s: float, rtol: float = 1e-10) -> float:
+        return s * self.mu
+
+    def sample(self, rng: np.random.Generator, size: int | None = None):
+        if size is None:
+            return self.mu
+        return np.full(size, self.mu, dtype=float)
+
+    def ptd_kernel(self, tau0: float, beta: float, rtol: float = 1e-8):
+        tau_mu = tau0 * math.exp(beta * self.mu)
+        return lambda x: math.exp(-x / tau_mu) / tau_mu
+
+    def sojourn_kernel(self, tau0: float, beta: float, rtol: float = 1e-8):
+        tau_mu = tau0 * math.exp(beta * self.mu)
+        return lambda x: math.exp(-x / tau_mu)
+
 
 @dataclass(frozen=True)
 class Uniform:
@@ -100,6 +125,44 @@ class Uniform:
     def __post_init__(self):
         if not (self.half_width > 0 and math.isfinite(self.half_width)):
             raise ModelDomainError("half_width must be positive and finite")
+
+    def log_mgf(self, s: float, rtol: float = 1e-10) -> float:
+        return _log_sinhc(s * self.half_width)
+
+    def sample(self, rng: np.random.Generator, size: int | None = None):
+        return rng.uniform(-self.half_width, self.half_width, size)
+
+    def ptd_kernel(self, tau0: float, beta: float, rtol: float = 1e-8):
+        db = beta * self.half_width
+        tau_plus = tau0 * math.exp(db)
+        tau_minus = tau0 * math.exp(-db)
+        rate_gap = 1.0 / tau_minus - 1.0 / tau_plus
+
+        def kernel(x: float) -> float:
+            u = x * rate_gap
+            if u < 1e-8:
+                # two-term series of -expm1(-u)/x; avoids 0/0 at the origin
+                return math.exp(-x / tau_plus) * rate_gap * (1.0 - 0.5 * u) / (2.0 * db)
+            return math.exp(-x / tau_plus) * (-math.expm1(-u)) / (2.0 * db * x)
+
+        return kernel
+
+    def sojourn_kernel(self, tau0: float, beta: float, rtol: float = 1e-8):
+        db = beta * self.half_width
+        tau_plus = tau0 * math.exp(db)
+        tau_minus = tau0 * math.exp(-db)
+
+        def kernel(x: float) -> float:
+            if x == 0.0:
+                return 1.0
+            if db < 1e-3:
+                # E1 difference cancels; integrate exp(-x/tau(eps)) directly
+                eps = self.half_width * _GL_NODES
+                vals = np.exp(-x / (tau0 * np.exp(beta * eps)))
+                return float(np.dot(_GL_WEIGHTS, vals) / 2.0)
+            return (float(_special.exp1(x / tau_plus)) - float(_special.exp1(x / tau_minus))) / (2.0 * db)
+
+        return kernel
 
 
 @dataclass(frozen=True)
@@ -112,13 +175,54 @@ class Laplace:
         if not (self.sigma > 0 and math.isfinite(self.sigma)):
             raise ModelDomainError("sigma must be positive and finite")
 
+    def log_mgf(self, s: float, rtol: float = 1e-10) -> float:
+        if abs(s) * self.sigma >= 1.0:
+            raise DivergentMomentError(
+                f"Laplace-weight moment diverges for |q|*beta*sigma = {abs(s) * self.sigma} >= 1"
+            )
+        return -math.log1p(-((s * self.sigma) ** 2))
+
+    def sample(self, rng: np.random.Generator, size: int | None = None):
+        return rng.laplace(0.0, self.sigma, size)
+
+    def ptd_kernel(self, tau0: float, beta: float, rtol: float = 1e-8):
+        sb = beta * self.sigma
+        a_low = 1.0 + 1.0 / sb
+        a_up = 1.0 - 1.0 / sb
+
+        def kernel(x: float) -> float:
+            if x == 0.0:
+                if sb < 1.0:
+                    return 1.0 / (tau0 * (1.0 - sb * sb))
+                return math.inf
+            z = x / tau0
+            val = scaled_lower_incomplete_gamma(a_low, z)
+            val += scaled_upper_incomplete_gamma(a_up, z)
+            return val / (2.0 * sb * tau0)
+
+        return kernel
+
+    def sojourn_kernel(self, tau0: float, beta: float, rtol: float = 1e-8):
+        sb = beta * self.sigma
+        c = 1.0 / sb
+
+        def kernel(x: float) -> float:
+            if x == 0.0:
+                return 1.0
+            z = x / tau0
+            val = scaled_lower_incomplete_gamma(c, z)
+            val += scaled_upper_incomplete_gamma(-c, z)
+            return val / (2.0 * sb)
+
+        return kernel
+
 
 @dataclass(frozen=True)
 class StretchedExp:
     """Density ``exp(-|(eps - mu)/sigma|**alpha) / (2 sigma Gamma(1 + 1/alpha))``.
 
     ``alpha <= 1`` is a legal weight (density and survival function exist);
-    moment routines reject it separately because the mixed moments diverge.
+    ``log_mgf`` rejects it because the mixed moments diverge.
     """
 
     mu: float
@@ -133,8 +237,79 @@ class StretchedExp:
         if not (self.alpha > 0 and math.isfinite(self.alpha)):
             raise ModelDomainError("alpha must be positive and finite")
 
+    @property
+    def log_norm(self) -> float:
+        """``ln(2 Gamma(1 + 1/alpha))``, the log mass of ``exp(-|y|**alpha)``."""
+        return math.log(2.0) + float(_special.gammaln(1.0 + 1.0 / self.alpha))
+
+    def log_mgf(self, s: float, rtol: float = 1e-10) -> float:
+        if not self.alpha > 1:
+            raise DivergentMomentError(
+                f"stretched-weight moments diverge for alpha <= 1 (got {self.alpha})"
+            )
+        if self.alpha == 2.0:
+            return s * self.mu + (s * self.sigma) ** 2 / 4.0
+        return s * self.mu + log_iq_quadrature(s, self.alpha, self.sigma, rtol=rtol) - self.log_norm
+
+    def sample(self, rng: np.random.Generator, size: int | None = None):
+        """``eps = mu + sigma * s * G**(1/alpha)``, ``G`` gamma of shape ``1/alpha``, ``s`` a fair sign.
+
+        If ``Z = |eps - mu|/sigma`` then ``Z**alpha`` is gamma(1/alpha), so the
+        transform is exact, rejection-free and valid for every ``alpha > 0``.
+        """
+        g = rng.standard_gamma(1.0 / self.alpha, size)
+        sign = np.where(rng.random(size) < 0.5, -1.0, 1.0)
+        eps = self.mu + self.sigma * sign * g ** (1.0 / self.alpha)
+        return float(eps) if size is None else eps
+
+    def _log_mix(self, c: float, bs: float, shift: float, seed: float, rtol: float) -> float:
+        # ln int exp(-|y|^alpha - shift*y - c*exp(-bs*y)) dy over the standardized depth y
+        alpha = self.alpha
+
+        def logf(y: float) -> float:
+            if c == 0.0:
+                return -abs(y) ** alpha - shift * y
+            u = -bs * y
+            if u > 700.0:
+                return -math.inf
+            return -abs(y) ** alpha - shift * y - c * math.exp(u)
+
+        return _log_peak_quad(logf, seed, rtol=rtol, kinks=(0.0,))
+
+    def ptd_kernel(self, tau0: float, beta: float, rtol: float = 1e-8):
+        alpha = self.alpha
+        bs = beta * self.sigma
+        scale = tau0 * math.exp(beta * self.mu)
+        log_pref = -self.log_norm - math.log(scale)
+
+        def kernel(x: float) -> float:
+            c = x / scale
+            if c == 0.0:
+                if alpha < 1.0 or (alpha == 1.0 and bs >= 1.0):
+                    return math.inf
+                seed = -((bs / alpha) ** (1.0 / (alpha - 1.0))) if alpha > 1.0 else 0.0
+            else:
+                seed = max(0.0, math.log(c) / bs)
+            return math.exp(self._log_mix(c, bs, bs, seed, rtol) + log_pref)
+
+        return kernel
+
+    def sojourn_kernel(self, tau0: float, beta: float, rtol: float = 1e-8):
+        bs = beta * self.sigma
+        scale = tau0 * math.exp(beta * self.mu)
+        log_norm = self.log_norm
+
+        def kernel(x: float) -> float:
+            if x == 0.0:
+                return 1.0
+            c = x / scale
+            return math.exp(self._log_mix(c, bs, 0.0, max(0.0, math.log(c) / bs), rtol) - log_norm)
+
+        return kernel
+
 
 Weight = Union[Delta, Uniform, Laplace, StretchedExp]
+WEIGHT_FAMILIES = (Delta, Uniform, Laplace, StretchedExp)
 
 
 @dataclass(frozen=True)
@@ -146,7 +321,7 @@ class ModelParams:
     beta: float = 1.0
 
     def __post_init__(self):
-        if not isinstance(self.weight, (Delta, Uniform, Laplace, StretchedExp)):
+        if not isinstance(self.weight, WEIGHT_FAMILIES):
             raise UnsupportedModelError(
                 f"unknown weight family: {type(self.weight).__name__}"
             )
@@ -448,3 +623,36 @@ def _log_peak_quad(
     if not val > 0:
         raise ArithmeticError("truncated quadrature returned a nonpositive value")
     return g_peak + math.log(val)
+
+
+def _log_sinhc(x: float) -> float:
+    # ln(sinh(x)/x), even in x, stable near 0 and for large |x|
+    ax = abs(x)
+    if ax == 0.0:
+        return 0.0
+    if ax < 1e-4:
+        return math.log1p(ax * ax / 6.0 + ax ** 4 / 120.0)
+    if ax < 20.0:
+        return math.log(math.sinh(ax) / ax)
+    return ax - math.log(2.0 * ax) + math.log1p(-math.exp(-2.0 * ax))
+
+
+def log_iq_quadrature(q: float, alpha: float, beta_sigma: float, rtol: float = 1e-10) -> float:
+    """``ln I(q)`` with ``I(q) = int exp(-|y|^alpha + q*beta*sigma*y) dy``."""
+    if not alpha > 1:
+        raise DivergentMomentError(
+            f"the generating integral converges only for alpha > 1 (got {alpha})"
+        )
+    if not (beta_sigma > 0 and math.isfinite(beta_sigma)):
+        raise ModelDomainError("beta_sigma must be positive")
+    if not math.isfinite(q):
+        raise ModelDomainError("q must be finite")
+    s = q * beta_sigma
+    if s == 0.0:
+        return math.log(2.0) + float(_special.gammaln(1.0 + 1.0 / alpha))
+    seed = math.copysign((abs(s) / alpha) ** (1.0 / (alpha - 1.0)), s)
+
+    def logf(y: float) -> float:
+        return -abs(y) ** alpha + s * y
+
+    return _log_peak_quad(logf, seed, rtol=rtol, kinks=(0.0,))

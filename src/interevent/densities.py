@@ -4,9 +4,9 @@ For a weight density ``rho(eps)`` the unconditional waiting-time density is
 
     psi(t) = int rho(eps) * exp(-t / tau(eps)) / tau(eps) deps,
 
-with ``tau(eps) = tau0 * exp(beta * eps)``.  Delta, Uniform and Laplace
-weights integrate in closed form; the stretched-exponential weight is
-evaluated by adaptive quadrature of the mixing integral.
+with ``tau(eps) = tau0 * exp(beta * eps)``.  Each weight class in :mod:`.core`
+supplies this integral as a scalar kernel: closed form for Delta, Uniform and
+Laplace weights, adaptive quadrature for the stretched-exponential weight.
 """
 
 from __future__ import annotations
@@ -21,18 +21,15 @@ from scipy import special as _special
 
 from .core import (
     AsymptoticRangeWarning,
-    Delta,
+    DivergentMomentError,
     Laplace,
     ModelDomainError,
     ModelParams,
     NoFiniteMeanError,
-    StretchedExp,
-    Uniform,
     UnsupportedModelError,
-    _log_peak_quad,
-    scaled_lower_incomplete_gamma,
-    scaled_upper_incomplete_gamma,
+    _log_peak_quad,  # noqa: F401  kept for bench/workloads.py, which patches this name
 )
+from .moments import moment
 
 __all__ = [
     "Phase",
@@ -76,15 +73,6 @@ def _map_times(fn, t):
     return np.array([fn(float(x)) for x in arr.ravel()]).reshape(arr.shape)
 
 
-def _stretched_norm(alpha: float) -> float:
-    # total weight mass: 2 sigma Gamma(1 + 1/alpha), sigma factored out by standardizing
-    return 2.0 * math.exp(_special.gammaln(1.0 + 1.0 / alpha))
-
-
-def _stretched_log_weight(x: float, alpha: float) -> float:
-    return -abs(x) ** alpha
-
-
 def ptd(t, params: ModelParams, rtol: float = 1e-8):
     """Waiting-time density ``psi(t)``.
 
@@ -93,76 +81,7 @@ def ptd(t, params: ModelParams, rtol: float = 1e-8):
     (Laplace weight with beta*sigma >= 1, stretched weight with alpha <= 1
     in its divergent range).
     """
-    w = params.weight
-    tau0, beta = params.tau0, params.beta
-
-    if isinstance(w, Delta):
-        tau_mu = tau0 * math.exp(beta * w.mu)
-
-        def kernel(x: float) -> float:
-            return math.exp(-x / tau_mu) / tau_mu
-
-        return _map_times(kernel, t)
-
-    if isinstance(w, Uniform):
-        db = beta * w.half_width
-        tau_plus = tau0 * math.exp(db)
-        tau_minus = tau0 * math.exp(-db)
-        rate_gap = 1.0 / tau_minus - 1.0 / tau_plus
-
-        def kernel(x: float) -> float:
-            u = x * rate_gap
-            if u < 1e-8:
-                # two-term series of -expm1(-u)/x; avoids 0/0 at the origin
-                return math.exp(-x / tau_plus) * rate_gap * (1.0 - 0.5 * u) / (2.0 * db)
-            return math.exp(-x / tau_plus) * (-math.expm1(-u)) / (2.0 * db * x)
-
-        return _map_times(kernel, t)
-
-    if isinstance(w, Laplace):
-        sb = beta * w.sigma
-        a_low = 1.0 + 1.0 / sb
-        a_up = 1.0 - 1.0 / sb
-
-        def kernel(x: float) -> float:
-            if x == 0.0:
-                if sb < 1.0:
-                    return 1.0 / (tau0 * (1.0 - sb * sb))
-                return math.inf
-            z = x / tau0
-            val = scaled_lower_incomplete_gamma(a_low, z)
-            val += scaled_upper_incomplete_gamma(a_up, z)
-            return val / (2.0 * sb * tau0)
-
-        return _map_times(kernel, t)
-
-    if isinstance(w, StretchedExp):
-        alpha = w.alpha
-        bs = beta * w.sigma
-        scale = tau0 * math.exp(beta * w.mu)
-        log_pref = -math.log(_stretched_norm(alpha)) - math.log(scale)
-
-        def kernel(x: float) -> float:
-            c = x / scale
-            if c == 0.0:
-                if alpha < 1.0 or (alpha == 1.0 and bs >= 1.0):
-                    return math.inf
-                seed = -((bs / alpha) ** (1.0 / (alpha - 1.0))) if alpha > 1.0 else 0.0
-            else:
-                seed = max(0.0, math.log(c) / bs)
-
-            def logf(y: float) -> float:
-                u = -bs * y
-                tail = 0.0 if c == 0.0 else (math.inf if u > 700.0 else c * math.exp(u))
-                if math.isinf(tail):
-                    return -math.inf
-                return _stretched_log_weight(y, alpha) - bs * y - tail
-
-            return math.exp(_log_peak_quad(logf, seed, rtol=rtol) + log_pref)
-
-        return _map_times(kernel, t)
-
-    raise UnsupportedModelError(f"no density for weight {type(w).__name__}")
+    return _map_times(params.weight.ptd_kernel(params.tau0, params.beta, rtol), t)
 
 
 def ptd_tail(t, params: ModelParams):
@@ -191,10 +110,6 @@ def ptd_tail(t, params: ModelParams):
     return float(out) if arr.ndim == 0 else out
 
 
-# 64-point Gauss-Legendre for the narrow-uniform fallback
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
-
-
 def _clamp_unit(v):
     # cancellation in the E1/quadrature branches can overshoot by ~1e-13
     if isinstance(v, np.ndarray):
@@ -204,92 +119,15 @@ def _clamp_unit(v):
 
 def sojourn(t, params: ModelParams, rtol: float = 1e-8):
     """Survival probability ``Psi(t) = P(waiting time > t)``, in [0, 1]."""
-    w = params.weight
-    tau0, beta = params.tau0, params.beta
-
-    if isinstance(w, Delta):
-        tau_mu = tau0 * math.exp(beta * w.mu)
-        return _map_times(lambda x: math.exp(-x / tau_mu), t)
-
-    if isinstance(w, Uniform):
-        db = beta * w.half_width
-        tau_plus = tau0 * math.exp(db)
-        tau_minus = tau0 * math.exp(-db)
-
-        def kernel(x: float) -> float:
-            if x == 0.0:
-                return 1.0
-            if db < 1e-3:
-                # E1 difference cancels; integrate exp(-x/tau(eps)) directly
-                eps = w.half_width * _GL_NODES
-                vals = np.exp(-x / (tau0 * np.exp(beta * eps)))
-                return float(np.dot(_GL_WEIGHTS, vals) / 2.0)
-            return (float(_special.exp1(x / tau_plus)) - float(_special.exp1(x / tau_minus))) / (2.0 * db)
-
-        return _clamp_unit(_map_times(kernel, t))
-
-    if isinstance(w, Laplace):
-        sb = beta * w.sigma
-        c = 1.0 / sb
-
-        def kernel(x: float) -> float:
-            if x == 0.0:
-                return 1.0
-            z = x / tau0
-            val = scaled_lower_incomplete_gamma(c, z)
-            val += scaled_upper_incomplete_gamma(-c, z)
-            return val / (2.0 * sb)
-
-        return _clamp_unit(_map_times(kernel, t))
-
-    if isinstance(w, StretchedExp):
-        alpha = w.alpha
-        bs = beta * w.sigma
-        scale = tau0 * math.exp(beta * w.mu)
-        log_norm = math.log(_stretched_norm(alpha))
-
-        def kernel(x: float) -> float:
-            if x == 0.0:
-                return 1.0
-            c = x / scale
-            seed = max(0.0, math.log(c) / bs)
-
-            def logf(y: float) -> float:
-                u = -bs * y
-                if u > 700.0:
-                    return -math.inf
-                return _stretched_log_weight(y, alpha) - c * math.exp(u)
-
-            return math.exp(_log_peak_quad(logf, seed, rtol=rtol) - log_norm)
-
-        return _clamp_unit(_map_times(kernel, t))
-
-    raise UnsupportedModelError(f"no survival function for weight {type(w).__name__}")
+    return _clamp_unit(_map_times(params.weight.sojourn_kernel(params.tau0, params.beta, rtol), t))
 
 
 def characteristic_time(params: ModelParams) -> float:
     """Mean waiting time where it exists; raises :class:`NoFiniteMeanError` otherwise."""
-    w = params.weight
-    tau0, beta = params.tau0, params.beta
-    if isinstance(w, Delta):
-        return tau0 * math.exp(beta * w.mu)
-    if isinstance(w, Uniform):
-        db = beta * w.half_width
-        if db < 1e-4:
-            return tau0 * (1.0 + db * db / 6.0 + db ** 4 / 120.0)
-        return tau0 * math.sinh(db) / db
-    if isinstance(w, Laplace):
-        sb = beta * w.sigma
-        if sb >= 1.0:
-            raise NoFiniteMeanError(
-                f"mean waiting time diverges for sigma*beta = {sb} >= 1"
-            )
-        return tau0 / (1.0 - sb * sb)
-    if isinstance(w, StretchedExp):
-        from . import moments as _moments
-
-        return _moments.moment(1.0, params)
-    raise UnsupportedModelError(f"no mean for weight {type(w).__name__}")
+    try:
+        return moment(1.0, params)
+    except DivergentMomentError as e:
+        raise NoFiniteMeanError(f"mean waiting time diverges: {e}") from e
 
 
 def phase(params: ModelParams) -> PhaseLabel:

@@ -29,7 +29,8 @@ from .core import (
     StretchedExp,
     Uniform,
     UnsupportedModelError,
-    _log_peak_quad,
+    _log_peak_quad,  # noqa: F401  kept for bench/workloads.py, which patches this name
+    log_iq_quadrature,
 )
 
 __all__ = [
@@ -167,21 +168,9 @@ def _safe_exp(x: float) -> float:
     return math.exp(x)
 
 
-def _log_sinhc(x: float) -> float:
-    # ln(sinh(x)/x), even in x, stable near 0 and for large |x|
-    ax = abs(x)
-    if ax == 0.0:
-        return 0.0
-    if ax < 1e-4:
-        return math.log1p(ax * ax / 6.0 + ax ** 4 / 120.0)
-    if ax < 20.0:
-        return math.log(math.sinh(ax) / ax)
-    return ax - math.log(2.0 * ax) + math.log1p(-math.exp(-2.0 * ax))
-
-
 def _log_scale(params: ModelParams) -> float:
-    mu = getattr(params.weight, "mu", 0.0)
-    return math.log(params.tau0) + params.beta * mu
+    # ln(tau0 l) with l = exp(beta mu), for the families that carry a depth offset mu
+    return math.log(params.tau0) + params.beta * params.weight.mu
 
 
 # ---------------------------------------------------------------------------
@@ -200,60 +189,24 @@ def conditional_moment(q: float, eps: float, params: ModelParams) -> float:
 def moment_delta(q: float, params: ModelParams) -> float:
     if not isinstance(params.weight, Delta):
         raise UnsupportedModelError("moment_delta needs a Delta weight")
-    _check_order(q)
-    return conditional_moment(q, params.weight.mu, params)
+    return moment(q, params)
 
 
 def moment_uniform(q: float, params: ModelParams) -> float:
     if not isinstance(params.weight, Uniform):
         raise UnsupportedModelError("moment_uniform needs a Uniform weight")
-    _check_order(q)
-    db = params.beta * params.weight.half_width
-    return _safe_exp(
-        _special.gammaln(1.0 + q) + q * math.log(params.tau0) + _log_sinhc(q * db)
-    )
+    return moment(q, params)
 
 
 def moment_laplace(q: float, params: ModelParams) -> float:
     if not isinstance(params.weight, Laplace):
         raise UnsupportedModelError("moment_laplace needs a Laplace weight")
-    _check_order(q)
-    sb = params.beta * params.weight.sigma
-    if abs(q) * sb >= 1.0:
-        raise DivergentMomentError(
-            f"Laplace-weight moment diverges for |q|*beta*sigma = {abs(q) * sb} >= 1"
-        )
-    return _safe_exp(
-        _special.gammaln(1.0 + q)
-        + q * math.log(params.tau0)
-        - math.log1p(-((q * sb) ** 2))
-    )
+    return moment(q, params)
 
 
 # ---------------------------------------------------------------------------
 # Stretched-exponential weight: generating integral and its approximations
 # ---------------------------------------------------------------------------
-
-
-def log_iq_quadrature(q: float, alpha: float, beta_sigma: float, rtol: float = 1e-10) -> float:
-    """``ln I(q)`` with ``I(q) = int exp(-|y|^alpha + q*beta*sigma*y) dy``."""
-    if not alpha > 1:
-        raise DivergentMomentError(
-            f"the generating integral converges only for alpha > 1 (got {alpha})"
-        )
-    if not (beta_sigma > 0 and math.isfinite(beta_sigma)):
-        raise ModelDomainError("beta_sigma must be positive")
-    if not math.isfinite(q):
-        raise ModelDomainError("q must be finite")
-    s = q * beta_sigma
-    if s == 0.0:
-        return math.log(2.0) + float(_special.gammaln(1.0 + 1.0 / alpha))
-    seed = math.copysign((abs(s) / alpha) ** (1.0 / (alpha - 1.0)), s)
-
-    def logf(y: float) -> float:
-        return -abs(y) ** alpha + s * y
-
-    return _log_peak_quad(logf, seed, rtol=rtol, kinks=(0.0,))
 
 
 def iq_quadrature(q: float, alpha: float, beta_sigma: float, rtol: float = 1e-10) -> float:
@@ -326,11 +279,7 @@ def moment_gaussian(q: float, params: ModelParams) -> float:
     w = params.weight
     if not (isinstance(w, StretchedExp) and w.alpha == 2.0):
         raise UnsupportedModelError("moment_gaussian needs a StretchedExp weight with alpha = 2")
-    _check_order(q)
-    bs = params.beta * w.sigma
-    return _safe_exp(
-        _special.gammaln(1.0 + q) + q * _log_scale(params) + (q * bs) ** 2 / 4.0
-    )
+    return moment(q, params)
 
 
 # Largest |correction - 1| at which the next-order saddle-point factor is applied.
@@ -360,6 +309,11 @@ def saddlepoint_iq(q: float, alpha: float, beta_sigma: float) -> SaddlePointResu
     1, so ``prefactor`` stays positive.  Raises at q = 0 where the expansion
     degenerates.
     """
+    return _saddle(q, alpha, beta_sigma)[0]
+
+
+def _saddle(q: float, alpha: float, beta_sigma: float) -> tuple[SaddlePointResult, float]:
+    # saddlepoint_iq and ln of its value, which stays finite where the value overflows
     if not alpha > 1:
         raise DivergentMomentError(
             f"the generating integral converges only for alpha > 1 (got {alpha})"
@@ -392,12 +346,12 @@ def saddlepoint_iq(q: float, alpha: float, beta_sigma: float) -> SaddlePointResu
             f"saddle point at q = {q}, lam = {lam:.6g}: next-order factor {correction:.6g} "
             f"is off 1 by more than {SADDLE_CORRECTION_BOUND}; returning the leading order",
             AsymptoticRangeWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
     exponent_coeff = lam * (alpha - 1.0) / alpha ** gamma
-    value = _safe_exp(math.log(prefactor) + exponent_coeff * aq ** gamma)
-    return SaddlePointResult(
-        value=value,
+    log_value = math.log(prefactor) + exponent_coeff * aq ** gamma
+    result = SaddlePointResult(
+        value=_safe_exp(log_value),
         prefactor=prefactor,
         exponent_coeff=exponent_coeff,
         lam=lam,
@@ -406,6 +360,14 @@ def saddlepoint_iq(q: float, alpha: float, beta_sigma: float) -> SaddlePointResu
         h2_x0=h2_x0,
         correction=correction,
     )
+    return result, log_value
+
+
+def _saddle_log_norm_moment(q: float, params: ModelParams) -> float:
+    """``ln(<t^q> / Gamma(1+q))`` of a stretched weight with I(q) from :func:`saddlepoint_iq`."""
+    w = params.weight
+    log_iq = _saddle(q, w.alpha, params.beta * w.sigma)[1]
+    return q * _log_scale(params) + log_iq - w.log_norm
 
 
 # ---------------------------------------------------------------------------
@@ -477,34 +439,12 @@ def scales(params: ModelParams) -> Scales:
 
 
 def log_norm_moment(q: float, params: ModelParams, rtol: float = 1e-10) -> float:
-    """``ln(<t^q> / Gamma(1+q))`` for any weight family (exact 0 at q = 0)."""
+    """``ln(<t^q> / Gamma(1+q)) = q ln(tau0) + ln E[exp(q beta eps)]`` for any weight
+    family (exact 0 at q = 0)."""
     _check_order(q)
     if q == 0.0:
         return 0.0
-    w = params.weight
-    if isinstance(w, Delta):
-        return q * (math.log(params.tau0) + params.beta * w.mu)
-    if isinstance(w, Uniform):
-        db = params.beta * w.half_width
-        return q * math.log(params.tau0) + _log_sinhc(q * db)
-    if isinstance(w, Laplace):
-        sb = params.beta * w.sigma
-        if abs(q) * sb >= 1.0:
-            raise DivergentMomentError(
-                f"Laplace-weight moment diverges for |q|*beta*sigma = {abs(q) * sb} >= 1"
-            )
-        return q * math.log(params.tau0) - math.log1p(-((q * sb) ** 2))
-    if isinstance(w, StretchedExp):
-        if not w.alpha > 1:
-            raise DivergentMomentError(
-                f"stretched-weight moments diverge for alpha <= 1 (got {w.alpha})"
-            )
-        bs = params.beta * w.sigma
-        if w.alpha == 2.0:
-            return q * _log_scale(params) + (q * bs) ** 2 / 4.0
-        norm = math.log(2.0) + float(_special.gammaln(1.0 + 1.0 / w.alpha))
-        return q * _log_scale(params) + log_iq_quadrature(q, w.alpha, bs, rtol=rtol) - norm
-    raise UnsupportedModelError(f"no moment law for weight {type(w).__name__}")
+    return q * math.log(params.tau0) + params.weight.log_mgf(q * params.beta, rtol=rtol)
 
 
 def moment(q: float, params: ModelParams, rtol: float = 1e-10) -> float:

@@ -17,16 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    Delta,
-    EventSeries,
-    Laplace,
-    ModelParams,
-    StretchedExp,
-    Uniform,
-    UnsupportedModelError,
-    Weight,
-)
+from .core import WEIGHT_FAMILIES, EventSeries, ModelParams, UnsupportedModelError, Weight
 
 __all__ = ["BLOCK", "SimConfig", "sample_epsilon", "sample_interevent", "generate_series"]
 
@@ -47,28 +38,10 @@ class SimConfig:
 
 
 def sample_epsilon(weight: Weight, rng: np.random.Generator, size: int | None = None):
-    """Draw depths from the weight density.
-
-    The stretched-exponential case uses the exact transform
-    ``eps = mu + sigma * s * G**(1/alpha)`` with ``G`` gamma-distributed of
-    shape ``1/alpha`` and ``s`` a fair sign: if ``Z = |eps - mu|/sigma`` then
-    ``Z**alpha`` is gamma(1/alpha), so the transform is rejection-free and
-    valid for every ``alpha > 0``.
-    """
-    if isinstance(weight, Delta):
-        if size is None:
-            return weight.mu
-        return np.full(size, weight.mu, dtype=float)
-    if isinstance(weight, Uniform):
-        return rng.uniform(-weight.half_width, weight.half_width, size)
-    if isinstance(weight, Laplace):
-        return rng.laplace(0.0, weight.sigma, size)
-    if isinstance(weight, StretchedExp):
-        g = rng.standard_gamma(1.0 / weight.alpha, size)
-        sign = np.where(rng.random(size) < 0.5, -1.0, 1.0)
-        eps = weight.mu + weight.sigma * sign * g ** (1.0 / weight.alpha)
-        return float(eps) if size is None else eps
-    raise UnsupportedModelError(f"no sampler for weight {type(weight).__name__}")
+    """Draw depths from the weight density with the family's ``sample`` method."""
+    if not isinstance(weight, WEIGHT_FAMILIES):
+        raise UnsupportedModelError(f"no sampler for weight {type(weight).__name__}")
+    return weight.sample(rng, size)
 
 
 def _positive_uniform(rng: np.random.Generator, size: int | None):

@@ -262,3 +262,24 @@ def test_sojourn_monotone_in_t():
     for p in (_laplace(0.5), _laplace(2.0), _uniform(1.5), _stretched()):
         psi = iv.sojourn(t, p)
         assert np.all(np.diff(psi) <= 1e-15)
+
+
+# 30-digit quadrature of the standardized mixture, split at the kink y = 0 of
+# |y|^alpha and at the integrand peak; mu = 0, sigma = 1, tau0 = 1, beta = 1.
+@pytest.mark.parametrize(
+    "fn, alpha, t, expected",
+    [
+        (iv.sojourn, 1.3, 7.88, 0.03389678086130725689249),
+        (iv.ptd, 1.5, 0.34198, 0.6787580771889401928183),
+    ],
+    ids=["sojourn", "ptd"],
+)
+def test_stretched_quadrature_meets_rtol_near_kink(fn, alpha, t, expected):
+    p = iv.ModelParams(weight=iv.StretchedExp(mu=0.0, sigma=1.0, alpha=alpha))
+    assert fn(t, p) == pytest.approx(expected, rel=1e-8)
+
+
+def test_characteristic_time_stretched_divergent_mean():
+    # alpha <= 1: every positive moment of the mixture diverges
+    with pytest.raises(iv.NoFiniteMeanError):
+        iv.characteristic_time(iv.ModelParams(weight=iv.StretchedExp(mu=0.0, sigma=1.0, alpha=0.9)))
