@@ -35,7 +35,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import special as _special
 
 from . import densities, empirical, fitting, moments
 from .core import (
@@ -44,6 +43,7 @@ from .core import (
     Laplace,
     ModelParams,
     QMomentCurve,
+    SeriesTruncationWarning,
     StretchedExp,
     Uniform,
 )
@@ -89,6 +89,10 @@ def _out_path(given: str | None, default_name: str) -> str:
     return os.path.join(os.environ.get(ENV_OUTDIR, "."), default_name)
 
 
+# rows per write in _write_numeric_csv; bounds the strings held at once (about 1 MiB per column)
+_CSV_BLOCK_ROWS = 4096
+
+
 def _write_csv(path: str, header: list[str], rows) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -98,13 +102,25 @@ def _write_csv(path: str, header: list[str], rows) -> None:
 
 
 def _write_numeric_csv(path: str, header: list[str], columns: list[np.ndarray]) -> None:
-    """Write columns, silently finite: rows with NaN/Inf are dropped with a note."""
+    """Write columns, silently finite: rows with NaN/Inf are dropped with a note.
+
+    The bytes are those of :func:`_write_csv` on ``repr`` cells (CRLF line
+    ends, nothing quoted), written one block of rows at a time: faster than
+    row by row, and without holding a string per row of the whole table.
+    """
     data = np.column_stack([np.asarray(c, dtype=float) for c in columns])
     finite = np.all(np.isfinite(data), axis=1)
     skipped = int((~finite).sum())
     if skipped:
         print(f"note: skipped {skipped} non-finite row(s) in {path}", file=sys.stderr)
-    _write_csv(path, header, ([_fmt(v) for v in row] for row in data[finite]))
+    data = data[finite]
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        for start in range(0, len(data), _CSV_BLOCK_ROWS):
+            block = data[start : start + _CSV_BLOCK_ROWS].tolist()
+            lines = [",".join(map(repr, row)) for row in block]
+            lines.append("")
+            fh.write("\r\n".join(lines))
 
 
 def _read_header(path: str) -> list[str]:
@@ -331,16 +347,16 @@ def _cmd_moments(args) -> int:
         values = curve.log_norm_moment
     elif model == "series":
         params = _model_params(args, "--model")
-        values = np.empty_like(q)
-        for i, qi in enumerate(q):
-            if qi == 0.0:
-                values[i] = 0.0
-                continue
-            r = moments.moment_stretched_series(float(qi), params, tol=args.tol, n_max=args.nmax)
-            values[i] = (
-                math.log(r.value) - float(_special.gammaln(1.0 + qi))
-                if math.isfinite(r.value) and r.value > 0
-                else math.inf
+        with warnings.catch_warnings(record=True) as truncated:
+            warnings.simplefilter("always", SeriesTruncationWarning)
+            values = np.array([
+                moments._series_log_norm_moment(float(qi), params, args.tol, args.nmax) for qi in q
+            ])
+        if truncated:
+            print(
+                f"note: series truncated at --nmax {args.nmax} terms before reaching --tol "
+                f"at {len(truncated)} order(s)",
+                file=sys.stderr,
             )
     elif model == "saddle":
         params = _model_params(args, "--model")

@@ -336,6 +336,21 @@ class ModelParams:
 # ---------------------------------------------------------------------------
 
 
+def _check_q_grid(q: np.ndarray) -> None:
+    """Check an order grid as :class:`QMomentCurve` does: 1-d, nonempty, finite,
+    strictly increasing and above -1."""
+    if q.ndim != 1:
+        raise ValueError("q_grid must be 1-d")
+    if q.size == 0:
+        raise ValueError("q grid is empty")
+    if not np.all(np.isfinite(q)):
+        raise ValueError("q_grid must be finite")
+    if np.any(np.diff(q) <= 0):
+        raise ValueError("q_grid must be strictly increasing")
+    if np.any(q <= -1.0):
+        raise ModelDomainError("moment orders must exceed -1")
+
+
 @dataclass(frozen=True)
 class QMomentCurve:
     """Normalized log moments ``ln(<t^q> / Gamma(1+q))`` on an increasing q grid.
@@ -356,12 +371,7 @@ class QMomentCurve:
         object.__setattr__(self, "log_norm_moment", v)
         if q.ndim != 1 or v.shape != q.shape:
             raise ValueError("q_grid and log_norm_moment must be 1-d of equal length")
-        if q.size == 0:
-            raise ValueError("q grid is empty")
-        if np.any(np.diff(q) <= 0):
-            raise ValueError("q_grid must be strictly increasing")
-        if np.any(q <= -1.0):
-            raise ModelDomainError("moment orders must exceed -1")
+        _check_q_grid(q)
         if self.n_samples < 0:
             raise ValueError("n_samples must be nonnegative")
         at_zero = q == 0.0

@@ -22,6 +22,7 @@ from .core import (
     IngestError,
     ModelDomainError,
     QMomentCurve,
+    _check_q_grid,
 )
 from .moments import HMFParams, MFParams
 
@@ -112,29 +113,53 @@ def ingest(records, opts: IngestOptions = IngestOptions()) -> EventSeries:
 
 
 def empirical_qmoments(series: EventSeries, q_grid=None) -> QMomentCurve:
-    """Normalized log moments ``ln(<t^q>/Gamma(1+q))`` via log-sum-exp.
+    """Normalized log moments ``ln(<t^q>/Gamma(1+q))`` from shifted power sums.
 
-    Working on ``q * ln(t)`` keeps orders up to 20 on second-to-day durations
-    inside float range.  Delta-method standard errors of each log value,
-    ``sqrt((<t^{2q}>/<t^q>^2 - 1)/N)``, ride along for weighted fitting.
+    ``ln <t^p>`` is taken once for each distinct order of ``{q} U {2q}`` by
+    :func:`_log_power_means`, whose analytic shift keeps orders up to 20 on
+    second-to-day durations inside float range.  Delta-method standard errors
+    of each log value, ``sqrt((<t^{2q}>/<t^q>^2 - 1)/N)``, ride along for
+    weighted fitting.  The grid is checked before any power sum is taken.
     """
     if len(series) == 0:
         raise ValueError("cannot estimate moments of an empty series")
     q = np.atleast_1d(np.asarray(DEFAULT_Q_GRID if q_grid is None else q_grid, dtype=float))
-    if np.any(q <= -1.0):
-        raise ModelDomainError("moment orders must exceed -1")
+    _check_q_grid(q)
     log_t = np.log(series.durations)
     n = log_t.size
-    log_mean = np.empty_like(q)
-    log_mean2 = np.empty_like(q)
-    for i, qi in enumerate(q):
-        log_mean[i] = _special.logsumexp(qi * log_t) - math.log(n)
-        log_mean2[i] = _special.logsumexp(2.0 * qi * log_t) - math.log(n)
+    orders, where = np.unique(np.concatenate((q, 2.0 * q)), return_inverse=True)
+    log_means = _log_power_means(log_t, orders)[where]
+    log_mean, log_mean2 = log_means[: q.size], log_means[q.size :]
     values = log_mean - _special.gammaln(1.0 + q)
     values[q == 0.0] = 0.0
     ratio = np.exp(np.minimum(log_mean2 - 2.0 * log_mean, 700.0))
     stderr = np.sqrt(np.maximum(ratio - 1.0, 0.0) / n)
     return QMomentCurve(q_grid=q, log_norm_moment=values, n_samples=n, stderr=stderr)
+
+
+def _log_power_means(log_t: np.ndarray, orders: np.ndarray) -> np.ndarray:
+    """``ln mean(t^p)`` for each order p, given ``log_t = ln t``.
+
+    Each power sum is shifted analytically, ``sum t^p = e^(p s) sum e^(p (ln t - s))``
+    with ``s = max(ln t)`` for p >= 0 and ``s = min(ln t)`` for p < 0.  Every
+    exponent is then <= 0 and the largest term is exactly 1, so the sum lies
+    in [1, N] and neither overflows nor underflows.  Two length-N work arrays
+    serve every order; ascending orders recompute the shifted logs at most once.
+    """
+    hi, lo = float(log_t.max()), float(log_t.min())
+    shifted = np.empty_like(log_t)
+    term = np.empty_like(log_t)
+    shift = None
+    out = np.empty(orders.shape)
+    for i, p in enumerate(orders.tolist()):
+        s = lo if p < 0.0 else hi
+        if s != shift:
+            np.subtract(log_t, s, out=shifted)
+            shift = s
+        np.multiply(shifted, p, out=term)
+        np.exp(term, out=term)
+        out[i] = p * s + math.log(term.sum())
+    return out - math.log(log_t.size)
 
 
 def empirical_sojourn(series: EventSeries, t_grid):

@@ -225,6 +225,13 @@ def moment_stretched_series(
     slowly when ``q sigma beta`` is large; hitting ``n_max`` first yields the
     partial value, ``converged=False`` and a :class:`SeriesTruncationWarning`.
     """
+    return _series(q, params, tol, n_max)[0]
+
+
+def _series(
+    q: float, params: ModelParams, tol: float, n_max: int
+) -> tuple[SeriesMomentResult, float]:
+    # moment_stretched_series and ln of its value, which stays finite where the value overflows
     w = params.weight
     if not isinstance(w, StretchedExp):
         raise UnsupportedModelError("moment_stretched_series needs a StretchedExp weight")
@@ -260,18 +267,24 @@ def moment_stretched_series(
             warnings.warn(
                 f"series truncated at {terms} terms before reaching tol={tol}",
                 SeriesTruncationWarning,
-                stacklevel=2,
+                stacklevel=3,
             )
             break
         log_sum = float(np.logaddexp(log_sum, nxt))
         terms += 1
-    value = _safe_exp(
+    log_value = float(
         _special.gammaln(1.0 + q)
         + q * _log_scale(params)
         - _special.gammaln(1.0 / alpha)
         + log_sum
     )
-    return SeriesMomentResult(value=value, terms_used=terms, converged=converged)
+    result = SeriesMomentResult(value=_safe_exp(log_value), terms_used=terms, converged=converged)
+    return result, log_value
+
+
+def _series_log_norm_moment(q: float, params: ModelParams, tol: float, n_max: int) -> float:
+    """``ln(<t^q> / Gamma(1+q))`` of a stretched weight from :func:`moment_stretched_series`."""
+    return _series(q, params, tol, n_max)[1] - float(_special.gammaln(1.0 + q))
 
 
 def moment_gaussian(q: float, params: ModelParams) -> float:

@@ -1,5 +1,6 @@
 """End-to-end checks of the command-line interface via subprocess."""
 import csv
+import hashlib
 import json
 import math
 import os
@@ -133,6 +134,30 @@ def test_simulate_deterministic_bytes(tmp_path):
     assert header == ["dt"]
     assert len(rows) == 200
     assert all(float(x[0]) > 0 for x in rows)
+
+
+def test_simulate_bytes_frozen(tmp_path):
+    # pins line ends and float formatting, which the run-to-run check above cannot see
+    r = run_cli(["simulate", "--weight", "stretched", "--sigma", "1.0", "--alpha", "2",
+                 "--n", "200", "--seed", "11", "--out", "a.csv"], tmp_path)
+    assert r.returncode == 0, r.stderr
+    digest = hashlib.sha256((tmp_path / "a.csv").read_bytes()).hexdigest()
+    assert digest == "232f49ccabf3e90f7eff4c26e62fccccc32baa061c992847f871202cc05aa88c"
+
+
+def test_moments_series_keeps_overflowing_orders(tmp_path):
+    # <t^q> overflows a float from about q = 8.5 here; its log does not
+    r = run_cli(["moments", "--model", "series", "--sigma", "2", "--alpha", "1.5",
+                 "--qmax", "20", "--nmax", "5000", "--out", "m.csv"], tmp_path)
+    assert r.returncode == 0, r.stderr
+    _, rows = read_csv(tmp_path / "m.csv")
+    assert len(rows) == 201
+    values = np.array([float(v) for _, v in rows])
+    assert values[0] == 0.0
+    assert np.all(np.isfinite(values)) and np.all(np.diff(values[1:]) > 0)
+    lines = [ln for ln in r.stderr.splitlines() if ln]
+    assert len(lines) == 1 and lines[0].startswith("note: series truncated")
+    assert "Warning" not in r.stderr
 
 
 def test_estimate_reads_durations_and_timestamps(tmp_path):

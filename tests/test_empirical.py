@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import interevent as iv
+from interevent import empirical
 from interevent.core import IngestError, ModelDomainError
 from interevent.empirical import DEFAULT_Q_GRID, IngestOptions
 
@@ -104,6 +106,89 @@ def test_qmoments_grid_validation():
         iv.empirical_qmoments(s, np.array([0.0, 0.0]))
     with pytest.raises(ValueError):
         iv.empirical_qmoments(s, np.array([-1.5, 0.0]))
+
+
+def _log_fraction(x: Fraction) -> float:
+    # math.log of the parts: the ratio itself may overflow a float
+    return math.log(x.numerator) - math.log(x.denominator)
+
+
+def test_qmoments_negative_orders_exact_on_extreme_magnitudes():
+    # 2^e with 8 | e spans ~1e-200..1e200, and every t^q and t^2q below is an
+    # exact power of two; t^-1.75 at t = 2^-664 is 2^1162, beyond float range,
+    # so the negative orders need the min(ln t) shift
+    exps = (-664, -328, -8, 0, 8, 328, 664)
+    s = _series([2.0 ** e for e in exps])
+    qs = np.array([-0.875, -0.5, -0.25, 0.0, 0.5])
+    curve = iv.empirical_qmoments(s, qs)
+
+    def mean_power(p):
+        return Fraction(sum(Fraction(2) ** int(p * e) for e in exps), len(exps))
+
+    for q, got, se in zip(qs, curve.log_norm_moment, curve.stderr):
+        if q == 0.0:
+            assert got == 0.0 and se == 0.0
+            continue
+        expected = _log_fraction(mean_power(q)) - math.lgamma(1.0 + q)
+        assert got == pytest.approx(expected, rel=1e-13)
+        ratio = mean_power(2 * q) / mean_power(q) ** 2
+        assert se == pytest.approx(math.sqrt(float(ratio - 1) / len(exps)), rel=1e-12)
+
+
+def test_qmoments_dedupe_overlapping_orders(monkeypatch):
+    # {q} and {2q} share 0, 1, 2, 3 and 4: each distinct order is summed once
+    rng = np.random.default_rng(5)
+    t = rng.lognormal(0.0, 1.5, 2000)
+    qs = np.array([0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0])
+    seen = []
+    kernel = empirical._log_power_means
+
+    def spy(log_t, orders):
+        seen.append(orders.copy())
+        return kernel(log_t, orders)
+
+    monkeypatch.setattr(empirical, "_log_power_means", spy)
+    curve = iv.empirical_qmoments(_series(t), qs)
+    assert np.array_equal(seen[0], [0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 6.0, 8.0])
+
+    def log_mean(p):
+        return math.log(math.fsum((t ** p).tolist()) / t.size)
+
+    for q, got, se in zip(qs[1:], curve.log_norm_moment[1:], curve.stderr[1:]):
+        assert got == pytest.approx(log_mean(q) - math.lgamma(1.0 + q), rel=1e-12, abs=1e-12)
+        ratio = math.exp(log_mean(2 * q) - 2 * log_mean(q))
+        assert se == pytest.approx(math.sqrt((ratio - 1.0) / t.size), rel=1e-12)
+
+    seen.clear()
+    iv.empirical_qmoments(_series(t))
+    assert seen[0].size == 301  # the default grid: 201 orders, 100 of 2q new
+
+
+def test_qmoments_reject_bad_grid_before_summing(monkeypatch):
+    def fail(log_t, orders):
+        raise AssertionError("power sums taken before the grid was checked")
+
+    monkeypatch.setattr(empirical, "_log_power_means", fail)
+    s = _series([1.0, 2.0, 3.0])
+    for bad in ([], [0.0, 0.0], [1.0, 0.5], [[0.0, 1.0]], [0.0, math.nan, 1.0], [0.0, math.inf]):
+        with pytest.raises(ValueError):
+            iv.empirical_qmoments(s, np.array(bad, dtype=float))
+    with pytest.raises(ModelDomainError):
+        iv.empirical_qmoments(s, np.array([-1.0, 0.0]))
+
+
+def test_qmoments_peak_allocation_stays_linear():
+    # guard against an (orders x N) matrix: with N = 10^5 on the default grid,
+    # the kernel, its log-durations included, must stay under 4 length-N arrays
+    n = 100_000
+    s = _series(np.random.default_rng(9).lognormal(0.0, 1.0, n))
+    tracemalloc.start()
+    try:
+        iv.empirical_qmoments(s, DEFAULT_Q_GRID)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * n * 8
 
 
 def test_empirical_sojourn_small_case():

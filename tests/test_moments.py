@@ -128,6 +128,8 @@ def test_stretched_series_reference(q, alpha, sigma, tau0, beta, mu, expected):
     res = iv.moment_stretched_series(q, p, tol=1e-14)
     assert res.converged
     assert res.value == pytest.approx(expected, rel=1e-11)
+    log_norm = iv.moments._series_log_norm_moment(q, p, 1e-14, 500)
+    assert log_norm == pytest.approx(math.log(expected) - math.lgamma(1 + q), rel=1e-11)
 
 
 @pytest.mark.parametrize("q,alpha,sigma,tau0,beta,mu,expected", ST_MOM_TABLE)
@@ -144,6 +146,16 @@ def test_series_truncation_warning():
         res = iv.moment_stretched_series(3.0, p, n_max=3)
     assert not res.converged
     assert res.terms_used == 3
+
+
+def test_series_log_norm_moment_finite_past_overflow():
+    # at q = 9 the moment overflows a float (value inf) but its log is ~866
+    p = _stretched(1.5, 2.0, 1.0, 1.0)
+    assert iv.moment_stretched_series(9.0, p, n_max=5000).value == math.inf
+    got = iv.moments._series_log_norm_moment(9.0, p, 1e-12, 5000)
+    assert got == pytest.approx(iv.log_norm_moment(9.0, p), rel=1e-9)
+    with pytest.warns(SeriesTruncationWarning):
+        iv.moments._series_log_norm_moment(20.0, p, 1e-12, 50)
 
 
 def test_series_rejects_heavy_alpha():
