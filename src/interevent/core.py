@@ -7,6 +7,12 @@ densities, q-moment laws, simulation, fitting) is parameterized by a
 :class:`ModelParams` built from one of the four weight families below; only
 the weight differs between models, so each family's class carries the formulas
 the other modules call.
+
+The package imports only the top-level ``scipy`` package and calls
+``scipy.special``, ``scipy.integrate`` and ``scipy.optimize`` by attribute;
+SciPy imports each submodule on its first use.  ``import interevent`` and
+``simulate`` therefore load none of them, ``estimate`` loads only
+``scipy.special``, and the fits load ``scipy.optimize`` when they first run.
 """
 
 from __future__ import annotations
@@ -16,9 +22,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Union
 
 import numpy as np
-from scipy import integrate as _integrate
-from scipy import optimize as _optimize
-from scipy import special as _special
+import scipy
 
 __all__ = [
     "ModelDomainError",
@@ -160,7 +164,8 @@ class Uniform:
                 eps = self.half_width * _GL_NODES
                 vals = np.exp(-x / (tau0 * np.exp(beta * eps)))
                 return float(np.dot(_GL_WEIGHTS, vals) / 2.0)
-            return (float(_special.exp1(x / tau_plus)) - float(_special.exp1(x / tau_minus))) / (2.0 * db)
+            e1 = scipy.special.exp1
+            return (float(e1(x / tau_plus)) - float(e1(x / tau_minus))) / (2.0 * db)
 
         return kernel
 
@@ -240,7 +245,7 @@ class StretchedExp:
     @property
     def log_norm(self) -> float:
         """``ln(2 Gamma(1 + 1/alpha))``, the log mass of ``exp(-|y|**alpha)``."""
-        return math.log(2.0) + float(_special.gammaln(1.0 + 1.0 / self.alpha))
+        return math.log(2.0) + float(scipy.special.gammaln(1.0 + 1.0 / self.alpha))
 
     def log_mgf(self, s: float, rtol: float = 1e-10) -> float:
         if not self.alpha > 1:
@@ -356,13 +361,16 @@ class QMomentCurve:
     """Normalized log moments ``ln(<t^q> / Gamma(1+q))`` on an increasing q grid.
 
     ``n_samples`` is 0 for analytic curves; empirical curves carry the sample
-    count and, when available, delta-method standard errors of the log values.
+    count and, when available, delta-method standard errors of the log values
+    and the effective sample size ``n_eff = N <t^q>^2 / <t^{2q}>`` behind each
+    order (N at q = 0, near 1 where a few extreme events dominate the sum).
     """
 
     q_grid: np.ndarray
     log_norm_moment: np.ndarray
     n_samples: int = 0
     stderr: np.ndarray | None = None
+    n_eff: np.ndarray | None = None
 
     def __post_init__(self):
         q = np.atleast_1d(np.asarray(self.q_grid, dtype=float))
@@ -384,6 +392,13 @@ class QMomentCurve:
                 raise ValueError("stderr must match the q grid")
             if np.any(se < 0):
                 raise ValueError("stderr must be nonnegative")
+        if self.n_eff is not None:
+            ne = np.atleast_1d(np.asarray(self.n_eff, dtype=float))
+            object.__setattr__(self, "n_eff", ne)
+            if ne.shape != q.shape:
+                raise ValueError("n_eff must match the q grid")
+            if np.any(ne < 0):
+                raise ValueError("n_eff must be nonnegative")
 
     def __len__(self) -> int:
         return int(self.q_grid.size)
@@ -401,7 +416,11 @@ class FitResult:
     records the fitted window (a t-range for survival-function fits, which
     share this container).  ``residual_norm`` is the sum of squared residuals
     of the minimized objective.  ``flags`` carries qualitative notes such as
-    boundary hits.
+    boundary hits.  Iterative fits also report the optimizer's function
+    evaluations ``nfev`` and exit ``status``, and ``jac_cond``, the condition
+    number of the weighted Jacobian at the solution (large values mean the
+    standard errors rest on a nearly singular ``J^T J``); closed-form fits
+    leave them ``None``.
     """
 
     params: dict[str, tuple[float, float]]
@@ -409,6 +428,9 @@ class FitResult:
     residual_norm: float
     converged: bool
     flags: tuple[str, ...] = ()
+    nfev: int | None = None
+    status: int | None = None
+    jac_cond: float | None = None
 
     def __post_init__(self):
         lo, hi = self.q_domain
@@ -456,7 +478,7 @@ def log_gamma(x: float) -> float:
     """``ln Gamma(x)`` for ``x > 0``."""
     if not x > 0:
         raise ModelDomainError("log_gamma requires x > 0")
-    return float(_special.gammaln(x))
+    return float(scipy.special.gammaln(x))
 
 
 def scaled_lower_incomplete_gamma(a: float, z: float) -> float:
@@ -483,15 +505,15 @@ def scaled_lower_incomplete_gamma(a: float, z: float) -> float:
             if term < total * 1e-17 or k > 10_000:
                 break
         return math.exp(-z) * total
-    p = float(_special.gammainc(a, z))
-    return math.exp(_special.gammaln(a) + math.log(p) - a * math.log(z))
+    p = float(scipy.special.gammainc(a, z))
+    return math.exp(scipy.special.gammaln(a) + math.log(p) - a * math.log(z))
 
 
 def _scaled_upper_positive(a: float, z: float) -> float:
     # a > 0, z > 0
-    q = float(_special.gammaincc(a, z))
+    q = float(scipy.special.gammaincc(a, z))
     if q > 0.0:
-        return math.exp(_special.gammaln(a) + math.log(q) - a * math.log(z))
+        return math.exp(scipy.special.gammaln(a) + math.log(q) - a * math.log(z))
     # q underflowed: leading asymptotic term z^(a-1) e^(-z) of the upper tail
     return math.exp(-z - math.log(z))
 
@@ -509,12 +531,12 @@ def scaled_upper_incomplete_gamma(a: float, z: float) -> float:
     if a > 0:
         return _scaled_upper_positive(a, z)
     if a == 0.0:
-        return float(_special.exp1(z))
+        return float(scipy.special.exp1(z))
     # climb from base = a + m with m = ceil(-a) steps, base in (0, 1] or 0
     m = math.ceil(-a)
     base = a + m
     if base == 0.0:
-        s = float(_special.exp1(z))
+        s = float(scipy.special.exp1(z))
     else:
         s = _scaled_upper_positive(base, z)
     ez = math.exp(-z)
@@ -544,7 +566,7 @@ def upper_incomplete_gamma(a: float, z: float) -> float:
     """
     if z == 0.0:
         if a > 0:
-            return math.exp(_special.gammaln(a))
+            return math.exp(scipy.special.gammaln(a))
         raise ModelDomainError("upper incomplete gamma diverges at z = 0 for a <= 0")
     if z < 0:
         raise ModelDomainError("z must be nonnegative")
@@ -599,7 +621,7 @@ def _log_peak_quad(
     while missing ``rtol``.  Returns the log of the integral.
     """
     xa, xb, xc = _bracket_peak(logf, x_seed)
-    res = _optimize.minimize_scalar(
+    res = scipy.optimize.minimize_scalar(
         lambda x: -logf(x), bracket=(xa, xb, xc), method="brent",
         options={"xtol": 1e-12},
     )
@@ -621,7 +643,7 @@ def _log_peak_quad(
 
     lo = edge(-1.0)
     hi = edge(+1.0)
-    val, _err = _integrate.quad(
+    val, _err = scipy.integrate.quad(
         lambda x: math.exp(logf(x) - g_peak),
         lo,
         hi,
@@ -659,7 +681,7 @@ def log_iq_quadrature(q: float, alpha: float, beta_sigma: float, rtol: float = 1
         raise ModelDomainError("q must be finite")
     s = q * beta_sigma
     if s == 0.0:
-        return math.log(2.0) + float(_special.gammaln(1.0 + 1.0 / alpha))
+        return math.log(2.0) + float(scipy.special.gammaln(1.0 + 1.0 / alpha))
     seed = math.copysign((abs(s) / alpha) ** (1.0 / (alpha - 1.0)), s)
 
     def logf(y: float) -> float:

@@ -17,7 +17,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special as _special
+import scipy
 
 from .core import (
     AsymptoticRangeWarning,
@@ -105,7 +105,7 @@ def ptd_tail(t, params: ModelParams):
             stacklevel=2,
         )
     delta = 1.0 + 1.0 / sb
-    pref = math.exp(_special.gammaln(delta)) / (2.0 * sb * tau0)
+    pref = math.exp(scipy.special.gammaln(delta)) / (2.0 * sb * tau0)
     out = pref * (tau0 / arr) ** delta
     return float(out) if arr.ndim == 0 else out
 

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special as _special
+import scipy
 
 from .core import (
     EventSeries,
@@ -119,7 +119,9 @@ def empirical_qmoments(series: EventSeries, q_grid=None) -> QMomentCurve:
     :func:`_log_power_means`, whose analytic shift keeps orders up to 20 on
     second-to-day durations inside float range.  Delta-method standard errors
     of each log value, ``sqrt((<t^{2q}>/<t^q>^2 - 1)/N)``, ride along for
-    weighted fitting.  The grid is checked before any power sum is taken.
+    weighted fitting, as does the effective sample size
+    ``n_eff = N <t^q>^2/<t^{2q}>`` of each order.  The grid is checked before
+    any power sum is taken.
     """
     if len(series) == 0:
         raise ValueError("cannot estimate moments of an empty series")
@@ -130,11 +132,15 @@ def empirical_qmoments(series: EventSeries, q_grid=None) -> QMomentCurve:
     orders, where = np.unique(np.concatenate((q, 2.0 * q)), return_inverse=True)
     log_means = _log_power_means(log_t, orders)[where]
     log_mean, log_mean2 = log_means[: q.size], log_means[q.size :]
-    values = log_mean - _special.gammaln(1.0 + q)
+    values = log_mean - scipy.special.gammaln(1.0 + q)
     values[q == 0.0] = 0.0
     ratio = np.exp(np.minimum(log_mean2 - 2.0 * log_mean, 700.0))
     stderr = np.sqrt(np.maximum(ratio - 1.0, 0.0) / n)
-    return QMomentCurve(q_grid=q, log_norm_moment=values, n_samples=n, stderr=stderr)
+    # the exact ratio lies in [1, N]; clipping removes only rounding
+    n_eff = n / np.clip(ratio, 1.0, n)
+    return QMomentCurve(
+        q_grid=q, log_norm_moment=values, n_samples=n, stderr=stderr, n_eff=n_eff
+    )
 
 
 def _log_power_means(log_t: np.ndarray, orders: np.ndarray) -> np.ndarray:
@@ -167,15 +173,19 @@ def empirical_sojourn(series: EventSeries, t_grid):
     if len(series) == 0:
         raise ValueError("cannot estimate the survival function of an empty series")
     t = np.atleast_1d(np.asarray(t_grid, dtype=float))
+    if np.any(np.isnan(t)):
+        raise ValueError("t_grid must not contain NaN")
     if np.any(t < 0):
         raise ModelDomainError("t_grid must be nonnegative")
-    if t.size > 1 and np.any(np.diff(t) <= 0):
+    with np.errstate(invalid="ignore"):  # inf - inf
+        increasing = np.all(np.diff(t) > 0)
+    if not increasing:
         raise ValueError("t_grid must be strictly increasing")
     ordered = np.sort(series.durations)
     n = ordered.size
     exceed = n - np.searchsorted(ordered, t, side="right")
     psi = exceed / n
-    return float(psi[0]) if np.isscalar(t_grid) else psi
+    return float(psi[0]) if np.ndim(t_grid) == 0 else psi
 
 
 # ---------------------------------------------------------------------------

@@ -11,10 +11,10 @@ the model is closed-form, stopping at relative step 1e-10 or 500 evaluations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import least_squares
+import scipy
 
 from .core import FitResult, ModelDomainError, ModelParams, QMomentCurve, StretchedExp
 from .densities import sojourn as _sojourn
@@ -131,6 +131,15 @@ def _covariance_stderr(jac: np.ndarray, rss_weighted: float, n_obs: int, weighte
         return np.sqrt(np.diag(cov))
 
 
+def least_squares(*args, **kwargs):
+    """``scipy.optimize.least_squares``, imported on the first fit.
+
+    Every fit calls the optimizer through this module attribute, so a tracer
+    can wrap it to count evaluations per fit.
+    """
+    return scipy.optimize.least_squares(*args, **kwargs)
+
+
 def _nls(residual, jac, theta0, bounds, names, domain, weighted, n_obs, flags=()):
     res = least_squares(
         residual,
@@ -152,6 +161,9 @@ def _nls(residual, jac, theta0, bounds, names, domain, weighted, n_obs, flags=()
         residual_norm=float(2.0 * res.cost),
         converged=converged,
         flags=tuple(flags),
+        nfev=int(res.nfev),
+        status=int(res.status),
+        jac_cond=float(np.linalg.cond(res.jac)),
     )
 
 
@@ -335,13 +347,7 @@ def fit_sojourn(t_grid, psi_values, model_class) -> FitResult:
             residual, jac, theta0, bounds, ("m", "q_ts"), domain, False, len(t)
         )
         if result.params["q_ts"][0] <= 1.0 + 1e-6:
-            result = FitResult(
-                params=result.params,
-                q_domain=result.q_domain,
-                residual_norm=result.residual_norm,
-                converged=result.converged,
-                flags=result.flags + ("q_ts_at_lower_boundary",),
-            )
+            result = replace(result, flags=result.flags + ("q_ts_at_lower_boundary",))
         return result
 
     if model_class is Weibull:

@@ -15,7 +15,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special as _special
+import scipy
 
 from .core import (
     AsymptoticRangeWarning,
@@ -182,7 +182,7 @@ def conditional_moment(q: float, eps: float, params: ModelParams) -> float:
     """``<t^q | eps> = Gamma(1+q) * tau(eps)^q`` for one trap depth."""
     _check_order(q)
     return _safe_exp(
-        _special.gammaln(1.0 + q) + q * (math.log(params.tau0) + params.beta * eps)
+        scipy.special.gammaln(1.0 + q) + q * (math.log(params.tau0) + params.beta * eps)
     )
 
 
@@ -247,11 +247,11 @@ def _series(
 
     def log_term(n: int) -> float:
         if n == 0:
-            return float(_special.gammaln(1.0 / alpha))
+            return float(scipy.special.gammaln(1.0 / alpha))
         return float(
-            _special.gammaln((2 * n + 1) / alpha)
+            scipy.special.gammaln((2 * n + 1) / alpha)
             + 2 * n * math.log(x)
-            - _special.gammaln(2 * n + 1)
+            - scipy.special.gammaln(2 * n + 1)
         )
 
     log_sum = log_term(0)
@@ -273,9 +273,9 @@ def _series(
         log_sum = float(np.logaddexp(log_sum, nxt))
         terms += 1
     log_value = float(
-        _special.gammaln(1.0 + q)
+        scipy.special.gammaln(1.0 + q)
         + q * _log_scale(params)
-        - _special.gammaln(1.0 / alpha)
+        - scipy.special.gammaln(1.0 / alpha)
         + log_sum
     )
     result = SeriesMomentResult(value=_safe_exp(log_value), terms_used=terms, converged=converged)
@@ -284,7 +284,7 @@ def _series(
 
 def _series_log_norm_moment(q: float, params: ModelParams, tol: float, n_max: int) -> float:
     """``ln(<t^q> / Gamma(1+q))`` of a stretched weight from :func:`moment_stretched_series`."""
-    return _series(q, params, tol, n_max)[1] - float(_special.gammaln(1.0 + q))
+    return _series(q, params, tol, n_max)[1] - float(scipy.special.gammaln(1.0 + q))
 
 
 def moment_gaussian(q: float, params: ModelParams) -> float:
@@ -391,7 +391,7 @@ def _saddle_log_norm_moment(q: float, params: ModelParams) -> float:
 def log_moment_mf(q: float, p: MFParams) -> float:
     _check_order(q)
     gamma = p.alpha / (p.alpha - 1.0)
-    return float(_special.gammaln(1.0 + q)) + q * p.c0 + p.b * abs(q) ** gamma
+    return float(scipy.special.gammaln(1.0 + q)) + q * p.c0 + p.b * abs(q) ** gamma
 
 
 def moment_mf(q: float, p: MFParams) -> float:
@@ -407,7 +407,7 @@ def hmf_exponent(q: float, p: HMFParams) -> float:
 
 def log_moment_hmf(q: float, p: HMFParams) -> float:
     _check_order(q)
-    return float(_special.gammaln(1.0 + q)) + q * p.c0 + p.b * hmf_exponent(q, p)
+    return float(scipy.special.gammaln(1.0 + q)) + q * p.c0 + p.b * hmf_exponent(q, p)
 
 
 def moment_hmf(q: float, p: HMFParams) -> float:
@@ -463,7 +463,7 @@ def log_norm_moment(q: float, params: ModelParams, rtol: float = 1e-10) -> float
 def moment(q: float, params: ModelParams, rtol: float = 1e-10) -> float:
     """``<t^q>`` for any weight family (closed form, or quadrature where needed)."""
     _check_order(q)
-    return _safe_exp(float(_special.gammaln(1.0 + q)) + log_norm_moment(q, params, rtol=rtol))
+    return _safe_exp(float(scipy.special.gammaln(1.0 + q)) + log_norm_moment(q, params, rtol=rtol))
 
 
 def _as_q_grid(q_grid) -> np.ndarray:

@@ -13,7 +13,7 @@ import pytest
 CMD = [sys.executable, "-m", "interevent"]
 
 
-def run_cli(args, cwd, env_extra=None):
+def run_cli(args, cwd, env_extra=None, cmd=CMD):
     env = dict(os.environ)
     # absolute src first, so the child finds the package from any cwd without an install
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -21,7 +21,7 @@ def run_cli(args, cwd, env_extra=None):
     if env_extra:
         env.update(env_extra)
     return subprocess.run(
-        CMD + [str(a) for a in args],
+        cmd + [str(a) for a in args],
         cwd=cwd,
         env=env,
         capture_output=True,
@@ -322,3 +322,43 @@ def test_help_exits_zero(tmp_path):
     assert r.returncode == 0
     for cmd in ("ptd", "moments", "simulate", "estimate", "fit", "collapse"):
         assert cmd in r.stdout
+
+
+# Runs CLI commands in one fresh interpreter, then prints which heavy scipy
+# submodules that interpreter has loaded.
+_IMPORT_PROBE = """
+import json, sys
+from interevent import cli
+for argv in json.loads(sys.argv[1]):
+    assert cli.run(argv) == 0, argv
+heavy = ("scipy.special", "scipy.integrate", "scipy.optimize")
+print(json.dumps([m for m in heavy if m in sys.modules]))
+"""
+
+_SIMULATE = ["simulate", "--weight", "stretched", "--sigma", "1", "--alpha", "1.5",
+             "--n", "2000", "--seed", "3", "--out", "ev.csv"]
+_ESTIMATE = ["estimate", "--input", "ev.csv", "--out-moments", "mom.csv", "--out-sojourn", "soj.csv"]
+
+
+def _scipy_submodules_after(commands, tmp_path):
+    r = run_cli([json.dumps(commands)], tmp_path, cmd=[sys.executable, "-c", _IMPORT_PROBE])
+    assert r.returncode == 0, r.stderr
+    return json.loads(r.stdout.splitlines()[-1])
+
+
+def test_import_loads_no_scipy_submodule(tmp_path):
+    assert _scipy_submodules_after([], tmp_path) == []
+
+
+def test_simulate_loads_no_scipy_submodule(tmp_path):
+    assert _scipy_submodules_after([_SIMULATE], tmp_path) == []
+
+
+def test_estimate_loads_only_special_functions(tmp_path):
+    assert _scipy_submodules_after([_SIMULATE, _ESTIMATE], tmp_path) == ["scipy.special"]
+
+
+def test_fit_loads_the_optimizer_on_first_use(tmp_path):
+    fit = ["fit", "--kind", "mf", "--input", "mom.csv", "--out", "fit.json"]
+    assert "scipy.optimize" in _scipy_submodules_after([_SIMULATE, _ESTIMATE, fit], tmp_path)
+    assert json.loads((tmp_path / "fit.json").read_text())["converged"]

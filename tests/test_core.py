@@ -131,6 +131,18 @@ def test_qmoment_curve_invariants():
         QMomentCurve(q_grid=q, log_norm_moment=vals, stderr=np.array([0.1, 0.1]))
 
 
+def test_qmoment_curve_n_eff_validation():
+    q = np.array([0.0, 0.5, 1.0])
+    vals = np.array([0.0, 0.1, 0.3])
+    assert QMomentCurve(q_grid=q, log_norm_moment=vals).n_eff is None
+    c = QMomentCurve(q_grid=q, log_norm_moment=vals, n_eff=[3, 2, 1.5])
+    assert c.n_eff.dtype == float and c.n_eff.shape == q.shape
+    with pytest.raises(ValueError):
+        QMomentCurve(q_grid=q, log_norm_moment=vals, n_eff=np.array([3.0, 2.0]))
+    with pytest.raises(ValueError):
+        QMomentCurve(q_grid=q, log_norm_moment=vals, n_eff=np.array([3.0, 2.0, -1.0]))
+
+
 def test_qmoment_curve_window():
     q = np.linspace(0.0, 2.0, 21)
     c = QMomentCurve(q_grid=q, log_norm_moment=np.zeros(21))

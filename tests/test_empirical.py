@@ -200,6 +200,42 @@ def test_empirical_sojourn_small_case():
         iv.empirical_sojourn(s, np.array([1.0, 0.5]))
 
 
+def test_empirical_sojourn_rejects_nan_grid_points():
+    s = _series([1.0, 2.0, 3.0])
+    for grid in (math.nan, [math.nan], [0.5, math.nan, 2.0]):
+        with pytest.raises(ValueError, match="NaN"):
+            iv.empirical_sojourn(s, grid)
+    # psi = 0 is the exact survival at t = inf
+    assert iv.empirical_sojourn(s, math.inf) == 0.0
+    assert np.array_equal(iv.empirical_sojourn(s, [2.5, math.inf]), [1.0 / 3.0, 0.0])
+    with pytest.raises(ValueError):
+        iv.empirical_sojourn(s, [math.inf, math.inf])
+
+
+def test_empirical_sojourn_zero_dim_input_returns_float():
+    s = _series([1.0, 2.0, 3.0])
+    for t in (1.5, np.float64(1.5), np.array(1.5)):
+        got = iv.empirical_sojourn(s, t)
+        assert type(got) is float and got == pytest.approx(2.0 / 3.0)
+    assert iv.empirical_sojourn(s, np.array([1.5])).shape == (1,)
+
+
+def test_qmoments_effective_sample_size():
+    rng = np.random.default_rng(8)
+    data = rng.lognormal(0.0, 1.5, 400)
+    q = np.array([0.0, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0])
+    curve = iv.empirical_qmoments(_series(data), q)
+    assert curve.n_eff.shape == q.shape
+    assert curve.n_eff[0] == len(data)
+    for qi, got in zip(q, curve.n_eff):
+        expected = math.fsum(data ** qi) ** 2 / math.fsum(data ** (2.0 * qi))
+        assert got == pytest.approx(expected, rel=1e-10)
+    # a few extreme events dominate the high orders of a heavy tail
+    assert np.all(np.diff(curve.n_eff) < 0) and curve.n_eff[-1] < 10.0
+    near_zero = iv.empirical_qmoments(_series(data), np.r_[0.0, 1e-12, 1e-9, DEFAULT_Q_GRID[1:]])
+    assert np.all((near_zero.n_eff >= 1.0) & (near_zero.n_eff <= len(data)))
+
+
 def test_rescaled_log_moment():
     q = np.array([0.0, 1.0, 2.0])
     curve = iv.monofractal_curve(q, 2.0)

@@ -62,6 +62,25 @@ def test_mf_fit_roundtrip_with_noise():
     assert abs(fit.estimate("alpha") - 1.85) < 5 * fit.stderr("alpha")
 
 
+def test_fit_reports_optimizer_diagnostics():
+    q = np.round(np.arange(0, 36) * 0.1, 12)
+    mf = iv.fit_mf(iv.mf_curve(q, iv.MFParams(alpha=1.85, c0=-1.5, b=0.9)), (0.0, 3.5))
+    t = np.geomspace(0.01, 50.0, 80)
+    weibull = iv.fit_sojourn(t, np.exp(weibull_log_survival(t, 1.53, 0.459)), iv.Weibull)
+    for fit in (mf, weibull):
+        assert fit.converged and fit.status > 0
+        assert isinstance(fit.nfev, int) and 1 <= fit.nfev <= 500
+        assert isinstance(fit.jac_cond, float) and 1.0 <= fit.jac_cond < 1e12
+    # the condition number is that of the model Jacobian at the estimates
+    alpha, b = mf.estimate("alpha"), mf.estimate("b")
+    qw = q[q > 0]
+    p = qw ** (alpha / (alpha - 1.0))
+    jac = np.column_stack([-b * p * np.log(qw) / (alpha - 1.0) ** 2, qw, p])
+    assert mf.jac_cond == pytest.approx(np.linalg.cond(jac), rel=1e-6)
+    mono = iv.fit_monofractal(iv.monofractal_curve(q, 1.0), (1.0, 3.5))
+    assert (mono.nfev, mono.status, mono.jac_cond) == (None, None, None)
+
+
 def test_mf_fit_requires_enough_points():
     q = np.array([0.0, 0.5, 1.0, 1.5])
     curve = iv.mf_curve(q, iv.MFParams(alpha=2.0, c0=0.0, b=0.3))
