@@ -53,8 +53,6 @@ __all__ = ["RunConfig", "run", "main", "entry"]
 
 ENV_OUTDIR = "INTEREVENT_OUTDIR"
 
-_COLLAPSE_QUANTITIES = ("ratio", "mono", "mf", "hmf", "transform", "scaled-q")
-
 
 class UsageError(Exception):
     """Bad invocation: wrong flags, missing files, malformed inputs."""
@@ -168,12 +166,15 @@ def _read_curve(path: str) -> QMomentCurve:
     n_samples = 0
     if "n_samples" in cols and cols["n_samples"].size:
         n_samples = int(cols["n_samples"][0])
-    return QMomentCurve(
-        q_grid=cols["q"],
-        log_norm_moment=cols["log_norm_moment"],
-        n_samples=n_samples,
-        stderr=cols.get("stderr"),
-    )
+    try:
+        return QMomentCurve(
+            q_grid=cols["q"],
+            log_norm_moment=cols["log_norm_moment"],
+            n_samples=n_samples,
+            stderr=cols.get("stderr"),
+        )
+    except ValueError as e:
+        raise UsageError(f"{path}: {e}")
 
 
 # ---------------------------------------------------------------------------
@@ -472,37 +473,37 @@ def _cmd_fit(args) -> int:
     return 0
 
 
-def _collapse_dataset_rows(name: str, quantity: str, spec: dict, curve: QMomentCurve, theta, reference):
+def _scaled_q_values(curve: QMomentCurve, spec: dict, shared: dict) -> np.ndarray:
     q = curve.q_grid
-    if quantity == "ratio":
-        if "ln_tau" not in spec or theta is None:
-            raise UsageError(f"dataset {name}: 'ratio' needs per-dataset ln_tau and a global theta")
-        values = empirical.rescaled_log_moment(curve, math.exp(spec["ln_tau"]), theta)
-    elif quantity == "mono":
-        if "ln_tau" not in spec:
-            raise UsageError(f"dataset {name}: 'mono' needs ln_tau")
-        values = empirical.mono_collapse(curve, math.exp(spec["ln_tau"]))
-    elif quantity == "mf":
-        if "mf" not in spec:
-            raise UsageError(f"dataset {name}: 'mf' needs an mf parameter block")
-        values = empirical.mf_collapse(curve, moments.MFParams(**spec["mf"]))
-    elif quantity == "hmf":
-        if "hmf" not in spec:
-            raise UsageError(f"dataset {name}: 'hmf' needs an hmf parameter block")
-        values = empirical.hmf_collapse(curve, moments.HMFParams(**spec["hmf"]))
-    elif quantity == "transform":
-        if "hmf" not in spec:
-            raise UsageError(f"dataset {name}: 'transform' needs an hmf parameter block")
-        values = empirical.transformed_moment(curve, moments.HMFParams(**spec["hmf"]))
-    else:  # scaled-q
-        if "hmf" not in spec or reference is None:
-            raise UsageError(f"dataset {name}: 'scaled-q' needs hmf blocks and a reference dataset")
-        values = np.full(q.shape, np.nan)
-        pos = q > 0
-        values[pos] = empirical.scale_q(
-            q[pos], moments.HMFParams(**spec["hmf"]), moments.HMFParams(**reference["hmf"])
-        )
+    values = np.full(q.shape, np.nan)
+    pos = q > 0
+    values[pos] = empirical.scale_q(
+        q[pos], moments.HMFParams(**spec["hmf"]), moments.HMFParams(**shared["reference"]["hmf"])
+    )
     return values
+
+
+# quantity -> (dataset key it needs, config value it also needs or None, that
+# need in words, its values), in output order.  Auto-detection emits each quantity
+# every dataset meets; a requested quantity a dataset misses is a usage error.
+_COLLAPSE_QUANTITIES = {
+    "ratio": ("ln_tau", "theta", "per-dataset ln_tau and a global theta",
+              lambda c, d, g: empirical.rescaled_log_moment(c, math.exp(d["ln_tau"]), g["theta"])),
+    "mono": ("ln_tau", None, "ln_tau",
+             lambda c, d, g: empirical.mono_collapse(c, math.exp(d["ln_tau"]))),
+    "mf": ("mf", None, "an mf parameter block",
+           lambda c, d, g: empirical.mf_collapse(c, moments.MFParams(**d["mf"]))),
+    "hmf": ("hmf", None, "an hmf parameter block",
+            lambda c, d, g: empirical.hmf_collapse(c, moments.HMFParams(**d["hmf"]))),
+    "transform": ("hmf", None, "an hmf parameter block",
+                  lambda c, d, g: empirical.transformed_moment(c, moments.HMFParams(**d["hmf"]))),
+    "scaled-q": ("hmf", "reference", "hmf blocks and a reference dataset", _scaled_q_values),
+}
+
+
+def _collapse_ready(quantity: str, spec: dict, shared: dict) -> bool:
+    key, also, _, _ = _COLLAPSE_QUANTITIES[quantity]
+    return key in spec and (also is None or shared[also] is not None)
 
 
 def _cmd_collapse(args) -> int:
@@ -513,30 +514,22 @@ def _cmd_collapse(args) -> int:
     datasets = cfg.get("datasets")
     if not datasets:
         raise UsageError("config must list at least one dataset")
-    theta = cfg.get("theta")
+    shared = {"theta": cfg.get("theta"), "reference": None}
     ref_name = cfg.get("reference")
-    reference = None
     if ref_name is not None:
         matches = [d for d in datasets if d.get("name") == ref_name]
         if not matches:
             raise UsageError(f"reference dataset '{ref_name}' not found in config")
-        reference = matches[0]
-        if "hmf" not in reference:
+        shared["reference"] = matches[0]
+        if "hmf" not in matches[0]:
             raise UsageError(f"reference dataset '{ref_name}' has no hmf parameter block")
 
     quantities = args.quantities or cfg.get("quantities")
     if quantities is None:
-        quantities = []
-        for quantity, needs in (
-            ("ratio", lambda d: "ln_tau" in d and theta is not None),
-            ("mono", lambda d: "ln_tau" in d),
-            ("mf", lambda d: "mf" in d),
-            ("hmf", lambda d: "hmf" in d),
-            ("transform", lambda d: "hmf" in d),
-            ("scaled-q", lambda d: "hmf" in d and reference is not None),
-        ):
-            if all(needs(d) for d in datasets):
-                quantities.append(quantity)
+        quantities = [
+            quantity for quantity in _COLLAPSE_QUANTITIES
+            if all(_collapse_ready(quantity, d, shared) for d in datasets)
+        ]
         if not quantities:
             raise UsageError("no collapse quantity is computable from the config")
     unknown = set(quantities) - set(_COLLAPSE_QUANTITIES)
@@ -552,12 +545,15 @@ def _cmd_collapse(args) -> int:
         curves[d["name"]] = _read_curve(d["curve"])
 
     for quantity in quantities:
+        _, _, what, compute = _COLLAPSE_QUANTITIES[quantity]
         rows = []
         skipped = 0
         for d in datasets:
             name = d["name"]
+            if not _collapse_ready(quantity, d, shared):
+                raise UsageError(f"dataset {name}: '{quantity}' needs {what}")
             curve = curves[name]
-            values = _collapse_dataset_rows(name, quantity, d, curve, theta, reference)
+            values = compute(curve, d, shared)
             for qi, vi in zip(curve.q_grid, values):
                 if math.isfinite(vi):
                     rows.append([name, _fmt(qi), _fmt(vi)])

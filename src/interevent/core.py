@@ -85,12 +85,14 @@ class AsymptoticRangeWarning(UserWarning):
 # Weight families
 # ---------------------------------------------------------------------------
 # A family is one class listed in WEIGHT_FAMILIES, with the methods every layer
-# calls: log_mgf(s, rtol) = ln E[exp(s eps)] (DivergentMomentError where
-# infinite), sample(rng, size), and ptd_kernel / sojourn_kernel(tau0, beta,
-# rtol), which return the scalar maps t -> psi(t) and t -> Psi(t).
+# calls: log_mgf(s) = ln E[exp(s eps)] (DivergentMomentError where infinite),
+# sample(rng, size), and ptd_kernel / sojourn_kernel(tau0, beta), which return
+# the scalar maps t -> psi(t) and t -> Psi(t).  Each family fixes its accuracy.
 
 # 64-point Gauss-Legendre for the narrow-uniform survival fallback
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
+# relative tolerance of the stretched family's psi/Psi quadrature (_log_mix)
+_MIX_RTOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -103,7 +105,7 @@ class Delta:
         if not math.isfinite(self.mu):
             raise ModelDomainError("mu must be finite")
 
-    def log_mgf(self, s: float, rtol: float = 1e-10) -> float:
+    def log_mgf(self, s: float) -> float:
         return s * self.mu
 
     def sample(self, rng: np.random.Generator, size: int | None = None):
@@ -111,11 +113,11 @@ class Delta:
             return self.mu
         return np.full(size, self.mu, dtype=float)
 
-    def ptd_kernel(self, tau0: float, beta: float, rtol: float = 1e-8):
+    def ptd_kernel(self, tau0: float, beta: float):
         tau_mu = tau0 * math.exp(beta * self.mu)
         return lambda x: math.exp(-x / tau_mu) / tau_mu
 
-    def sojourn_kernel(self, tau0: float, beta: float, rtol: float = 1e-8):
+    def sojourn_kernel(self, tau0: float, beta: float):
         tau_mu = tau0 * math.exp(beta * self.mu)
         return lambda x: math.exp(-x / tau_mu)
 
@@ -130,13 +132,13 @@ class Uniform:
         if not (self.half_width > 0 and math.isfinite(self.half_width)):
             raise ModelDomainError("half_width must be positive and finite")
 
-    def log_mgf(self, s: float, rtol: float = 1e-10) -> float:
+    def log_mgf(self, s: float) -> float:
         return _log_sinhc(s * self.half_width)
 
     def sample(self, rng: np.random.Generator, size: int | None = None):
         return rng.uniform(-self.half_width, self.half_width, size)
 
-    def ptd_kernel(self, tau0: float, beta: float, rtol: float = 1e-8):
+    def ptd_kernel(self, tau0: float, beta: float):
         db = beta * self.half_width
         tau_plus = tau0 * math.exp(db)
         tau_minus = tau0 * math.exp(-db)
@@ -151,7 +153,7 @@ class Uniform:
 
         return kernel
 
-    def sojourn_kernel(self, tau0: float, beta: float, rtol: float = 1e-8):
+    def sojourn_kernel(self, tau0: float, beta: float):
         db = beta * self.half_width
         tau_plus = tau0 * math.exp(db)
         tau_minus = tau0 * math.exp(-db)
@@ -180,7 +182,7 @@ class Laplace:
         if not (self.sigma > 0 and math.isfinite(self.sigma)):
             raise ModelDomainError("sigma must be positive and finite")
 
-    def log_mgf(self, s: float, rtol: float = 1e-10) -> float:
+    def log_mgf(self, s: float) -> float:
         if abs(s) * self.sigma >= 1.0:
             raise DivergentMomentError(
                 f"Laplace-weight moment diverges for |q|*beta*sigma = {abs(s) * self.sigma} >= 1"
@@ -190,7 +192,7 @@ class Laplace:
     def sample(self, rng: np.random.Generator, size: int | None = None):
         return rng.laplace(0.0, self.sigma, size)
 
-    def ptd_kernel(self, tau0: float, beta: float, rtol: float = 1e-8):
+    def ptd_kernel(self, tau0: float, beta: float):
         sb = beta * self.sigma
         a_low = 1.0 + 1.0 / sb
         a_up = 1.0 - 1.0 / sb
@@ -207,7 +209,7 @@ class Laplace:
 
         return kernel
 
-    def sojourn_kernel(self, tau0: float, beta: float, rtol: float = 1e-8):
+    def sojourn_kernel(self, tau0: float, beta: float):
         sb = beta * self.sigma
         c = 1.0 / sb
 
@@ -247,14 +249,14 @@ class StretchedExp:
         """``ln(2 Gamma(1 + 1/alpha))``, the log mass of ``exp(-|y|**alpha)``."""
         return math.log(2.0) + float(scipy.special.gammaln(1.0 + 1.0 / self.alpha))
 
-    def log_mgf(self, s: float, rtol: float = 1e-10) -> float:
+    def log_mgf(self, s: float) -> float:
         if not self.alpha > 1:
             raise DivergentMomentError(
                 f"stretched-weight moments diverge for alpha <= 1 (got {self.alpha})"
             )
         if self.alpha == 2.0:
             return s * self.mu + (s * self.sigma) ** 2 / 4.0
-        return s * self.mu + log_iq_quadrature(s, self.alpha, self.sigma, rtol=rtol) - self.log_norm
+        return s * self.mu + log_iq_quadrature(s, self.alpha, self.sigma) - self.log_norm
 
     def sample(self, rng: np.random.Generator, size: int | None = None):
         """``eps = mu + sigma * s * G**(1/alpha)``, ``G`` gamma of shape ``1/alpha``, ``s`` a fair sign.
@@ -267,7 +269,7 @@ class StretchedExp:
         eps = self.mu + self.sigma * sign * g ** (1.0 / self.alpha)
         return float(eps) if size is None else eps
 
-    def _log_mix(self, c: float, bs: float, shift: float, seed: float, rtol: float) -> float:
+    def _log_mix(self, c: float, bs: float, shift: float, seed: float) -> float:
         # ln int exp(-|y|^alpha - shift*y - c*exp(-bs*y)) dy over the standardized depth y
         alpha = self.alpha
 
@@ -279,9 +281,9 @@ class StretchedExp:
                 return -math.inf
             return -abs(y) ** alpha - shift * y - c * math.exp(u)
 
-        return _log_peak_quad(logf, seed, rtol=rtol, kinks=(0.0,))
+        return _log_peak_quad(logf, seed, rtol=_MIX_RTOL, kinks=(0.0,))
 
-    def ptd_kernel(self, tau0: float, beta: float, rtol: float = 1e-8):
+    def ptd_kernel(self, tau0: float, beta: float):
         alpha = self.alpha
         bs = beta * self.sigma
         scale = tau0 * math.exp(beta * self.mu)
@@ -295,11 +297,11 @@ class StretchedExp:
                 seed = -((bs / alpha) ** (1.0 / (alpha - 1.0))) if alpha > 1.0 else 0.0
             else:
                 seed = max(0.0, math.log(c) / bs)
-            return math.exp(self._log_mix(c, bs, bs, seed, rtol) + log_pref)
+            return math.exp(self._log_mix(c, bs, bs, seed) + log_pref)
 
         return kernel
 
-    def sojourn_kernel(self, tau0: float, beta: float, rtol: float = 1e-8):
+    def sojourn_kernel(self, tau0: float, beta: float):
         bs = beta * self.sigma
         scale = tau0 * math.exp(beta * self.mu)
         log_norm = self.log_norm
@@ -308,7 +310,7 @@ class StretchedExp:
             if x == 0.0:
                 return 1.0
             c = x / scale
-            return math.exp(self._log_mix(c, bs, 0.0, max(0.0, math.log(c) / bs), rtol) - log_norm)
+            return math.exp(self._log_mix(c, bs, 0.0, max(0.0, math.log(c) / bs)) - log_norm)
 
         return kernel
 
@@ -390,15 +392,15 @@ class QMomentCurve:
             object.__setattr__(self, "stderr", se)
             if se.shape != q.shape:
                 raise ValueError("stderr must match the q grid")
-            if np.any(se < 0):
-                raise ValueError("stderr must be nonnegative")
+            if not np.all(se >= 0):
+                raise ValueError("stderr must be nonnegative and not NaN")
         if self.n_eff is not None:
             ne = np.atleast_1d(np.asarray(self.n_eff, dtype=float))
             object.__setattr__(self, "n_eff", ne)
             if ne.shape != q.shape:
                 raise ValueError("n_eff must match the q grid")
-            if np.any(ne < 0):
-                raise ValueError("n_eff must be nonnegative")
+            if not np.all(ne >= 0):
+                raise ValueError("n_eff must be nonnegative and not NaN")
 
     def __len__(self) -> int:
         return int(self.q_grid.size)
@@ -609,14 +611,13 @@ def _log_peak_quad(
     logf: Callable[[float], float],
     x_seed: float,
     rtol: float = 1e-10,
-    drop: float = _LOG_TRUNC_DROP,
     kinks: tuple[float, ...] = (),
 ) -> float:
     """``ln int exp(logf(x)) dx`` for a unimodal log-integrand.
 
-    Locates the peak from ``x_seed``, truncates where logf falls ``drop``
-    below the peak, and integrates the rescaled exponent so the integrand is
-    O(1).  ``kinks`` are points where logf is not smooth; the quadrature
+    Locates the peak from ``x_seed``, truncates where the integrand falls
+    below 1e-16 of its peak, and integrates the rescaled exponent so the
+    integrand is O(1).  ``kinks`` are points where logf is not smooth; the quadrature
     splits there, since a kink near the peak can pass its error estimate
     while missing ``rtol``.  Returns the log of the integral.
     """
@@ -635,7 +636,7 @@ def _log_peak_quad(
         d = max(1.0, abs(x_peak)) * 0.5
         for _ in range(500):
             x_try = x + direction * d
-            if logf(x_try) < g_peak - drop:
+            if logf(x_try) < g_peak - _LOG_TRUNC_DROP:
                 return x_try
             x = x_try
             d *= 1.6

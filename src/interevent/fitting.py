@@ -140,7 +140,7 @@ def least_squares(*args, **kwargs):
     return scipy.optimize.least_squares(*args, **kwargs)
 
 
-def _nls(residual, jac, theta0, bounds, names, domain, weighted, n_obs, flags=()):
+def _nls(residual, jac, theta0, bounds, names, domain, weighted, n_obs):
     res = least_squares(
         residual,
         np.clip(theta0, bounds[0], bounds[1]),
@@ -160,7 +160,6 @@ def _nls(residual, jac, theta0, bounds, names, domain, weighted, n_obs, flags=()
         q_domain=domain,
         residual_norm=float(2.0 * res.cost),
         converged=converged,
-        flags=tuple(flags),
         nfev=int(res.nfev),
         status=int(res.status),
         jac_cond=float(np.linalg.cond(res.jac)),

@@ -451,19 +451,21 @@ def scales(params: ModelParams) -> Scales:
 # ---------------------------------------------------------------------------
 
 
-def log_norm_moment(q: float, params: ModelParams, rtol: float = 1e-10) -> float:
+def log_norm_moment(q: float, params: ModelParams) -> float:
     """``ln(<t^q> / Gamma(1+q)) = q ln(tau0) + ln E[exp(q beta eps)]`` for any weight
     family (exact 0 at q = 0)."""
     _check_order(q)
     if q == 0.0:
         return 0.0
-    return q * math.log(params.tau0) + params.weight.log_mgf(q * params.beta, rtol=rtol)
+    return q * math.log(params.tau0) + params.weight.log_mgf(q * params.beta)
 
 
-def moment(q: float, params: ModelParams, rtol: float = 1e-10) -> float:
-    """``<t^q>`` for any weight family (closed form, or quadrature where needed)."""
+def moment(q: float, params: ModelParams) -> float:
+    """``<t^q>`` for any weight family: closed form, or for the stretched weight
+    with alpha != 2 the generating integral by quadrature to relative
+    tolerance 1e-10."""
     _check_order(q)
-    return _safe_exp(float(scipy.special.gammaln(1.0 + q)) + log_norm_moment(q, params, rtol=rtol))
+    return _safe_exp(float(scipy.special.gammaln(1.0 + q)) + log_norm_moment(q, params))
 
 
 def _as_q_grid(q_grid) -> np.ndarray:
@@ -471,10 +473,10 @@ def _as_q_grid(q_grid) -> np.ndarray:
     return q
 
 
-def model_curve(q_grid, params: ModelParams, rtol: float = 1e-10) -> QMomentCurve:
+def model_curve(q_grid, params: ModelParams) -> QMomentCurve:
     """Analytic normalized log-moment curve for a weight family."""
     q = _as_q_grid(q_grid)
-    vals = np.array([log_norm_moment(float(x), params, rtol=rtol) for x in q])
+    vals = np.array([log_norm_moment(float(x), params) for x in q])
     return QMomentCurve(q_grid=q, log_norm_moment=vals, n_samples=0)
 
 

@@ -6,6 +6,7 @@ Tolerances are part of the contract; do not loosen them to make a test pass.
 
 import json
 import math
+import os
 import subprocess
 import sys
 import time
@@ -268,11 +269,16 @@ def test_cli_end_to_end_poisson(tmp_path):
     mom = tmp_path / "mom.csv"
     out = tmp_path / "fit.json"
 
+    # absolute src first, so the child finds the package without an install
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    pythonpath = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+
     def cli(*argv):
         proc = subprocess.run(
             [sys.executable, "-m", "interevent", *argv],
             capture_output=True,
             text=True,
+            env=dict(os.environ, PYTHONPATH=pythonpath),
         )
         assert proc.returncode == 0, proc.stderr
         return proc

@@ -317,6 +317,70 @@ def test_collapse_quantity_without_inputs_is_usage_error(tmp_path):
     assert r.returncode == 2
 
 
+def _write_curve(path, ln_tau):
+    with open(path, "w") as fh:
+        fh.write("q,log_norm_moment\n")
+        for qi in np.round(np.arange(0, 36) * 0.1, 10):
+            fh.write(f"{qi},{qi * ln_tau + 0.05 * qi ** 1.5}\n")
+
+
+@pytest.mark.parametrize(
+    "theta, reference, expected",
+    [
+        (None, None, ["mono", "mf", "hmf", "transform"]),
+        (2.0, None, ["ratio", "mono", "mf", "hmf", "transform"]),
+        (None, "aa", ["mono", "mf", "hmf", "transform", "scaled-q"]),
+        (2.0, "aa", ["ratio", "mono", "mf", "hmf", "transform", "scaled-q"]),
+    ],
+)
+def test_collapse_detects_computable_quantities(tmp_path, theta, reference, expected):
+    hmf = {"alpha": 1.5, "c0": 1.0, "b": 0.05, "b1": 0.5}
+    datasets = []
+    for name, ln_tau in (("aa", 1.0), ("bb", 2.0)):
+        _write_curve(tmp_path / f"{name}.csv", ln_tau)
+        datasets.append({
+            "name": name, "curve": f"{name}.csv", "ln_tau": ln_tau,
+            "mf": {"alpha": 1.5, "c0": ln_tau, "b": 0.05}, "hmf": dict(hmf, c0=ln_tau),
+        })
+    cfg = {"datasets": datasets}
+    if theta is not None:
+        cfg["theta"] = theta
+    if reference is not None:
+        cfg["reference"] = reference
+    (tmp_path / "c.json").write_text(json.dumps(cfg))
+    r = run_cli(["collapse", "--config", "c.json", "--out-prefix", "cc"], tmp_path)
+    assert r.returncode == 0, r.stderr
+    written = sorted(p.name for p in tmp_path.glob("cc.*.csv"))
+    assert written == sorted(f"cc.{q}.csv" for q in expected)
+    # notes follow the table's output order
+    noted = [ln.rsplit("cc.", 1)[1][: -len(".csv")] for ln in r.stderr.splitlines()]
+    assert noted == [q for q in expected if q != "ratio"]
+
+
+def test_collapse_without_any_computable_quantity_is_usage_error(tmp_path):
+    _write_curve(tmp_path / "aa.csv", 1.0)
+    (tmp_path / "c.json").write_text(json.dumps({"datasets": [{"name": "aa", "curve": "aa.csv"}]}))
+    r = run_cli(["collapse", "--config", "c.json"], tmp_path)
+    assert r.returncode == 2
+    assert r.stderr == "usage error: no collapse quantity is computable from the config\n"
+    assert not list(tmp_path.glob("collapse.*.csv"))
+
+
+@pytest.mark.parametrize("kind", ["mf", "hmf"])
+def test_fit_rejects_nan_stderr_as_usage_error(tmp_path, kind):
+    with open(tmp_path / "mom.csv", "w") as fh:
+        fh.write("q,log_norm_moment,stderr,n_samples\n")
+        for i, qi in enumerate(np.round(np.arange(0, 36) * 0.1, 10)):
+            fh.write(f"{qi},{0.5 * qi + 0.05 * qi ** 1.5},{'nan' if i == 10 else 1e-3},1000\n")
+    r = run_cli(["fit", "--kind", kind, "--input", "mom.csv"], tmp_path)
+    assert r.returncode == 2
+    assert r.stdout == ""
+    lines = r.stderr.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("usage error: mom.csv: ")
+    assert "stderr" in lines[0] and "NaN" in lines[0]
+
+
 def test_help_exits_zero(tmp_path):
     r = run_cli(["--help"], tmp_path)
     assert r.returncode == 0

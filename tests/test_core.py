@@ -143,6 +143,17 @@ def test_qmoment_curve_n_eff_validation():
         QMomentCurve(q_grid=q, log_norm_moment=vals, n_eff=np.array([3.0, 2.0, -1.0]))
 
 
+@pytest.mark.parametrize("field", ["stderr", "n_eff"])
+def test_qmoment_curve_rejects_nan_uncertainty(field):
+    # NaN passes a plain "< 0" check; it must not reach a fit's weights
+    q = np.array([0.0, 0.5, 1.0])
+    vals = np.array([0.0, 0.1, 0.3])
+    with pytest.raises(ValueError, match=field):
+        QMomentCurve(q_grid=q, log_norm_moment=vals, **{field: np.array([1.0, np.nan, 1.0])})
+    # infinity stays legal: an unbounded error bar is a value, not a hole
+    QMomentCurve(q_grid=q, log_norm_moment=vals, **{field: np.array([1.0, np.inf, 1.0])})
+
+
 def test_qmoment_curve_window():
     q = np.linspace(0.0, 2.0, 21)
     c = QMomentCurve(q_grid=q, log_norm_moment=np.zeros(21))

@@ -1,5 +1,7 @@
 """The contract every weight family keeps, whichever module reaches it."""
 
+import inspect
+
 import numpy as np
 import pytest
 
@@ -46,3 +48,31 @@ def test_weight_family_contract(family):
 def test_sample_epsilon_rejects_unknown_family():
     with pytest.raises(UnsupportedModelError):
         sample_epsilon(object(), np.random.default_rng(0), 3)
+
+
+@pytest.mark.parametrize("family", WEIGHT_FAMILIES, ids=lambda f: f.__name__)
+def test_family_methods_take_no_tolerance(family):
+    # each family fixes its own accuracy; the protocol carries no rtol
+    def params(name):
+        return list(inspect.signature(getattr(family, name)).parameters)
+
+    assert params("log_mgf") == ["self", "s"]
+    assert params("ptd_kernel") == ["self", "tau0", "beta"]
+    assert params("sojourn_kernel") == ["self", "tau0", "beta"]
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda p: iv.ptd(1.0, p, rtol=1e-6),
+        lambda p: iv.sojourn(1.0, p, rtol=1e-6),
+        lambda p: iv.moment(1.0, p, rtol=1e-6),
+        lambda p: iv.log_norm_moment(1.0, p, rtol=1e-6),
+        lambda p: iv.model_curve([0.0, 1.0], p, rtol=1e-6),
+    ],
+    ids=["ptd", "sojourn", "moment", "log_norm_moment", "model_curve"],
+)
+def test_density_and_moment_api_takes_no_tolerance(call):
+    p = iv.ModelParams(weight=FINITE_MEAN[iv.StretchedExp], tau0=1.3, beta=0.9)
+    with pytest.raises(TypeError):
+        call(p)
