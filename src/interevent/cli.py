@@ -32,7 +32,7 @@ import math
 import os
 import sys
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -336,16 +336,14 @@ def _cmd_moments(args) -> int:
     qmin = args.qmin if args.qmin is not None else (0.1 if model == "saddle" else 0.0)
     q = _q_grid(qmin, args.qmax, args.qstep)
 
-    if model == "mf":
-        if args.alpha is None or args.c0 is None or args.b is None:
-            raise UsageError("--model mf needs --alpha, --c0 and --b")
-        curve = moments.mf_curve(q, moments.MFParams(args.alpha, args.c0, args.b))
-        values = curve.log_norm_moment
-    elif model == "hmf":
-        if None in (args.alpha, args.c0, args.b, args.b1):
-            raise UsageError("--model hmf needs --alpha, --c0, --b and --b1")
-        curve = moments.hmf_curve(q, moments.HMFParams(args.alpha, args.c0, args.b, args.b1))
-        values = curve.log_norm_moment
+    if model in ("mf", "hmf"):
+        law = moments.MFParams if model == "mf" else moments.HMFParams
+        names = [f.name for f in fields(law)]
+        given = [getattr(args, name) for name in names]
+        if None in given:
+            flags = [f"--{name}" for name in names]
+            raise UsageError(f"--model {model} needs {', '.join(flags[:-1])} and {flags[-1]}")
+        values = law(*given).log_norm_moment(q)
     elif model == "series":
         params = _model_params(args, "--model")
         with warnings.catch_warnings(record=True) as truncated:
@@ -453,6 +451,9 @@ def _cmd_fit(args) -> int:
         result = fit_fn(curve, q_range)
     else:
         cols = _read_columns(args.input, ["t", "psi"])
+        for name, column in cols.items():
+            if not np.all(np.isfinite(column)):
+                raise UsageError(f"{args.input}: column '{name}' has a non-finite value")
         t, psi = cols["t"], cols["psi"]
         keep = psi > 0
         if not keep.all():

@@ -1,17 +1,21 @@
 """Parameter estimation on q-moment curves and survival functions.
 
-Moment-curve fits minimize residuals of the normalized log curve
-``y(q) = ln(<t^q>/Gamma(1+q))`` against the candidate law, weighted by
-inverse squared standard errors when the curve carries them.  Survival fits
-minimize residuals of ``ln Psi(t)``.  The optimizer is a damped Gauss-Newton
-method with a trust-region safeguard (scipy's TRF), analytic Jacobians where
-the model is closed-form, stopping at relative step 1e-10 or 500 evaluations.
+Each fitted law is a frozen dataclass whose fields are its parameters in fit
+order, carrying its values, its ``jacobian`` (``None`` for finite
+differences) and the ``bounds`` its fit searches: ``MFParams`` and
+``HMFParams`` give the normalized log curve ``y(q) = ln(<t^q>/Gamma(1+q))``;
+:class:`QExponential`, :class:`Weibull` and :class:`StretchedSojourn` give
+``ln Psi(t)`` and their start ``initial(t, y)``.  Every iterative fit runs
+through :func:`_nls`, a damped Gauss-Newton method with a trust-region
+safeguard (scipy's TRF) stopping at relative step 1e-10 or 500 evaluations.
+Moment-curve residuals are weighted by inverse squared standard errors when
+the curve carries them; survival residuals are unweighted.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 import scipy
@@ -34,7 +38,7 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# Survival-model containers
+# Survival models
 # ---------------------------------------------------------------------------
 
 
@@ -45,6 +49,8 @@ class QExponential:
     m: float
     q_ts: float
 
+    bounds = ((1e-12, 1.0 + 1e-9), (np.inf, 100.0))
+
     def __post_init__(self):
         if not self.m > 0:
             raise ModelDomainError("m must be positive")
@@ -54,6 +60,20 @@ class QExponential:
     def log_survival(self, t):
         return qexp_log_survival(t, self.m, self.q_ts)
 
+    def jacobian(self, t):
+        k = self.q_ts - 1.0
+        u = self.m * k * t
+        dm = -t / (1.0 + u)
+        dq = (np.log1p(u) - u / (1.0 + u)) / k ** 2
+        return np.column_stack([dm, dq])
+
+    @staticmethod
+    def initial(t, y):
+        """``m`` from the first slope of ``ln Psi``, and ``q_ts = 1.5``."""
+        pos = np.flatnonzero(t > t[0])
+        slope0 = -(y[pos[0]] - y[0]) / (t[pos[0]] - t[0]) if pos.size else 1.0
+        return (max(slope0, 1e-6), 1.5)
+
 
 @dataclass(frozen=True)
 class Weibull:
@@ -62,6 +82,8 @@ class Weibull:
     a: float
     c: float
 
+    bounds = ((1e-12, 1e-12), (np.inf, np.inf))
+
     def __post_init__(self):
         if not (self.a > 0 and self.c > 0):
             raise ModelDomainError("a and c must be positive")
@@ -69,19 +91,57 @@ class Weibull:
     def log_survival(self, t):
         return weibull_log_survival(t, self.a, self.c)
 
+    def jacobian(self, t):
+        tc = t ** self.c
+        with np.errstate(divide="ignore", invalid="ignore"):
+            dlog = np.where(t > 0, np.log(np.maximum(t, 1e-300)), 0.0)
+        return np.column_stack([-tc, -self.a * tc * dlog])
+
+    @staticmethod
+    def initial(t, y):
+        """``(a, c)`` from a line through ``ln(-ln Psi)`` against ``ln t``."""
+        init_mask = (y < 0) & (t > 0)
+        if int(init_mask.sum()) < 2:
+            return (1.0, 1.0)
+        slope, intercept = np.polyfit(np.log(t[init_mask]), np.log(-y[init_mask]), 1)
+        return float(np.clip(math.exp(intercept), 1e-10, 1e10)), float(np.clip(slope, 1e-3, 50.0))
+
 
 @dataclass(frozen=True)
 class StretchedSojourn:
-    """The mixed model's own (numerically integrated) survival function."""
+    """The mixed model's own (numerically integrated) survival function, named
+    by the moment-law parameters of its stretched weight (see :attr:`params`)."""
 
-    params: ModelParams
+    alpha: float
+    b: float
+    c0: float
+
+    bounds = ((1.05, 1e-9, -np.inf), (6.0, 1e3, np.inf))
+    jacobian = None  # no closed form; the fit differences log_survival
 
     def __post_init__(self):
-        if not isinstance(self.params.weight, StretchedExp):
-            raise ModelDomainError("StretchedSojourn needs a StretchedExp weight")
+        if not (1 < self.alpha < math.inf and 0 < self.b < math.inf and math.isfinite(self.c0)):
+            raise ModelDomainError("need alpha > 1, b > 0 and all three finite")
+
+    @property
+    def params(self) -> ModelParams:
+        """The mixture: ``sigma = alpha (b/(alpha-1))**((alpha-1)/alpha)``, ``tau0 = e**c0``."""
+        alpha = self.alpha
+        bs = alpha * (self.b / (alpha - 1.0)) ** ((alpha - 1.0) / alpha)
+        weight = StretchedExp(mu=0.0, sigma=bs, alpha=alpha)
+        return ModelParams(weight=weight, tau0=math.exp(self.c0), beta=1.0)
 
     def log_survival(self, t):
         return np.log(_sojourn(t, self.params))
+
+    @staticmethod
+    def initial(t, y):
+        """Shape 1.8, curvature 0.3, and ``c0`` at the time where the data
+        crosses 1/e.  The numeric survival needs ``t > 0``."""
+        if np.any(t <= 0):
+            raise ValueError("the numeric survival fit needs t > 0")
+        crossing = int(np.argmin(np.abs(np.exp(y) - math.exp(-1.0))))
+        return (1.8, 0.3, float(np.log(t[crossing])))
 
 
 def qexp_log_survival(t, m: float, q_ts: float):
@@ -110,25 +170,10 @@ def _window_points(curve: QMomentCurve, q_range, min_points: int):
         )
     q = curve.q_grid[mask]
     y = curve.log_norm_moment[mask]
-    if curve.stderr is not None:
-        se = np.maximum(curve.stderr[mask], 1e-15)
-        w = 1.0 / se ** 2
-        weighted = True
-    else:
-        w = np.ones_like(q)
-        weighted = False
+    weighted = curve.stderr is not None
+    w = 1.0 / np.maximum(curve.stderr[mask], 1e-15) ** 2 if weighted else np.ones_like(q)
     domain = (max(lo, float(curve.q_grid[0])), min(hi, float(curve.q_grid[-1])))
     return q, y, w, weighted, domain
-
-
-def _covariance_stderr(jac: np.ndarray, rss_weighted: float, n_obs: int, weighted: bool):
-    jtj = jac.T @ jac
-    cov = np.linalg.pinv(jtj)
-    dof = n_obs - jac.shape[1]
-    if not weighted:
-        cov = cov * (rss_weighted / dof if dof > 0 else np.nan)
-    with np.errstate(invalid="ignore"):
-        return np.sqrt(np.diag(cov))
 
 
 def least_squares(*args, **kwargs):
@@ -140,26 +185,41 @@ def least_squares(*args, **kwargs):
     return scipy.optimize.least_squares(*args, **kwargs)
 
 
-def _nls(residual, jac, theta0, bounds, names, domain, weighted, n_obs):
+def _nls(law, values, x, y, w, theta0, domain, weighted) -> FitResult:
+    """Least squares of ``sqrt(w) (values(law(*theta), x) - y)`` within ``law.bounds``,
+    naming the parameters after ``law``'s fields.  Unless ``weighted`` (``w``
+    are inverse variances) the covariance is scaled by the residual variance."""
+    sw = np.sqrt(w)
+
+    def residual(theta):
+        return sw * (values(law(*theta), x) - y)
+
+    def jac(theta):
+        return sw[:, None] * law(*theta).jacobian(x)
+
     res = least_squares(
         residual,
-        np.clip(theta0, bounds[0], bounds[1]),
-        jac=jac,
-        bounds=bounds,
+        np.clip(theta0, *law.bounds),
+        jac="2-point" if law.jacobian is None else jac,
+        bounds=law.bounds,
         method="trf",
         xtol=1e-10,
         ftol=1e-14,
         gtol=1e-14,
         max_nfev=500,
     )
-    converged = res.status > 0
-    stderr = _covariance_stderr(res.jac, 2.0 * res.cost, n_obs, weighted)
-    params = {name: (float(est), float(se)) for name, est, se in zip(names, res.x, stderr)}
+    rss = float(2.0 * res.cost)
+    cov = np.linalg.pinv(res.jac.T @ res.jac)
+    dof = len(x) - res.jac.shape[1]
+    if not weighted:
+        cov = cov * (rss / dof if dof > 0 else np.nan)
+    with np.errstate(invalid="ignore"):
+        stderr = np.sqrt(np.diag(cov))
     return FitResult(
-        params=params,
+        params={f.name: (float(e), float(se)) for f, e, se in zip(fields(law), res.x, stderr)},
         q_domain=domain,
-        residual_norm=float(2.0 * res.cost),
-        converged=converged,
+        residual_norm=rss,
+        converged=res.status > 0,
         nfev=int(res.nfev),
         status=int(res.status),
         jac_cond=float(np.linalg.cond(res.jac)),
@@ -216,37 +276,15 @@ def fit_monofractal(curve: QMomentCurve, q_range=(10.0, 20.0)) -> FitResult:
 
 
 def fit_mf(curve: QMomentCurve, q_range=(0.0, 3.5)) -> FitResult:
-    """Weighted fit of ``y = q c0 + b |q|**(alpha/(alpha-1))``."""
+    """Weighted fit of the MF law ``y = q c0 + b |q|**(alpha/(alpha-1))``."""
     q, y, w, weighted, domain = _window_points(curve, q_range, min_points=6)
-    sw = np.sqrt(w)
-    aq = np.abs(q)
-
-    def model_and_grad(theta):
-        alpha, c0, b = theta
-        gamma = alpha / (alpha - 1.0)
-        p = aq ** gamma
-        model = q * c0 + b * p
-        dalpha = b * p * np.log(aq) * (-1.0 / (alpha - 1.0) ** 2)
-        return model, np.column_stack([dalpha, q, p])
-
-    def residual(theta):
-        model, _ = model_and_grad(theta)
-        return sw * (model - y)
-
-    def jac(theta):
-        _, grad = model_and_grad(theta)
-        return sw[:, None] * grad
-
     theta0 = _power_law_init(q, y, w)
-    bounds = (np.array([1.000001, -np.inf, 1e-12]), np.array([50.0, np.inf, np.inf]))
-    return _nls(residual, jac, theta0, bounds, ("alpha", "c0", "b"), domain, weighted, len(q))
+    return _nls(MFParams, MFParams.log_norm_moment, q, y, w, theta0, domain, weighted)
 
 
 def fit_hmf(curve: QMomentCurve, q_range=(0.0, 20.0)) -> FitResult:
-    """Weighted fit of ``y = q c0 + (b/b1)(1 - exp(-b1 |q|**(1/(alpha-1)))) q``."""
+    """Weighted fit of the HMF law ``y = q c0 + (b/b1)(1 - exp(-b1 |q|**(1/(alpha-1)))) |q|``."""
     q, y, w, weighted, domain = _window_points(curve, q_range, min_points=8)
-    sw = np.sqrt(w)
-    aq = np.abs(q)
 
     # a purely linear curve has b = 0 and leaves (alpha, b1) meaningless
     lin = float(np.dot(w * q, y) / np.dot(w * q, q))
@@ -258,47 +296,22 @@ def fit_hmf(curve: QMomentCurve, q_range=(0.0, 20.0)) -> FitResult:
             "has b = 0 and (alpha, b1) are unidentifiable"
         )
 
-    def model_and_grad(theta):
-        alpha, c0, b, b1 = theta
-        s = aq ** (1.0 / (alpha - 1.0))
-        e = np.exp(-b1 * s)
-        one_minus_e = -np.expm1(-b1 * s)
-        phi = one_minus_e * aq / b1
-        model = q * c0 + b * phi
-        ds_dalpha = s * np.log(aq) * (-1.0 / (alpha - 1.0) ** 2)
-        dalpha = b * e * aq * ds_dalpha
-        db1 = b * aq * (e * s * b1 - one_minus_e) / b1 ** 2
-        return model, np.column_stack([dalpha, q, phi, db1])
-
-    def residual(theta):
-        model, _ = model_and_grad(theta)
-        return sw * (model - y)
-
-    def jac(theta):
-        _, grad = model_and_grad(theta)
-        return sw[:, None] * grad
-
-    alpha0, c00, b_over_b1_0 = _power_law_init(q, y, w)
+    alpha0, c00, b0 = _power_law_init(q, y, w)
     b1_0 = 0.2
     # refine (c0, b) linearly with the shape (alpha0, b1_0) frozen
-    s0 = aq ** (1.0 / (alpha0 - 1.0))
-    phi0 = -np.expm1(-b1_0 * s0) * aq / b1_0
+    sw = np.sqrt(w)
+    phi0 = HMFParams(alpha0, c00, b0, b1_0).exponent(q)
     basis = np.column_stack([q, phi0]) * sw[:, None]
     coef, *_ = np.linalg.lstsq(basis, y * sw, rcond=None)
-    c00, b0 = float(coef[0]), float(max(coef[1], 1e-3))
-    theta0 = (alpha0, c00, b0, b1_0)
-    bounds = (
-        np.array([1.000001, -np.inf, 1e-12, 1e-12]),
-        np.array([50.0, np.inf, np.inf, np.inf]),
-    )
-    return _nls(
-        residual, jac, theta0, bounds, ("alpha", "c0", "b", "b1"), domain, weighted, len(q)
-    )
+    theta0 = (alpha0, float(coef[0]), float(max(coef[1], 1e-3)), b1_0)
+    return _nls(HMFParams, HMFParams.log_norm_moment, q, y, w, theta0, domain, weighted)
 
 
 # ---------------------------------------------------------------------------
 # Survival-function fits
 # ---------------------------------------------------------------------------
+
+_SURVIVAL_LAWS = (QExponential, Weibull, StretchedSojourn)
 
 
 def fit_sojourn(t_grid, psi_values, model_class) -> FitResult:
@@ -306,100 +319,28 @@ def fit_sojourn(t_grid, psi_values, model_class) -> FitResult:
 
     ``model_class`` is :class:`QExponential`, :class:`Weibull` or
     :class:`StretchedSojourn`.  The returned ``q_domain`` holds the fitted
-    t-range.
+    t-range.  A q-exponential fit at the exponential limit ``q_ts -> 1`` is
+    flagged ``q_ts_at_lower_boundary``.
     """
     t = np.asarray(t_grid, dtype=float)
     psi = np.asarray(psi_values, dtype=float)
     if t.ndim != 1 or psi.shape != t.shape:
         raise ValueError("t_grid and psi_values must be 1-d of equal length")
+    if not (np.all(np.isfinite(t)) and np.all(np.isfinite(psi))):
+        raise ValueError("t_grid and psi_values must be finite")
     if np.any(np.diff(t) <= 0) or np.any(t < 0):
         raise ValueError("t_grid must be nonnegative and strictly increasing")
     if np.any(psi <= 0) or np.any(psi > 1):
         raise ValueError("psi_values must lie in (0, 1]")
     if np.any(np.diff(psi) > 0):
         raise ValueError("psi_values must be nonincreasing")
+    if model_class not in _SURVIVAL_LAWS:
+        raise TypeError(f"unknown survival model class: {model_class!r}")
+    if len(t) < len(fields(model_class)):
+        raise ValueError("fewer points than parameters")
     y = np.log(psi)
-    domain = (float(t[0]), float(t[-1]))
-
-    if model_class is QExponential:
-        n_par = 2
-        if len(t) < n_par:
-            raise ValueError("fewer points than parameters")
-
-        def residual(theta):
-            m, q_ts = theta
-            return qexp_log_survival(t, m, q_ts) - y
-
-        def jac(theta):
-            m, q_ts = theta
-            k = q_ts - 1.0
-            u = m * k * t
-            dm = -t / (1.0 + u)
-            dq = (np.log1p(u) - u / (1.0 + u)) / k ** 2
-            return np.column_stack([dm, dq])
-
-        pos = np.flatnonzero(t > t[0])
-        slope0 = -(y[pos[0]] - y[0]) / (t[pos[0]] - t[0]) if pos.size else 1.0
-        theta0 = (max(slope0, 1e-6), 1.5)
-        bounds = (np.array([1e-12, 1.0 + 1e-9]), np.array([np.inf, 100.0]))
-        result = _nls(
-            residual, jac, theta0, bounds, ("m", "q_ts"), domain, False, len(t)
-        )
-        if result.params["q_ts"][0] <= 1.0 + 1e-6:
-            result = replace(result, flags=result.flags + ("q_ts_at_lower_boundary",))
-        return result
-
-    if model_class is Weibull:
-        n_par = 2
-        if len(t) < n_par:
-            raise ValueError("fewer points than parameters")
-
-        def residual(theta):
-            a, c = theta
-            return weibull_log_survival(t, a, c) - y
-
-        def jac(theta):
-            a, c = theta
-            tc = t ** c
-            with np.errstate(divide="ignore", invalid="ignore"):
-                dlog = np.where(t > 0, np.log(np.maximum(t, 1e-300)), 0.0)
-            return np.column_stack([-tc, -a * tc * dlog])
-
-        init_mask = (y < 0) & (t > 0)
-        if int(init_mask.sum()) >= 2:
-            slope, intercept = np.polyfit(np.log(t[init_mask]), np.log(-y[init_mask]), 1)
-            theta0 = (
-                float(np.clip(math.exp(intercept), 1e-10, 1e10)),
-                float(np.clip(slope, 1e-3, 50.0)),
-            )
-        else:
-            theta0 = (1.0, 1.0)
-        bounds = (np.array([1e-12, 1e-12]), np.array([np.inf, np.inf]))
-        return _nls(residual, jac, theta0, bounds, ("a", "c"), domain, False, len(t))
-
-    if model_class is StretchedSojourn:
-        n_par = 3
-        if len(t) < n_par:
-            raise ValueError("fewer points than parameters")
-        if np.any(t <= 0):
-            raise ValueError("the numeric survival fit needs t > 0")
-
-        def residual(theta):
-            alpha, b, c0 = theta
-            bs = alpha * (b / (alpha - 1.0)) ** ((alpha - 1.0) / alpha)
-            params = ModelParams(
-                weight=StretchedExp(mu=0.0, sigma=bs, alpha=alpha),
-                tau0=math.exp(c0),
-                beta=1.0,
-            )
-            return np.log(_sojourn(t, params)) - y
-
-        # scale guess: the time where the data crosses 1/e
-        c0_guess = float(np.log(t[int(np.argmin(np.abs(psi - math.exp(-1.0))))]))
-        theta0 = (1.8, 0.3, c0_guess)
-        bounds = (np.array([1.05, 1e-9, -np.inf]), np.array([6.0, 1e3, np.inf]))
-        return _nls(
-            residual, "2-point", theta0, bounds, ("alpha", "b", "c0"), domain, False, len(t)
-        )
-
-    raise TypeError(f"unknown survival model class: {model_class!r}")
+    result = _nls(model_class, model_class.log_survival, t, y, np.ones_like(t),
+                  model_class.initial(t, y), (float(t[0]), float(t[-1])), False)
+    if model_class is QExponential and result.params["q_ts"][0] <= 1.0 + 1e-6:
+        result = replace(result, flags=result.flags + ("q_ts_at_lower_boundary",))
+    return result

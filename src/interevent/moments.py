@@ -71,16 +71,19 @@ __all__ = [
 
 @dataclass(frozen=True)
 class MFParams:
-    """Multifractal moment-law parameters: exponent shape, log scale, curvature scale.
+    """Multifractal moment law ``ln(<t^q>/Gamma(1+q)) = q c0 + b |q|**(alpha/(alpha-1))``.
 
     ``c0`` plays the role of ln(tau0) + mu*beta; ``b`` is the coefficient of
-    ``|q|**(alpha/(alpha-1))`` in the log moment.
+    the curvature term :meth:`exponent`.  The fields are the fitted
+    parameters in order, and ``bounds`` is the box the fit searches.
     """
 
     alpha: float
     c0: float
     b: float
 
+    bounds = ((1.000001, -np.inf, 1e-12), (50.0, np.inf, np.inf))
+
     def __post_init__(self):
         if not (self.alpha > 1 and math.isfinite(self.alpha)):
             raise ModelDomainError("alpha must exceed 1")
@@ -88,26 +91,50 @@ class MFParams:
             raise ModelDomainError("c0 must be finite")
         if not (self.b > 0 and math.isfinite(self.b)):
             raise ModelDomainError("b must be positive")
+
+    def exponent(self, q):
+        """Curvature term ``|q|**(alpha/(alpha-1))``."""
+        return np.abs(q) ** (self.alpha / (self.alpha - 1.0))
+
+    def log_norm_moment(self, q):
+        """``ln(<t^q>/Gamma(1+q)) = q c0 + b exponent(q)``, elementwise in ``q``."""
+        return q * self.c0 + self.b * self.exponent(q)
+
+    def jacobian(self, q):
+        """Derivatives of :meth:`log_norm_moment` in (alpha, c0, b), one column each."""
+        p = self.exponent(q)
+        dalpha = self.b * p * np.log(np.abs(q)) * (-1.0 / (self.alpha - 1.0) ** 2)
+        return np.column_stack([dalpha, q, p])
 
 
 @dataclass(frozen=True)
-class HMFParams:
-    """Saturating (heuristic) variant: adds the damping scale ``b1``."""
+class HMFParams(MFParams):
+    """Saturating (heuristic) variant: the damping scale ``b1`` turns the curvature
+    term into :meth:`exponent`, which is monofractal (``|q|/b1``) at large order."""
 
-    alpha: float
-    c0: float
-    b: float
     b1: float
 
+    bounds = ((1.000001, -np.inf, 1e-12, 1e-12), (50.0, np.inf, np.inf, np.inf))
+
     def __post_init__(self):
-        if not (self.alpha > 1 and math.isfinite(self.alpha)):
-            raise ModelDomainError("alpha must exceed 1")
-        if not math.isfinite(self.c0):
-            raise ModelDomainError("c0 must be finite")
-        if not (self.b > 0 and math.isfinite(self.b)):
-            raise ModelDomainError("b must be positive")
+        super().__post_init__()
         if not (self.b1 > 0 and math.isfinite(self.b1)):
             raise ModelDomainError("b1 must be positive")
+
+    def exponent(self, q):
+        """``phi(q) = (1/b1)(1 - exp(-b1 |q|**(1/(alpha-1)))) |q|``."""
+        aq = np.abs(q)
+        return -np.expm1(-self.b1 * aq ** (1.0 / (self.alpha - 1.0))) * aq / self.b1
+
+    def jacobian(self, q):
+        """Derivatives of :meth:`log_norm_moment` in (alpha, c0, b, b1), one column each."""
+        alpha, b, b1 = self.alpha, self.b, self.b1
+        aq = np.abs(q)
+        s = aq ** (1.0 / (alpha - 1.0))
+        e = np.exp(-b1 * s)
+        dalpha = b * e * aq * (s * np.log(aq) * (-1.0 / (alpha - 1.0) ** 2))
+        db1 = b * aq * (e * s * b1 + np.expm1(-b1 * s)) / b1 ** 2
+        return np.column_stack([dalpha, q, self.exponent(q), db1])
 
 
 @dataclass(frozen=True)
@@ -389,30 +416,24 @@ def _saddle_log_norm_moment(q: float, params: ModelParams) -> float:
 
 
 def log_moment_mf(q: float, p: MFParams) -> float:
+    """``ln <t^q> = ln Gamma(1+q) + p.log_norm_moment(q)``, for an MF or HMF law."""
     _check_order(q)
-    gamma = p.alpha / (p.alpha - 1.0)
-    return float(scipy.special.gammaln(1.0 + q)) + q * p.c0 + p.b * abs(q) ** gamma
+    return float(scipy.special.gammaln(1.0 + q) + p.log_norm_moment(q))
 
 
 def moment_mf(q: float, p: MFParams) -> float:
-    """``exp(ln Gamma(1+q) + q c0 + b |q|^(alpha/(alpha-1)))``."""
+    """``<t^q> = exp(log_moment_mf(q, p))``, for an MF or HMF law."""
     return _safe_exp(log_moment_mf(q, p))
 
 
 def hmf_exponent(q: float, p: HMFParams) -> float:
     """Saturating exponent ``phi(q) = (1/b1)(1 - exp(-b1 |q|^(1/(alpha-1)))) |q|``."""
-    s = abs(q) ** (1.0 / (p.alpha - 1.0))
-    return (-math.expm1(-p.b1 * s)) * abs(q) / p.b1
+    return float(p.exponent(q))
 
 
-def log_moment_hmf(q: float, p: HMFParams) -> float:
-    _check_order(q)
-    return float(scipy.special.gammaln(1.0 + q)) + q * p.c0 + p.b * hmf_exponent(q, p)
-
-
-def moment_hmf(q: float, p: HMFParams) -> float:
-    """Saturating variant of the multifractal law; monofractal at large |q|."""
-    return _safe_exp(log_moment_hmf(q, p))
+# the HMF law is the MF law with HMFParams' exponent
+log_moment_hmf = log_moment_mf
+moment_hmf = moment_mf
 
 
 def fd_relation(sigma: float, alpha: float, beta: float) -> float:
@@ -481,16 +502,12 @@ def model_curve(q_grid, params: ModelParams) -> QMomentCurve:
 
 
 def mf_curve(q_grid, p: MFParams) -> QMomentCurve:
+    """The normalized log-moment curve of an MF law, or of an HMF law."""
     q = _as_q_grid(q_grid)
-    gamma = p.alpha / (p.alpha - 1.0)
-    vals = q * p.c0 + p.b * np.abs(q) ** gamma
-    return QMomentCurve(q_grid=q, log_norm_moment=vals, n_samples=0)
+    return QMomentCurve(q_grid=q, log_norm_moment=p.log_norm_moment(q), n_samples=0)
 
 
-def hmf_curve(q_grid, p: HMFParams) -> QMomentCurve:
-    q = _as_q_grid(q_grid)
-    vals = q * p.c0 + p.b * np.array([hmf_exponent(float(x), p) for x in q])
-    return QMomentCurve(q_grid=q, log_norm_moment=vals, n_samples=0)
+hmf_curve = mf_curve
 
 
 def monofractal_curve(q_grid, ln_tau: float) -> QMomentCurve:

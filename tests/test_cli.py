@@ -381,6 +381,23 @@ def test_fit_rejects_nan_stderr_as_usage_error(tmp_path, kind):
     assert "stderr" in lines[0] and "NaN" in lines[0]
 
 
+@pytest.mark.parametrize("column, row, cell", [("t", 5, "inf"), ("t", 2, "nan"), ("psi", 3, "nan")])
+@pytest.mark.parametrize("kind", ["sojourn-weibull", "sojourn-qexp"])
+def test_fit_rejects_non_finite_survival_as_usage_error(tmp_path, kind, column, row, cell):
+    t = [0.1, 0.2, 0.5, 1.0, 2.0, 5.0]
+    with open(tmp_path / "soj.csv", "w") as fh:
+        fh.write("t,psi\n")
+        for i, ti in enumerate(t):
+            cells = {"t": ti, "psi": math.exp(-ti)}
+            if i == row:
+                cells[column] = cell
+            fh.write(f"{cells['t']},{cells['psi']}\n")
+    r = run_cli(["fit", "--kind", kind, "--input", "soj.csv"], tmp_path)
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert r.stderr == f"usage error: soj.csv: column '{column}' has a non-finite value\n"
+
+
 def test_help_exits_zero(tmp_path):
     r = run_cli(["--help"], tmp_path)
     assert r.returncode == 0

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import interevent as iv
+from interevent import fitting
 from interevent.fitting import qexp_log_survival, weibull_log_survival
 
 
@@ -169,6 +170,52 @@ def test_sojourn_input_validation():
         iv.fit_sojourn(np.array([3.0, 2.0, 1.0]), np.array([0.2, 0.5, 0.9]), iv.Weibull)
 
 
+@pytest.mark.parametrize("column, index, value", [("t", -1, math.inf), ("t", 3, math.nan), ("psi", 3, math.nan)])
+@pytest.mark.parametrize("model", [iv.QExponential, iv.Weibull, iv.StretchedSojourn])
+def test_sojourn_fit_rejects_non_finite_input(monkeypatch, model, column, index, value):
+    def no_optimizer(*args, **kwargs):
+        raise AssertionError("the optimizer ran on non-finite input")
+
+    monkeypatch.setattr(fitting, "least_squares", no_optimizer)
+    data = {"t": np.geomspace(0.1, 5.0, 8)}
+    data["psi"] = np.exp(-data["t"])
+    data[column][index] = value
+    with pytest.raises(ValueError, match="must be finite"):
+        iv.fit_sojourn(data["t"], data["psi"], model)
+
+
+def _central_differences(law, values, theta, x):
+    columns = []
+    for i, v in enumerate(theta):
+        h = 1e-6 * max(1.0, abs(v))
+        up, down = list(theta), list(theta)
+        up[i] += h
+        down[i] -= h
+        columns.append((values(law(*up), x) - values(law(*down), x)) / (2.0 * h))
+    return np.column_stack(columns)
+
+
+ORDERS = np.array([-0.9, -0.3, -1e-3, 1e-4, 1e-3, 0.01, 0.1, 0.5, 1.0, 2.0, 3.5, 8.0, 20.0])
+TIMES = np.array([0.0, 1e-4, 1e-2, 0.1, 0.5, 1.0, 10.0, 100.0])
+
+
+@pytest.mark.parametrize("law, method, theta, x", [
+    (iv.MFParams, "log_norm_moment", (1.85, -1.5, 0.9), ORDERS),
+    (iv.MFParams, "log_norm_moment", (3.0, 0.4, 0.05), ORDERS),
+    (iv.HMFParams, "log_norm_moment", (1.78, 0.1, 1.07, 0.2), ORDERS),
+    (iv.HMFParams, "log_norm_moment", (2.21, -9.5, 11.7, 0.71), ORDERS),
+    (iv.QExponential, "log_survival", (0.7, 1.4), TIMES),
+    (iv.QExponential, "log_survival", (2.5, 1.05), TIMES),
+    (iv.Weibull, "log_survival", (1.53, 0.459), TIMES),
+    (iv.Weibull, "log_survival", (0.2, 1.7), TIMES),
+])
+def test_analytic_jacobian_matches_central_differences(law, method, theta, x):
+    analytic = law(*theta).jacobian(x)
+    assert analytic.shape == (x.size, len(theta))
+    numeric = _central_differences(law, getattr(law, method), theta, x)
+    np.testing.assert_allclose(analytic, numeric, rtol=1e-6, atol=1e-9)
+
+
 def test_fit_window_excludes_zero_order():
     # a curve whose q=0 point is pinned at zero must not distort the fit
     q = np.linspace(0.0, 20.0, 201)
@@ -195,3 +242,53 @@ def test_model_objects_validate():
     assert q.log_survival(np.array([0.0]))[0] == 0.0
     w = iv.Weibull(a=1.0, c=2.0)
     assert w.log_survival(np.array([2.0]))[0] == pytest.approx(-4.0)
+
+
+# Estimates, stderrs and optimizer evaluations of every fit kind on one seeded
+# series, recorded before the fits moved onto one least-squares path.  The
+# absolute floor covers the exact-data survival fit, whose c0 and stderrs are
+# rounding noise near zero.
+PINNED_FITS = {
+    "mono": ({"ln_tau": (3.339056494637933, 0.003940483111740152)}, None),
+    "mf": ({"alpha": (1.6910812811111537, 0.02252447559852754),
+            "c0": (0.041441959428801516, 0.008071349953979817),
+            "b": (0.3669569886535655, 0.012078695942263264)}, 10),
+    "hmf": ({"alpha": (1.5555335141956252, 0.009945890865204024),
+             "c0": (0.06446086060263978, 0.006213884762208024),
+             "b": (0.3658034167276195, 0.011793581644496742),
+             "b1": (0.11162623358816193, 0.0034279243316131663)}, 13),
+    "weibull": ({"a": (1.675891297194388, 0.13810622849166207),
+                 "c": (0.35815961474459174, 0.018196088679676533)}, 21),
+    "qexp": ({"m": (1.324032142830754, 0.11212840915060736),
+              "q_ts": (1.4530159223866501, 0.015352603022188207)}, 11),
+    "stretched": ({"alpha": (2.0000000000000004, 1.5424512279667755e-15),
+                   "b": (0.25000000000000033, 5.934422272150293e-16),
+                   "c0": (-4.651051647402915e-17, 2.1912668619792448e-16)}, 8),
+}
+
+
+def test_fits_pinned_on_one_seeded_series():
+    params = iv.ModelParams(weight=iv.StretchedExp(mu=0.0, sigma=1.0, alpha=1.5))
+    series = iv.generate_series(iv.SimConfig(params=params, n_events=20_000, seed=7))
+    curve = iv.empirical_qmoments(series, np.round(np.arange(201) * 0.1, 12))
+    grid = np.geomspace(series.durations.min(), series.durations.max(), 50)
+    psi = iv.empirical_sojourn(series, grid)
+    keep = psi > 0
+    exact = iv.ModelParams(weight=iv.StretchedExp(mu=0.0, sigma=1.0, alpha=2.0))
+    t = np.geomspace(0.05, 20.0, 40)
+    fits = {
+        "mono": iv.fit_monofractal(curve, (10.0, 20.0)),
+        "mf": iv.fit_mf(curve, (0.0, 3.5)),
+        "hmf": iv.fit_hmf(curve, (0.0, 20.0)),
+        "weibull": iv.fit_sojourn(grid[keep], psi[keep], iv.Weibull),
+        "qexp": iv.fit_sojourn(grid[keep], psi[keep], iv.QExponential),
+        "stretched": iv.fit_sojourn(t, iv.sojourn(t, exact), iv.StretchedSojourn),
+    }
+    for kind, fit in fits.items():
+        pinned, nfev = PINNED_FITS[kind]
+        assert fit.converged and not fit.flags, kind
+        assert fit.nfev == nfev, kind
+        assert list(fit.params) == list(pinned), kind
+        for name, (est, se) in pinned.items():
+            assert fit.estimate(name) == pytest.approx(est, rel=1e-9, abs=1e-12), (kind, name)
+            assert fit.stderr(name) == pytest.approx(se, rel=1e-9, abs=1e-12), (kind, name)
