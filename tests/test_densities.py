@@ -279,6 +279,30 @@ def test_stretched_quadrature_meets_rtol_near_kink(fn, alpha, t, expected):
     assert fn(t, p) == pytest.approx(expected, rel=1e-8)
 
 
+# 30-digit quadrature of the same standardized mixture, normalized by its log
+# peak, in y and again in v = ln|y| per side (the two agree to 1e-31): a short
+# time, the peak crossing the kink (t = 1), and a tail where Psi < 1e-60.
+STRETCHED_MIX = [
+    # (alpha, t, psi, Psi)
+    (0.8, 1e-4, 23.28715896101019743257, 0.9955102824698817756566),
+    (0.8, 1.0, 0.2071741380181259173259, 0.4032728789760619747684),
+    (0.8, 1e210, 4.01386093399535271945e-272, 1.730500644736677113981e-61),
+    (1.3, 1e-4, 1.725052811220188966714, 0.9998273828453664830513),
+    (1.3, 1.0, 0.2711407135190132900195, 0.3807852416934047661388),
+    (1.3, 1e20, 1.172977383543450714099e-82, 2.88429460969953571225e-63),
+    (2.5, 1e-4, 1.22662252397204996895, 0.9998773267111273332329),
+    (2.5, 1.0, 0.3061532319541441760959, 0.3721163173720330613513),
+    (2.5, 1e4, 4.449009709658709774639e-52, 1.308790119441131985014e-49),
+]
+
+
+@pytest.mark.parametrize("alpha, t, psi, surv", STRETCHED_MIX)
+def test_stretched_mixture_mpmath_reference(alpha, t, psi, surv):
+    p = iv.ModelParams(weight=iv.StretchedExp(mu=0.0, sigma=1.0, alpha=alpha))
+    assert iv.ptd(t, p) == pytest.approx(psi, rel=1e-8)
+    assert iv.sojourn(t, p) == pytest.approx(surv, rel=1e-8)
+
+
 def test_characteristic_time_stretched_divergent_mean():
     # alpha <= 1: every positive moment of the mixture diverges
     with pytest.raises(iv.NoFiniteMeanError):
