@@ -450,6 +450,8 @@ def _cmd_fit(args) -> int:
         }[kind]
         result = fit_fn(curve, q_range)
     else:
+        if args.qmin is not None or args.qmax is not None:
+            raise UsageError(f"--qmin/--qmax set a moment-order window; --kind {kind} fits every t row")
         cols = _read_columns(args.input, ["t", "psi"])
         for name, column in cols.items():
             if not np.all(np.isfinite(column)):

@@ -8,18 +8,18 @@ densities, q-moment laws, simulation, fitting) is parameterized by a
 the weight differs between models, so each family's class carries the formulas
 the other modules call.
 
-The package imports only the top-level ``scipy`` package and calls
-``scipy.special``, ``scipy.integrate`` and ``scipy.optimize`` by attribute;
-SciPy imports each submodule on its first use.  ``import interevent`` and
-``simulate`` therefore load none of them, ``estimate`` loads only
-``scipy.special``, and the fits load ``scipy.optimize`` when they first run.
+The package imports only the top-level ``scipy`` package and reaches its
+submodules by attribute; SciPy imports each on its first use.  ``import
+interevent`` and ``simulate`` therefore load none of them, ``estimate`` and the
+stretched family's quadrature load only the special functions, and the fits
+load the optimizer when they first run.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Union
+from typing import Union
 
 import numpy as np
 import scipy
@@ -91,8 +91,6 @@ class AsymptoticRangeWarning(UserWarning):
 
 # 64-point Gauss-Legendre for the narrow-uniform survival fallback
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
-# relative tolerance of the stretched family's psi/Psi quadrature (_log_mix)
-_MIX_RTOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -269,20 +267,6 @@ class StretchedExp:
         eps = self.mu + self.sigma * sign * g ** (1.0 / self.alpha)
         return float(eps) if size is None else eps
 
-    def _log_mix(self, c: float, bs: float, shift: float, seed: float) -> float:
-        # ln int exp(-|y|^alpha - shift*y - c*exp(-bs*y)) dy over the standardized depth y
-        alpha = self.alpha
-
-        def logf(y: float) -> float:
-            if c == 0.0:
-                return -abs(y) ** alpha - shift * y
-            u = -bs * y
-            if u > 700.0:
-                return -math.inf
-            return -abs(y) ** alpha - shift * y - c * math.exp(u)
-
-        return _log_peak_quad(logf, seed, rtol=_MIX_RTOL, kinks=(0.0,))
-
     def ptd_kernel(self, tau0: float, beta: float):
         alpha = self.alpha
         bs = beta * self.sigma
@@ -291,13 +275,9 @@ class StretchedExp:
 
         def kernel(x: float) -> float:
             c = x / scale
-            if c == 0.0:
-                if alpha < 1.0 or (alpha == 1.0 and bs >= 1.0):
-                    return math.inf
-                seed = -((bs / alpha) ** (1.0 / (alpha - 1.0))) if alpha > 1.0 else 0.0
-            else:
-                seed = max(0.0, math.log(c) / bs)
-            return math.exp(self._log_mix(c, bs, bs, seed) + log_pref)
+            if c == 0.0 and (alpha < 1.0 or (alpha == 1.0 and bs >= 1.0)):
+                return math.inf
+            return math.exp(_log_peak_quad(alpha, bs, c, bs) + log_pref)
 
         return kernel
 
@@ -309,8 +289,7 @@ class StretchedExp:
         def kernel(x: float) -> float:
             if x == 0.0:
                 return 1.0
-            c = x / scale
-            return math.exp(self._log_mix(c, bs, 0.0, max(0.0, math.log(c) / bs)) - log_norm)
+            return math.exp(_log_peak_quad(self.alpha, 0.0, x / scale, bs) - log_norm)
 
         return kernel
 
@@ -576,86 +555,109 @@ def upper_incomplete_gamma(a: float, z: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Log-domain truncated quadrature (shared numeric plumbing)
+# The stretched mixture integral
 # ---------------------------------------------------------------------------
 
-_LOG_TRUNC_DROP = -math.log(1e-16)
+# tanh-sinh rule on [-1, 1] (Takahasi & Mori 1974): step h = 1/16, |kh| <= 4
+_TS_KH = np.arange(-64, 65) / 16.0
+_TS_NODES = np.tanh(0.5 * math.pi * np.sinh(_TS_KH))
+_TS_WEIGHTS = (math.pi / 32.0) * np.cosh(_TS_KH) / np.cosh(0.5 * math.pi * np.sinh(_TS_KH)) ** 2
+# each side is cut where its log-integrand falls this far below its peak
+_LOG_CUT = 40.0
 
 
-def _bracket_peak(logf: Callable[[float], float], x_seed: float) -> tuple[float, float, float]:
-    # walk uphill with doubling steps until the middle point dominates
-    step = 1.0
-    x0 = x_seed
-    g0 = logf(x0)
-    gl = logf(x0 - step)
-    gr = logf(x0 + step)
-    if g0 >= gl and g0 >= gr:
-        return x0 - step, x0, x0 + step
-    d = 1.0 if gr > gl else -1.0
-    x_prev, g_prev = x0, g0
-    x_cur = x0 + d * step
-    g_cur = gr if d > 0 else gl
-    for _ in range(400):
-        step *= 2.0
-        x_next = x_cur + d * step
-        g_next = logf(x_next)
-        if g_next < g_cur:
-            triple = sorted((x_prev, x_cur, x_next))
-            return triple[0], x_cur, triple[2]
-        x_prev, g_prev = x_cur, g_cur
-        x_cur, g_cur = x_next, g_next
-    raise ArithmeticError("failed to bracket the integrand peak")
+def _crossing(f, x: float, step: float, level: float) -> float:
+    """Where ``f(v)[0]`` crosses ``level``, with ``f(v)[1]`` its slope.
 
-
-def _log_peak_quad(
-    logf: Callable[[float], float],
-    x_seed: float,
-    rtol: float = 1e-10,
-    kinks: tuple[float, ...] = (),
-) -> float:
-    """``ln int exp(logf(x)) dx`` for a unimodal log-integrand.
-
-    Locates the peak from ``x_seed``, truncates where the integrand falls
-    below 1e-16 of its peak, and integrates the rescaled exponent so the
-    integrand is O(1).  ``kinks`` are points where logf is not smooth; the quadrature
-    splits there, since a kink near the peak can pass its error estimate
-    while missing ``rtol``.  Returns the log of the integral.
+    Walks from ``x`` in doubling steps until the value changes side of
+    ``level``, then takes Newton steps from the nearer end of that bracket,
+    bisecting whenever one leaves the bracket or fails to halve the last step.
     """
-    xa, xb, xc = _bracket_peak(logf, x_seed)
-    res = scipy.optimize.minimize_scalar(
-        lambda x: -logf(x), bracket=(xa, xb, xc), method="brent",
-        options={"xtol": 1e-12},
-    )
-    x_peak = float(res.x)
-    g_peak = float(-res.fun)
-    if not math.isfinite(g_peak):
-        raise ArithmeticError("integrand peak is not finite")
+    fx, sx = f(x)
+    above = fx >= level
+    for _ in range(64):
+        v = x + step
+        fv, sv = f(v)
+        if (fv >= level) != above:
+            break
+        x, fx, sx, step = v, fv, sv, 2.0 * step
+    else:
+        raise ArithmeticError("found no crossing of the log-integrand")
+    a, b, dx = x, v, abs(step)
+    if abs(fx - level) < abs(fv - level):
+        v, fv, sv = x, fx, sx
+    for _ in range(100):
+        t = v - (fv - level) / sv if sv and math.isfinite(sv) else math.nan
+        if not (min(a, b) <= t <= max(a, b) and abs(t - v) <= 0.5 * dx):
+            t = 0.5 * (a + b)
+        if abs(t - v) <= 1e-12 * (1.0 + abs(v)):
+            return t
+        dx, v = abs(t - v), t
+        fv, sv = f(v)
+        if (fv >= level) == above:
+            a = v
+        else:
+            b = v
+    return v
 
-    def edge(direction: float) -> float:
-        x = x_peak
-        d = max(1.0, abs(x_peak)) * 0.5
-        for _ in range(500):
-            x_try = x + direction * d
-            if logf(x_try) < g_peak - _LOG_TRUNC_DROP:
-                return x_try
-            x = x_try
-            d *= 1.6
-        raise ArithmeticError("failed to truncate the integration window")
 
-    lo = edge(-1.0)
-    hi = edge(+1.0)
-    val, _err = scipy.integrate.quad(
-        lambda x: math.exp(logf(x) - g_peak),
-        lo,
-        hi,
-        points=sorted({x_peak, *(k for k in kinks if lo < k < hi)}),
-        limit=200,
-        epsabs=1e-300,
-        epsrel=rtol,
-    )
-    if not val > 0:
-        raise ArithmeticError("truncated quadrature returned a nonpositive value")
-    return g_peak + math.log(val)
+def _log_peak_quad(alpha: float, shift: float, c: float, bs: float) -> float:
+    """``ln int exp(-|y|**alpha - shift*y - c*exp(-bs*y)) dy`` over the real line, ``c >= 0``.
+
+    Each half-line is mapped to ``v = ln|y|``, which removes the kink of
+    ``|y|**alpha`` at 0; the log-integrand ``G(v)`` is unimodal on each side
+    for ``alpha > 1``.  Its peak is found by safeguarded Newton, each side is
+    cut where ``G`` falls ``_LOG_CUT`` below the peak and split at the peak
+    and where the ``c`` term turns over (a step for small ``alpha``, and the
+    edge of the second mode that ``alpha < 1`` can give).  One fixed
+    tanh-sinh rule is summed over the panels, with ``G`` taken relative to
+    its peak so that nothing cancels where ``|G|`` is large.
+    """
+    # as Python floats, products in walks far past the peak overflow to -inf quietly
+    alpha, shift, c, bs = float(alpha), float(shift), float(c), float(bs)
+    log_c = math.log(c) if c else 0.0
+
+    def logf(w: float, y0: float, a0: float, e0: float) -> tuple[float, float, float]:
+        # G(v0 + w) - G(v0), G' and G'' about a point v0 where y = y0, |y|**alpha = a0 and
+        # c*exp(-bs*y) = e0; expm1 keeps the power and linear terms, which reach 1e17 in
+        # ln I(q), from cancelling, and capped exponents keep far walks finite
+        w, aw = min(w, 700.0), min(alpha * w, 700.0)
+        y, ya = y0 * math.exp(w), a0 * math.exp(aw)
+        d = w - a0 * math.expm1(aw) - shift * y0 * math.expm1(w)
+        d1, d2 = 1.0 - alpha * ya - shift * y, -alpha * alpha * ya - shift * y
+        if c:
+            e = math.exp(min(log_c - bs * y, 700.0))
+            d, d1, d2 = d - e + e0, d1 + bs * y * e, d2 + bs * y * e * (1.0 - bs * y)
+        return d, d1, d2
+
+    peaks = []
+    for side in (-1.0, 1.0):
+        slope = lambda v: logf(v, side, 1.0, 0.0)[1:]  # noqa: E731
+        vp = _crossing(slope, 0.0, 1.0 if slope(0.0)[0] >= 0.0 else -1.0, 0.0)
+        yp = side * math.exp(vp)
+        at = (yp, math.exp(alpha * vp), math.exp(log_c - bs * yp) if c else 0.0)
+        peaks.append((side, vp, at, vp - at[1] - shift * yp - at[2], slope(vp)[1]))
+    g_max = max(p[3] for p in peaks)
+    panels = []
+    for side, vp, at, gp, g2 in peaks:
+        if gp < g_max - _LOG_CUT:
+            continue  # below the other side's peak by more than the cut
+        value = lambda w: logf(w, *at)[:2]  # noqa: E731
+        d = math.sqrt(2.0 * _LOG_CUT / -g2) if g2 < 0.0 else 1.0
+        cuts = [_crossing(value, 0.0, -d, -_LOG_CUT), 0.0, _crossing(value, 0.0, d, -_LOG_CUT)]
+        if c:
+            # the c term turns over near |y| = max(1, |ln c|)/bs
+            wt = math.log(max(1.0, side * log_c) / bs) - vp
+            if cuts[0] < wt < cuts[2] and wt != 0.0:
+                cuts = sorted(cuts + [wt])
+        panels += [(a, b, *at, gp - g_max) for a, b in zip(cuts, cuts[1:])]
+    # the same rule on every panel, in w = v - v_peak
+    a, b, yp, ap, ep, off = (np.array(col)[:, None] for col in zip(*panels))
+    w = 0.5 * (a + b) + 0.5 * (b - a) * _TS_NODES
+    g = off + w - ap * np.expm1(alpha * w) - shift * yp * np.expm1(w)
+    if c:
+        g -= np.exp(log_c - bs * yp * np.exp(w)) - ep
+    return g_max + math.log(float(np.sum(0.5 * (b - a) * _TS_WEIGHTS * np.exp(g))))
 
 
 def _log_sinhc(x: float) -> float:
@@ -670,7 +672,7 @@ def _log_sinhc(x: float) -> float:
     return ax - math.log(2.0 * ax) + math.log1p(-math.exp(-2.0 * ax))
 
 
-def log_iq_quadrature(q: float, alpha: float, beta_sigma: float, rtol: float = 1e-10) -> float:
+def log_iq_quadrature(q: float, alpha: float, beta_sigma: float) -> float:
     """``ln I(q)`` with ``I(q) = int exp(-|y|^alpha + q*beta*sigma*y) dy``."""
     if not alpha > 1:
         raise DivergentMomentError(
@@ -683,9 +685,4 @@ def log_iq_quadrature(q: float, alpha: float, beta_sigma: float, rtol: float = 1
     s = q * beta_sigma
     if s == 0.0:
         return math.log(2.0) + float(scipy.special.gammaln(1.0 + 1.0 / alpha))
-    seed = math.copysign((abs(s) / alpha) ** (1.0 / (alpha - 1.0)), s)
-
-    def logf(y: float) -> float:
-        return -abs(y) ** alpha + s * y
-
-    return _log_peak_quad(logf, seed, rtol=rtol, kinks=(0.0,))
+    return _log_peak_quad(alpha, -s, 0.0, 0.0)

@@ -6,7 +6,8 @@ For a weight density ``rho(eps)`` the unconditional waiting-time density is
 
 with ``tau(eps) = tau0 * exp(beta * eps)``.  Each weight class in :mod:`.core`
 supplies this integral as a scalar kernel: closed form for Delta, Uniform and
-Laplace weights, adaptive quadrature for the stretched-exponential weight.
+Laplace weights, a fixed tanh-sinh rule on each side of the weight's centre
+for the stretched-exponential weight.
 """
 
 from __future__ import annotations
@@ -80,7 +81,8 @@ def ptd(t, params: ModelParams):
     exact limit; it is ``inf`` where the density diverges at the origin
     (Laplace weight with beta*sigma >= 1, stretched weight with alpha <= 1
     in its divergent range).  The stretched weight is integrated numerically
-    to relative tolerance 1e-8; the other families are closed forms.
+    by one fixed tanh-sinh rule, within 1e-13 relative of 30-digit references
+    at the pinned points; the other families are closed forms.
     """
     return _map_times(params.weight.ptd_kernel(params.tau0, params.beta), t)
 

@@ -222,35 +222,32 @@ def mono_collapse(curve: QMomentCurve, tau_char: float) -> np.ndarray:
     return out
 
 
+def _excess(curve: QMomentCurve, c0: float, factor: float = 1.0) -> np.ndarray:
+    # factor * (curve(q)/q - c0) on q > 0, NaN elsewhere: the MF/HMF law solved for its exponent term
+    q = curve.q_grid
+    out = np.full(q.shape, np.nan)
+    ok = q > 0.0
+    out[ok] = factor * (curve.log_norm_moment[ok] / q[ok] - c0)
+    return out
+
+
 def mf_collapse(curve: QMomentCurve, p: MFParams) -> np.ndarray:
     """``curve(q)/q - c0``: equals ``b q^(1/(alpha-1))`` exactly on a multifractal curve.
 
     Only q > 0 is meaningful; other points come back NaN.
     """
-    q = curve.q_grid
-    out = np.full(q.shape, np.nan)
-    ok = q > 0.0
-    out[ok] = curve.log_norm_moment[ok] / q[ok] - p.c0
-    return out
+    return _excess(curve, p.c0)
 
 
 def hmf_collapse(curve: QMomentCurve, p: HMFParams) -> np.ndarray:
     """``(b1/b)(curve(q)/q - c0)``: lies on ``1 - exp(-x)`` for a saturating curve,
     with ``x = b1 q^(1/(alpha-1))``.  Only q > 0; other points NaN."""
-    q = curve.q_grid
-    out = np.full(q.shape, np.nan)
-    ok = q > 0.0
-    out[ok] = (p.b1 / p.b) * (curve.log_norm_moment[ok] / q[ok] - p.c0)
-    return out
+    return _excess(curve, p.c0, p.b1 / p.b)
 
 
 def transformed_moment(curve: QMomentCurve, p: HMFParams) -> np.ndarray:
     """``b1 (curve(q)/q - c0)``, i.e. ``b * hmf_collapse``: linear in b across datasets."""
-    q = curve.q_grid
-    out = np.full(q.shape, np.nan)
-    ok = q > 0.0
-    out[ok] = p.b1 * (curve.log_norm_moment[ok] / q[ok] - p.c0)
-    return out
+    return _excess(curve, p.c0, p.b1)
 
 
 def scale_q(q, market: HMFParams, reference: HMFParams):

@@ -236,9 +236,9 @@ def moment_laplace(q: float, params: ModelParams) -> float:
 # ---------------------------------------------------------------------------
 
 
-def iq_quadrature(q: float, alpha: float, beta_sigma: float, rtol: float = 1e-10) -> float:
-    """Adaptive quadrature of the generating integral I(q)."""
-    return _safe_exp(log_iq_quadrature(q, alpha, beta_sigma, rtol=rtol))
+def iq_quadrature(q: float, alpha: float, beta_sigma: float) -> float:
+    """The generating integral I(q) by the stretched family's tanh-sinh quadrature."""
+    return _safe_exp(log_iq_quadrature(q, alpha, beta_sigma))
 
 
 def moment_stretched_series(
@@ -483,8 +483,8 @@ def log_norm_moment(q: float, params: ModelParams) -> float:
 
 def moment(q: float, params: ModelParams) -> float:
     """``<t^q>`` for any weight family: closed form, or for the stretched weight
-    with alpha != 2 the generating integral by quadrature to relative
-    tolerance 1e-10."""
+    with alpha != 2 the generating integral by the fixed tanh-sinh rule of
+    :func:`log_iq_quadrature`."""
     _check_order(q)
     return _safe_exp(float(scipy.special.gammaln(1.0 + q)) + log_norm_moment(q, params))
 

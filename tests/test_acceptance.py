@@ -152,7 +152,7 @@ def test_saddlepoint_error_shrinks_with_lambda():
     for lam in (5.0, 10.0, 27.0, 100.0):
         sb = lam ** ((alpha - 1.0) / alpha)
         sp = iv.saddlepoint_iq(2.0, alpha, sb)
-        exact = iv.iq_quadrature(2.0, alpha, sb, rtol=1e-12)
+        exact = iv.iq_quadrature(2.0, alpha, sb)
         errors.append(abs(sp.value / exact - 1.0))
     assert all(errors[i + 1] <= errors[i] for i in range(3)), errors
 
@@ -165,7 +165,7 @@ def test_saddlepoint_accuracy_five_percent():
     report = []
     for q in np.arange(0.5, 5.0001, 0.5):
         sp = iv.saddlepoint_iq(float(q), alpha, 3.0)
-        exact = iv.iq_quadrature(float(q), alpha, 3.0, rtol=1e-12)
+        exact = iv.iq_quadrature(float(q), alpha, 3.0)
         err = abs(sp.value / exact - 1.0)
         report.append(f"q={q:.1f}:{100 * err:.3f}%")
         worst = max(worst, err)

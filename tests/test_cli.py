@@ -398,6 +398,17 @@ def test_fit_rejects_non_finite_survival_as_usage_error(tmp_path, kind, column, 
     assert r.stderr == f"usage error: soj.csv: column '{column}' has a non-finite value\n"
 
 
+@pytest.mark.parametrize("kind", ["sojourn-weibull", "sojourn-qexp"])
+@pytest.mark.parametrize("flags", [["--qmin", "1"], ["--qmax", "2"]])
+def test_sojourn_fit_rejects_order_window(tmp_path, kind, flags):
+    with open(tmp_path / "soj.csv", "w") as fh:
+        fh.write("t,psi\n" + "".join(f"{t},{math.exp(-t)}\n" for t in (0.1, 0.5, 1.0, 2.0, 5.0)))
+    r = run_cli(["fit", "--kind", kind, "--input", "soj.csv", *flags], tmp_path)
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert r.stderr == f"usage error: --qmin/--qmax set a moment-order window; --kind {kind} fits every t row\n"
+
+
 def test_help_exits_zero(tmp_path):
     r = run_cli(["--help"], tmp_path)
     assert r.returncode == 0
@@ -437,6 +448,12 @@ def test_simulate_loads_no_scipy_submodule(tmp_path):
 
 def test_estimate_loads_only_special_functions(tmp_path):
     assert _scipy_submodules_after([_SIMULATE, _ESTIMATE], tmp_path) == ["scipy.special"]
+
+
+def test_stretched_ptd_loads_only_special_functions(tmp_path):
+    ptd = ["ptd", "--weight", "stretched", "--sigma", "1", "--alpha", "1.5", "--points", "20",
+           "--out", "ptd.csv"]
+    assert _scipy_submodules_after([ptd], tmp_path) == ["scipy.special"]
 
 
 def test_fit_loads_the_optimizer_on_first_use(tmp_path):

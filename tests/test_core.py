@@ -20,7 +20,6 @@ from interevent.core import (
     scaled_lower_incomplete_gamma,
     scaled_upper_incomplete_gamma,
     upper_incomplete_gamma,
-    _log_peak_quad,
 )
 
 # Reference values from 30-digit arbitrary-precision quadrature / gammainc.
@@ -89,12 +88,6 @@ def test_upper_gamma_at_zero_is_gamma():
 def test_log_gamma_matches_math():
     for x in (0.5, 1.0, 3.7, 20.0):
         assert log_gamma(x) == pytest.approx(math.lgamma(x), rel=1e-14)
-
-
-def test_log_peak_quad_gaussian():
-    # integral of exp(-(x-3)^2) over the real line is sqrt(pi)
-    log_val = _log_peak_quad(lambda x: -((x - 3.0) ** 2), x_seed=0.5)
-    assert log_val == pytest.approx(0.5 * math.log(math.pi), abs=1e-10)
 
 
 def test_weight_validation():

@@ -303,6 +303,23 @@ def test_stretched_mixture_mpmath_reference(alpha, t, psi, surv):
     assert iv.sojourn(t, p) == pytest.approx(surv, rel=1e-8)
 
 
+# Heavy weights, alpha <= 1/2: the kernel's step at t = tau(eps) sits far from
+# the peak, and for psi at small beta*sigma the shallow side has a second mode
+# next to it.  30-digit mpmath in v = ln|y|, the same method as above.
+@pytest.mark.parametrize(
+    "fn, alpha, sigma, t, expected",
+    [
+        (iv.sojourn, 0.3, 0.1, 1e-11, 0.92794968909824506457),
+        (iv.sojourn, 0.2, 3.0, 1.0, 0.49963671166185029965),
+        (iv.ptd, 0.4, 0.01, 1e-10, 56.966741334153717476),
+        (iv.ptd, 0.5, 0.03, 1e-12, 2.242157024627330678),
+    ],
+)
+def test_stretched_heavy_weight_mpmath_reference(fn, alpha, sigma, t, expected):
+    p = iv.ModelParams(weight=iv.StretchedExp(mu=0.0, sigma=sigma, alpha=alpha))
+    assert fn(t, p) == pytest.approx(expected, rel=1e-8)
+
+
 def test_characteristic_time_stretched_divergent_mean():
     # alpha <= 1: every positive moment of the mixture diverges
     with pytest.raises(iv.NoFiniteMeanError):

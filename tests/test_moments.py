@@ -99,7 +99,7 @@ def test_weight_kind_dispatch_checked():
 @pytest.mark.parametrize("alpha,s,expected", IQ_TABLE)
 def test_iq_quadrature_reference(alpha, s, expected):
     # I depends on (alpha, q*beta*sigma); pick q = 2 so beta*sigma = s/2
-    got = iv.iq_quadrature(2.0, alpha, s / 2.0, rtol=1e-12)
+    got = iv.iq_quadrature(2.0, alpha, s / 2.0)
     assert got == pytest.approx(expected, rel=1e-10)
 
 
@@ -122,6 +122,19 @@ def test_iq_quadrature_kink_near_peak(q, alpha, sb, expected):
     assert iv.iq_quadrature(q, alpha, sb) == pytest.approx(expected, rel=1e-10)
 
 
+def test_model_curve_finite_on_default_grid_near_alpha_one():
+    # alpha = 1.1 puts the peak of I(q) near y = 4e12 at q = 20
+    curve = iv.model_curve(iv.DEFAULT_Q_GRID, _stretched(1.1, 1.0, 1.0, 1.0))
+    assert np.all(np.isfinite(curve.log_norm_moment))
+
+
+def test_log_iq_quadrature_far_peak_reference():
+    # 40-digit mpmath over +-12 widths of the peak at y ~ 1.2e8; the saddle point,
+    # whose correction is 1 - 3.8e-11 here, agrees to 4e-15
+    got = iv.log_iq_quadrature(16.63115577889447, 1.2, 3.0)
+    assert got == pytest.approx(1033248159.562462675872151, rel=1e-12)
+
+
 @pytest.mark.parametrize("q,alpha,sigma,tau0,beta,mu,expected", ST_MOM_TABLE)
 def test_stretched_series_reference(q, alpha, sigma, tau0, beta, mu, expected):
     p = _stretched(alpha, sigma, tau0, beta, mu)
@@ -130,6 +143,19 @@ def test_stretched_series_reference(q, alpha, sigma, tau0, beta, mu, expected):
     assert res.value == pytest.approx(expected, rel=1e-11)
     log_norm = iv.moments._series_log_norm_moment(q, p, 1e-14, 500)
     assert log_norm == pytest.approx(math.log(expected) - math.lgamma(1 + q), rel=1e-11)
+
+
+def test_model_curve_finite_on_default_grid_near_alpha_one():
+    # alpha = 1.1 puts the peak of I(q) near y = 4e12 at q = 20
+    curve = iv.model_curve(iv.DEFAULT_Q_GRID, _stretched(1.1, 1.0, 1.0, 1.0))
+    assert np.all(np.isfinite(curve.log_norm_moment))
+
+
+def test_log_iq_quadrature_far_peak_reference():
+    # 40-digit mpmath over +-12 widths of the peak at y ~ 1.2e8; the saddle point,
+    # whose correction is 1 - 3.8e-11 here, agrees to 4e-15
+    got = iv.log_iq_quadrature(16.63115577889447, 1.2, 3.0)
+    assert got == pytest.approx(1033248159.562462675872151, rel=1e-12)
 
 
 @pytest.mark.parametrize("q,alpha,sigma,tau0,beta,mu,expected", ST_MOM_TABLE)
