@@ -1,8 +1,8 @@
 """Three routes to the normalized q-moments of a stretched-exponential weight.
 
 The normalized moment integral has no closed form for general tail
-exponent alpha, so the library offers a convergent series, adaptive
-quadrature, and a large-deviation saddle-point formula.  The saddle
+exponent alpha, so the library offers a convergent series, a fixed
+tanh-sinh quadrature, and a large-deviation saddle-point formula.  The saddle
 point is an asymptotic statement: its relative error decays as the
 dimensionless scale lam = (beta*sigma)^(alpha/(alpha-1)) grows.
 """

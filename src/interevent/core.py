@@ -632,6 +632,7 @@ def _log_peak_quad(alpha: float, shift: float, c: float, bs: float) -> float:
 
     peaks = []
     for side in (-1.0, 1.0):
+        # slopes about v0 = 0, where y = side; they do not depend on e0
         slope = lambda v: logf(v, side, 1.0, 0.0)[1:]  # noqa: E731
         vp = _crossing(slope, 0.0, 1.0 if slope(0.0)[0] >= 0.0 else -1.0, 0.0)
         yp = side * math.exp(vp)
