@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -267,21 +268,27 @@ PINNED_FITS = {
 }
 
 
-def test_fits_pinned_on_one_seeded_series():
+def _seeded_series(seed):
+    """Moment curve and survival estimate of one 2*10^4-event stretched series."""
     params = iv.ModelParams(weight=iv.StretchedExp(mu=0.0, sigma=1.0, alpha=1.5))
-    series = iv.generate_series(iv.SimConfig(params=params, n_events=20_000, seed=7))
+    series = iv.generate_series(iv.SimConfig(params=params, n_events=20_000, seed=seed))
     curve = iv.empirical_qmoments(series, np.round(np.arange(201) * 0.1, 12))
     grid = np.geomspace(series.durations.min(), series.durations.max(), 50)
     psi = iv.empirical_sojourn(series, grid)
     keep = psi > 0
+    return curve, grid[keep], psi[keep]
+
+
+def test_fits_pinned_on_one_seeded_series():
+    curve, t_emp, psi_emp = _seeded_series(7)
     exact = iv.ModelParams(weight=iv.StretchedExp(mu=0.0, sigma=1.0, alpha=2.0))
     t = np.geomspace(0.05, 20.0, 40)
     fits = {
         "mono": iv.fit_monofractal(curve, (10.0, 20.0)),
         "mf": iv.fit_mf(curve, (0.0, 3.5)),
         "hmf": iv.fit_hmf(curve, (0.0, 20.0)),
-        "weibull": iv.fit_sojourn(grid[keep], psi[keep], iv.Weibull),
-        "qexp": iv.fit_sojourn(grid[keep], psi[keep], iv.QExponential),
+        "weibull": iv.fit_sojourn(t_emp, psi_emp, iv.Weibull),
+        "qexp": iv.fit_sojourn(t_emp, psi_emp, iv.QExponential),
         "stretched": iv.fit_sojourn(t, iv.sojourn(t, exact), iv.StretchedSojourn),
     }
     for kind, fit in fits.items():
@@ -292,3 +299,100 @@ def test_fits_pinned_on_one_seeded_series():
         for name, (est, se) in pinned.items():
             assert fit.estimate(name) == pytest.approx(est, rel=1e-9, abs=1e-12), (kind, name)
             assert fit.stderr(name) == pytest.approx(se, rel=1e-9, abs=1e-12), (kind, name)
+
+
+# A returned estimate is a least-squares solution when a few undamped
+# Gauss-Newton steps over its free parameters (those not held at a bound) move
+# it by no more than this, relative to max(|theta|, 1e-3).
+STATIONARY_REL = 1e-7
+
+
+def _gauss_newton_move(law, values, x, y, w, fit, steps=3):
+    theta = np.array([fit.estimate(f.name) for f in fields(law)])
+    lo, hi = (np.asarray(b, dtype=float) for b in law.bounds)
+    free = (theta > lo) & (theta < hi)
+    sw = np.sqrt(w)
+    moved = theta.copy()
+    for _ in range(steps):
+        r = sw * (values(law(*moved), x) - y)
+        jac = sw[:, None] * law(*moved).jacobian(x)
+        step, *_ = np.linalg.lstsq(jac[:, free], -r, rcond=None)
+        moved[free] += step
+    return float(np.max(np.abs(moved - theta) / np.maximum(np.abs(theta), 1e-3)))
+
+
+def _stationarity_moves(seed):
+    curve, t, psi = _seeded_series(seed)
+    y = np.log(psi)
+    problems = {
+        "mf": (iv.MFParams, iv.MFParams.log_norm_moment,
+               *fitting._window_points(curve, (0.0, 3.5), 6)[:3], iv.fit_mf(curve, (0.0, 3.5))),
+        "hmf": (iv.HMFParams, iv.HMFParams.log_norm_moment,
+                *fitting._window_points(curve, (0.0, 20.0), 8)[:3], iv.fit_hmf(curve, (0.0, 20.0))),
+        "weibull": (iv.Weibull, iv.Weibull.log_survival, t, y, np.ones_like(t),
+                    iv.fit_sojourn(t, psi, iv.Weibull)),
+        "qexp": (iv.QExponential, iv.QExponential.log_survival, t, y, np.ones_like(t),
+                 iv.fit_sojourn(t, psi, iv.QExponential)),
+    }
+    return {kind: _gauss_newton_move(*problem) for kind, problem in problems.items()}
+
+
+def test_fits_stationary_on_one_seeded_series():
+    moves = _stationarity_moves(7)
+    assert all(move <= STATIONARY_REL for move in moves.values()), moves
+
+
+def test_fits_stationary_on_fifty_seeded_series():
+    worst = {}
+    for seed in range(7, 57):
+        for kind, move in _stationarity_moves(seed).items():
+            worst[kind] = max(worst.get(kind, 0.0), move)
+    assert all(move <= STATIONARY_REL for move in worst.values()), worst
+
+
+# ---------------------------------------------------------------------------
+# The solver itself
+# ---------------------------------------------------------------------------
+
+
+def test_solver_ends_on_the_bound_when_the_minimum_lies_outside():
+    def residual(x):
+        return np.array([x[0] - 3.0, 2.0 * (x[1] + 1.0)])
+
+    res = fitting.least_squares(residual, np.array([0.5, 0.5]), jac=lambda x: np.diag([1.0, 2.0]),
+                                bounds=([0.0, 0.0], [1.0, 1.0]), xtol=1e-10, max_nfev=500)
+    assert res.status > 0
+    assert list(res.x) == [1.0, 0.0]
+    assert res.cost == pytest.approx(0.5 * (4.0 + 4.0), rel=1e-12)
+
+
+def test_fit_out_of_evaluations_is_not_converged(monkeypatch):
+    solver = fitting.least_squares
+
+    def two_evaluations(*args, **kwargs):
+        return solver(*args, **{**kwargs, "max_nfev": 2})
+
+    monkeypatch.setattr(fitting, "least_squares", two_evaluations)
+    curve, t, psi = _seeded_series(7)
+    for fit in (iv.fit_hmf(curve, (0.0, 20.0)), iv.fit_sojourn(t, psi, iv.Weibull)):
+        assert fit.status == 0
+        assert fit.converged is False
+        assert fit.nfev <= 2
+
+
+def test_solver_rejects_a_non_finite_trial_step():
+    # a full Gauss-Newton step from x = 5 lands at x < 0, where ln x is NaN
+    seen = []
+
+    def residual(x):
+        with np.errstate(invalid="ignore", divide="ignore"):
+            r = np.log(x)
+        seen.append(bool(np.all(np.isfinite(r))))
+        return r
+
+    res = fitting.least_squares(residual, np.array([5.0]), jac=lambda x: np.array([[1.0 / x[0]]]),
+                                bounds=([-np.inf], [np.inf]), xtol=1e-10, max_nfev=500)
+    assert not all(seen)
+    assert res.status > 0
+    assert np.all(np.isfinite(residual(res.x)))
+    assert res.x[0] == pytest.approx(1.0, abs=1e-9)
