@@ -6,8 +6,9 @@ differences) and the ``bounds`` its fit searches: ``MFParams`` and
 ``HMFParams`` give the normalized log curve ``y(q) = ln(<t^q>/Gamma(1+q))``;
 :class:`QExponential`, :class:`Weibull` and :class:`StretchedSojourn` give
 ``ln Psi(t)`` and their start ``initial(t, y)``.  Every iterative fit runs
-through :func:`_nls`, a damped Gauss-Newton method with a trust-region
-safeguard (scipy's TRF) stopping at relative step 1e-10 or 500 evaluations.
+through :func:`_nls` and :func:`least_squares`, a projected
+Levenberg-Marquardt method in numpy stopping at relative step 1e-10 or 500
+evaluations.
 Moment-curve residuals are weighted by inverse squared standard errors when
 the curve carries them; survival residuals are unweighted.
 """
@@ -18,7 +19,6 @@ import math
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
-import scipy
 
 from .core import FitResult, ModelDomainError, ModelParams, QMomentCurve, StretchedExp
 from .densities import sojourn as _sojourn
@@ -176,13 +176,81 @@ def _window_points(curve: QMomentCurve, q_range, min_points: int):
     return q, y, w, weighted, domain
 
 
-def least_squares(*args, **kwargs):
-    """``scipy.optimize.least_squares``, imported on the first fit.
+@dataclass(frozen=True)
+class LeastSquaresResult:
+    """Where :func:`least_squares` stopped: the estimate ``x``, half the sum of
+    squared residuals ``cost``, the Jacobian ``jac`` at ``x``, the residual
+    evaluations ``nfev`` and Jacobian evaluations ``njev`` it made, and
+    ``status`` 3 (relative step below ``xtol``) or 0 (``max_nfev`` used up)."""
 
-    Every fit calls the optimizer through this module attribute, so a tracer
-    can wrap it to count evaluations per fit.
+    x: np.ndarray
+    cost: float
+    jac: np.ndarray
+    nfev: int
+    njev: int
+    status: int
+
+
+def least_squares(fun, x0, jac, bounds, xtol=1e-10, max_nfev=500) -> LeastSquaresResult:
+    """Minimize ``0.5 |fun(x)|^2`` within the box ``bounds = (lo, hi)`` by
+    projected Levenberg-Marquardt (Marquardt 1963; Moré 1978).
+
+    Each step solves ``(J^T J + lam D) p = -J^T f`` over the parameters not
+    held at a bound by the gradient, with ``D = diag(J^T J)`` at the current
+    point, and clips ``x + p`` to the box.  A trial whose cost rises by no
+    more than rounding is accepted and ``lam`` shrinks tenfold; otherwise
+    (non-finite residuals count as infinite cost) ``lam`` grows tenfold.
+    ``jac(x, f)`` receives the residuals ``f = fun(x)`` already computed.
     """
-    return scipy.optimize.least_squares(*args, **kwargs)
+    lo, hi = (np.asarray(b, dtype=float) for b in bounds)
+    x = np.clip(np.asarray(x0, dtype=float), lo, hi)
+    f = fun(x)
+    if not np.all(np.isfinite(f)):
+        raise ValueError("residuals are not finite at the initial point")
+    cost = 0.5 * float(f @ f)
+    J = jac(x, f)
+    nfev, njev, lam, status = 1, 1, 1.0, 0
+    while nfev < max_nfev:
+        g = J.T @ f
+        free = ~(((x <= lo) & (g > 0)) | ((x >= hi) & (g < 0)))
+        A = (J.T @ J)[np.ix_(free, free)]
+        d = np.diag(A)
+        step = np.zeros_like(x)
+        step[free] = np.linalg.solve(A + lam * np.diag(np.where(d > 0, d, 1.0)), -g[free])
+        x_new = np.clip(x + step, lo, hi)
+        f_new = fun(x_new)
+        nfev += 1
+        cost_new = 0.5 * float(f_new @ f_new) if np.all(np.isfinite(f_new)) else np.inf
+        small = np.linalg.norm(x_new - x) <= xtol * (xtol + np.linalg.norm(x))
+        if cost - cost_new >= -16.0 * np.finfo(float).eps * cost:
+            x, f, cost = x_new, f_new, cost_new
+            J = jac(x, f)
+            njev += 1
+            lam = max(lam / 10.0, 1e-15)
+        else:
+            lam *= 10.0
+        if small:
+            status = 3
+            break
+    return LeastSquaresResult(x=x, cost=cost, jac=J, nfev=nfev, njev=njev, status=status)
+
+
+def _forward_differences(residual, law):
+    """Forward-difference Jacobian of ``residual`` with steps
+    ``sqrt(eps) max(1, |theta|)``, taken inward at an upper bound."""
+    hi = np.asarray(law.bounds[1], dtype=float)
+
+    def jac(theta, f):
+        h = np.sqrt(np.finfo(float).eps) * np.maximum(1.0, np.abs(theta))
+        h = np.where(theta + h > hi, -h, h)
+        columns = []
+        for i in range(theta.size):
+            shifted = theta.copy()
+            shifted[i] += h[i]
+            columns.append((residual(shifted) - f) / (shifted[i] - theta[i]))
+        return np.column_stack(columns)
+
+    return jac
 
 
 def _nls(law, values, x, y, w, theta0, domain, weighted) -> FitResult:
@@ -194,18 +262,15 @@ def _nls(law, values, x, y, w, theta0, domain, weighted) -> FitResult:
     def residual(theta):
         return sw * (values(law(*theta), x) - y)
 
-    def jac(theta):
+    def jac(theta, f):
         return sw[:, None] * law(*theta).jacobian(x)
 
     res = least_squares(
         residual,
-        np.clip(theta0, *law.bounds),
-        jac="2-point" if law.jacobian is None else jac,
+        theta0,
+        jac=_forward_differences(residual, law) if law.jacobian is None else jac,
         bounds=law.bounds,
-        method="trf",
         xtol=1e-10,
-        ftol=1e-14,
-        gtol=1e-14,
         max_nfev=500,
     )
     rss = float(2.0 * res.cost)

@@ -456,7 +456,10 @@ def test_stretched_ptd_loads_only_special_functions(tmp_path):
     assert _scipy_submodules_after([ptd], tmp_path) == ["scipy.special"]
 
 
-def test_fit_loads_the_optimizer_on_first_use(tmp_path):
-    fit = ["fit", "--kind", "mf", "--input", "mom.csv", "--out", "fit.json"]
-    assert "scipy.optimize" in _scipy_submodules_after([_SIMULATE, _ESTIMATE, fit], tmp_path)
-    assert json.loads((tmp_path / "fit.json").read_text())["converged"]
+def test_fit_loads_no_scipy_submodule(tmp_path):
+    _scipy_submodules_after([_SIMULATE, _ESTIMATE], tmp_path)
+    fits = [["fit", "--kind", kind, "--input", src, "--out", f"{kind}.json"]
+            for kind, src in (("mf", "mom.csv"), ("hmf", "mom.csv"), ("sojourn-weibull", "soj.csv"))]
+    assert _scipy_submodules_after(fits, tmp_path) == []
+    for kind in ("mf", "hmf", "sojourn-weibull"):
+        assert json.loads((tmp_path / f"{kind}.json").read_text())["converged"], kind
