@@ -10,9 +10,10 @@ the other modules call.
 
 The package imports only the top-level ``scipy`` package and reaches its
 submodules by attribute; SciPy imports each on its first use.  ``import
-interevent`` and ``simulate`` therefore load none of them, ``estimate`` and the
-stretched family's quadrature load only the special functions, and the fits
-load the optimizer when they first run.
+interevent``, ``simulate`` and the moment-law, Weibull and q-exponential fits
+therefore load none of them; ``estimate`` and the stretched family's
+quadrature (and so the ``StretchedSojourn`` fit) load only the special
+functions.
 """
 
 from __future__ import annotations
