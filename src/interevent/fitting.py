@@ -181,7 +181,7 @@ class LeastSquaresResult:
     """Where :func:`least_squares` stopped: the estimate ``x``, half the sum of
     squared residuals ``cost``, the Jacobian ``jac`` at ``x``, the residual
     evaluations ``nfev`` and Jacobian evaluations ``njev`` it made, and
-    ``status`` 3 (relative step below ``xtol``) or 0 (``max_nfev`` used up)."""
+    ``status`` 3 (relative step at most 1e-10) or 0 (``max_nfev`` used up)."""
 
     x: np.ndarray
     cost: float
@@ -191,7 +191,7 @@ class LeastSquaresResult:
     status: int
 
 
-def least_squares(fun, x0, jac, bounds, xtol=1e-10, max_nfev=500) -> LeastSquaresResult:
+def least_squares(fun, x0, jac, bounds, max_nfev=500) -> LeastSquaresResult:
     """Minimize ``0.5 |fun(x)|^2`` within the box ``bounds = (lo, hi)`` by
     projected Levenberg-Marquardt (Marquardt 1963; Moré 1978).
 
@@ -221,7 +221,7 @@ def least_squares(fun, x0, jac, bounds, xtol=1e-10, max_nfev=500) -> LeastSquare
         f_new = fun(x_new)
         nfev += 1
         cost_new = 0.5 * float(f_new @ f_new) if np.all(np.isfinite(f_new)) else np.inf
-        small = np.linalg.norm(x_new - x) <= xtol * (xtol + np.linalg.norm(x))
+        small = np.linalg.norm(x_new - x) <= 1e-10 * (1e-10 + np.linalg.norm(x))
         if cost - cost_new >= -16.0 * np.finfo(float).eps * cost:
             x, f, cost = x_new, f_new, cost_new
             J = jac(x, f)
@@ -235,10 +235,9 @@ def least_squares(fun, x0, jac, bounds, xtol=1e-10, max_nfev=500) -> LeastSquare
     return LeastSquaresResult(x=x, cost=cost, jac=J, nfev=nfev, njev=njev, status=status)
 
 
-def _forward_differences(residual, law):
+def _forward_differences(residual, hi):
     """Forward-difference Jacobian of ``residual`` with steps
-    ``sqrt(eps) max(1, |theta|)``, taken inward at an upper bound."""
-    hi = np.asarray(law.bounds[1], dtype=float)
+    ``sqrt(eps) max(1, |theta|)``, taken inward at an upper bound ``hi``."""
 
     def jac(theta, f):
         h = np.sqrt(np.finfo(float).eps) * np.maximum(1.0, np.abs(theta))
@@ -268,10 +267,8 @@ def _nls(law, values, x, y, w, theta0, domain, weighted) -> FitResult:
     res = least_squares(
         residual,
         theta0,
-        jac=_forward_differences(residual, law) if law.jacobian is None else jac,
+        jac=_forward_differences(residual, law.bounds[1]) if law.jacobian is None else jac,
         bounds=law.bounds,
-        xtol=1e-10,
-        max_nfev=500,
     )
     rss = float(2.0 * res.cost)
     cov = np.linalg.pinv(res.jac.T @ res.jac)

@@ -360,7 +360,7 @@ def test_solver_ends_on_the_bound_when_the_minimum_lies_outside():
         return np.array([x[0] - 3.0, 2.0 * (x[1] + 1.0)])
 
     res = fitting.least_squares(residual, np.array([0.5, 0.5]), jac=lambda x, f: np.diag([1.0, 2.0]),
-                                bounds=([0.0, 0.0], [1.0, 1.0]), xtol=1e-10, max_nfev=500)
+                                bounds=([0.0, 0.0], [1.0, 1.0]))
     assert res.status > 0
     assert list(res.x) == [1.0, 0.0]
     assert res.cost == pytest.approx(0.5 * (4.0 + 4.0), rel=1e-12)
@@ -391,7 +391,7 @@ def test_solver_rejects_a_non_finite_trial_step():
         return r
 
     res = fitting.least_squares(residual, np.array([20.0]), jac=lambda x, f: np.array([[1.0 / x[0]]]),
-                                bounds=([-np.inf], [np.inf]), xtol=1e-10, max_nfev=500)
+                                bounds=([-np.inf], [np.inf]))
     assert not all(seen)
     assert res.status > 0
     assert np.all(np.isfinite(residual(res.x)))
