@@ -44,13 +44,12 @@ def main():
     except ImportError:
         print("matplotlib not installed; skipping figure")
         return
-    from interevent.fitting import qexp_log_survival, weibull_log_survival
     fig, ax = plt.subplots(figsize=(6, 4.5))
     ax.loglog(t, psi, "k-", lw=1.5, label="numeric sojourn")
     ax.loglog(t, mc, "o", ms=3, mfc="none", label="Monte Carlo")
-    ax.loglog(t, np.exp(qexp_log_survival(t, qexp.estimate("m"), qexp.estimate("q_ts"))),
+    ax.loglog(t, np.exp(iv.QExponential(qexp.estimate("m"), qexp.estimate("q_ts")).log_survival(t)),
               "--", lw=1, label="q-exponential fit")
-    ax.loglog(t, np.exp(weibull_log_survival(t, weib.estimate("a"), weib.estimate("c"))),
+    ax.loglog(t, np.exp(iv.Weibull(weib.estimate("a"), weib.estimate("c")).log_survival(t)),
               ":", lw=1.2, label="Weibull fit")
     ax.set_xlabel("t / tau0")
     ax.set_ylabel("sojourn probability")

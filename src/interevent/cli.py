@@ -32,7 +32,7 @@ import math
 import os
 import sys
 import warnings
-from dataclasses import dataclass, field, fields
+from dataclasses import fields
 
 import numpy as np
 
@@ -49,27 +49,13 @@ from .core import (
 )
 from .simulate import SimConfig, generate_series
 
-__all__ = ["RunConfig", "run", "main", "entry"]
+__all__ = ["run", "main", "entry"]
 
 ENV_OUTDIR = "INTEREVENT_OUTDIR"
 
 
 class UsageError(Exception):
     """Bad invocation: wrong flags, missing files, malformed inputs."""
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """One parsed invocation: a single command plus its settings."""
-
-    command: str
-    options: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        for key in ("input", "curve"):
-            path = self.options.get(key)
-            if path is not None and not os.path.exists(path):
-                raise UsageError(f"input file does not exist: {path}")
 
 
 # ---------------------------------------------------------------------------
@@ -130,7 +116,14 @@ def _read_header(path: str) -> list[str]:
     return [cell.strip() for cell in first]
 
 
-def _read_columns(path: str, expected: list[str], optional: list[str] = ()) -> dict[str, np.ndarray]:
+def _read_columns(
+    path: str, expected: list[str], optional: list[str] = (), finite: list[str] = ()
+) -> dict[str, np.ndarray]:
+    """The ``expected`` columns of a numeric CSV, and those of ``optional`` it has.
+
+    A file without data rows, or with a non-finite value in a column named in
+    ``finite``, is a usage error.
+    """
     header = _read_header(path)
     for name in expected:
         if name not in header:
@@ -140,32 +133,26 @@ def _read_columns(path: str, expected: list[str], optional: list[str] = ()) -> d
     usable = [h for h in header if h in (*expected, *optional)]
     idx = [header.index(h) for h in usable]
     try:
-        data = np.loadtxt(path, delimiter=",", skiprows=1, usecols=idx, ndmin=2)
+        with warnings.catch_warnings():
+            # reported below as a usage error rather than printed
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            data = np.loadtxt(path, delimiter=",", skiprows=1, usecols=idx, ndmin=2)
     except ValueError as e:
         raise UsageError(f"{path}: malformed numeric data ({e})")
-    return {h: data[:, k] for k, h in enumerate(usable)}
-
-
-def _read_event_column(path: str) -> tuple[str, np.ndarray]:
-    header = _read_header(path)
-    if header[:1] == ["t"]:
-        kind = "timestamps"
-    elif header[:1] == ["dt"]:
-        kind = "durations"
-    else:
-        raise UsageError(f"{path}: event CSV header must be 't' or 'dt', got {header}")
-    try:
-        data = np.loadtxt(path, delimiter=",", skiprows=1, usecols=[0], ndmin=1)
-    except ValueError as e:
-        raise UsageError(f"{path}: malformed numeric data ({e})")
-    return kind, data
+    if not len(data):
+        raise UsageError(f"{path}: no data rows")
+    cols = {h: data[:, k] for k, h in enumerate(usable)}
+    for name in finite:
+        if name in cols and not np.all(np.isfinite(cols[name])):
+            raise UsageError(f"{path}: column '{name}' has a non-finite value")
+    return cols
 
 
 def _read_curve(path: str) -> QMomentCurve:
-    cols = _read_columns(path, ["q", "log_norm_moment"], optional=["stderr", "n_samples"])
-    n_samples = 0
-    if "n_samples" in cols and cols["n_samples"].size:
-        n_samples = int(cols["n_samples"][0])
+    cols = _read_columns(
+        path, ["q", "log_norm_moment"], optional=["stderr", "n_samples"], finite=["n_samples"]
+    )
+    n_samples = int(cols["n_samples"][0]) if "n_samples" in cols else 0
     try:
         return QMomentCurve(
             q_grid=cols["q"],
@@ -386,7 +373,11 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_estimate(args) -> int:
     _require(args, "--input")
-    kind, data = _read_event_column(args.input)
+    header = _read_header(args.input)
+    if header[:1] not in (["t"], ["dt"]):
+        raise UsageError(f"{args.input}: event CSV header must be 't' or 'dt', got {header}")
+    data = _read_columns(args.input, header[:1])[header[0]]
+    kind = "timestamps" if header[0] == "t" else "durations"
     opts = empirical.IngestOptions(
         input_kind=kind, gap_cutoff=args.gap_cutoff, min_duration=args.min_duration
     )
@@ -452,10 +443,7 @@ def _cmd_fit(args) -> int:
     else:
         if args.qmin is not None or args.qmax is not None:
             raise UsageError(f"--qmin/--qmax set a moment-order window; --kind {kind} fits every t row")
-        cols = _read_columns(args.input, ["t", "psi"])
-        for name, column in cols.items():
-            if not np.all(np.isfinite(column)):
-                raise UsageError(f"{args.input}: column '{name}' has a non-finite value")
+        cols = _read_columns(args.input, ["t", "psi"], finite=["t", "psi"])
         t, psi = cols["t"], cols["psi"]
         keep = psi > 0
         if not keep.all():
@@ -619,7 +607,9 @@ def run(argv) -> int:
                 args = _apply_config_defaults(parser, registry, args, list(argv))
             except SystemExit as e:
                 return 0 if e.code in (0, None) else 2
-        RunConfig(command=args.command, options={"input": getattr(args, "input", None)})
+        path = getattr(args, "input", None)
+        if path is not None and not os.path.exists(path):
+            raise UsageError(f"input file does not exist: {path}")
         return _DISPATCH[args.command](args)
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)

@@ -42,9 +42,6 @@ __all__ = [
     "QMomentCurve",
     "FitResult",
     "EventSeries",
-    "log_gamma",
-    "lower_incomplete_gamma",
-    "upper_incomplete_gamma",
     "scaled_lower_incomplete_gamma",
     "scaled_upper_incomplete_gamma",
 ]
@@ -456,13 +453,6 @@ class EventSeries:
 # ---------------------------------------------------------------------------
 
 
-def log_gamma(x: float) -> float:
-    """``ln Gamma(x)`` for ``x > 0``."""
-    if not x > 0:
-        raise ModelDomainError("log_gamma requires x > 0")
-    return float(scipy.special.gammaln(x))
-
-
 def scaled_lower_incomplete_gamma(a: float, z: float) -> float:
     """``z**(-a) * gamma_lower(a, z)`` for ``a > 0``, ``z >= 0``.
 
@@ -526,33 +516,6 @@ def scaled_upper_incomplete_gamma(a: float, z: float) -> float:
         order = base - j
         s = (z * s - ez) / order
     return s
-
-
-def lower_incomplete_gamma(a: float, z: float) -> float:
-    """``gamma_lower(a, z) = int_0^z s^(a-1) e^(-s) ds`` for ``a > 0``, ``z >= 0``."""
-    if not a > 0:
-        raise ModelDomainError("lower incomplete gamma requires a > 0")
-    if z < 0:
-        raise ModelDomainError("z must be nonnegative")
-    if z == 0.0:
-        return 0.0
-    return scaled_lower_incomplete_gamma(a, z) * math.exp(a * math.log(z))
-
-
-def upper_incomplete_gamma(a: float, z: float) -> float:
-    """``Gamma_upper(a, z) = int_z^inf s^(a-1) e^(-s) ds``.
-
-    Accepts any real order ``a`` (negative orders, integer or not, via the
-    scaled recurrence); requires ``z > 0`` when ``a <= 0`` since the integral
-    diverges at the origin there.
-    """
-    if z == 0.0:
-        if a > 0:
-            return math.exp(scipy.special.gammaln(a))
-        raise ModelDomainError("upper incomplete gamma diverges at z = 0 for a <= 0")
-    if z < 0:
-        raise ModelDomainError("z must be nonnegative")
-    return scaled_upper_incomplete_gamma(a, z) * math.exp(a * math.log(z))
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,6 @@ from .moments import moment
 __all__ = [
     "Phase",
     "PhaseLabel",
-    "tau_of_epsilon",
     "ptd",
     "ptd_tail",
     "sojourn",
@@ -56,13 +55,6 @@ class PhaseLabel:
 
     kind: Phase
     tail_exponent: float | None = None
-
-
-def tau_of_epsilon(eps, params: ModelParams):
-    """Trapping time ``tau0 * exp(beta * eps)`` at depth ``eps``."""
-    e = np.asarray(eps, dtype=float)
-    out = params.tau0 * np.exp(params.beta * e)
-    return float(out) if np.isscalar(eps) or e.ndim == 0 else out
 
 
 def _map_times(fn, t):

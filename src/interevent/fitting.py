@@ -28,8 +28,6 @@ __all__ = [
     "QExponential",
     "Weibull",
     "StretchedSojourn",
-    "qexp_log_survival",
-    "weibull_log_survival",
     "fit_monofractal",
     "fit_mf",
     "fit_hmf",
@@ -58,7 +56,8 @@ class QExponential:
             raise ModelDomainError("q_ts must exceed 1")
 
     def log_survival(self, t):
-        return qexp_log_survival(t, self.m, self.q_ts)
+        k = self.q_ts - 1.0
+        return -np.log1p(self.m * k * np.asarray(t, dtype=float)) / k
 
     def jacobian(self, t):
         k = self.q_ts - 1.0
@@ -69,9 +68,10 @@ class QExponential:
 
     @staticmethod
     def initial(t, y):
-        """``m`` from the first slope of ``ln Psi``, and ``q_ts = 1.5``."""
-        pos = np.flatnonzero(t > t[0])
-        slope0 = -(y[pos[0]] - y[0]) / (t[pos[0]] - t[0]) if pos.size else 1.0
+        """``m`` from the slope of ``ln Psi`` up to its first point below ``y[0]``
+        (an empirical survival can tie over its first points), and ``q_ts = 1.5``."""
+        moved = np.flatnonzero(y < y[0])
+        slope0 = -(y[moved[0]] - y[0]) / (t[moved[0]] - t[0]) if moved.size else 1.0
         return (max(slope0, 1e-6), 1.5)
 
 
@@ -89,7 +89,7 @@ class Weibull:
             raise ModelDomainError("a and c must be positive")
 
     def log_survival(self, t):
-        return weibull_log_survival(t, self.a, self.c)
+        return -self.a * np.asarray(t, dtype=float) ** self.c
 
     def jacobian(self, t):
         tc = t ** self.c
@@ -142,15 +142,6 @@ class StretchedSojourn:
             raise ValueError("the numeric survival fit needs t > 0")
         crossing = int(np.argmin(np.abs(np.exp(y) - math.exp(-1.0))))
         return (1.8, 0.3, float(np.log(t[crossing])))
-
-
-def qexp_log_survival(t, m: float, q_ts: float):
-    k = q_ts - 1.0
-    return -np.log1p(m * k * np.asarray(t, dtype=float)) / k
-
-
-def weibull_log_survival(t, a: float, c: float):
-    return -a * np.asarray(t, dtype=float) ** c
 
 
 # ---------------------------------------------------------------------------

@@ -19,15 +19,12 @@ import scipy
 
 from .core import (
     AsymptoticRangeWarning,
-    Delta,
     DivergentMomentError,
-    Laplace,
     ModelDomainError,
     ModelParams,
     QMomentCurve,
     SeriesTruncationWarning,
     StretchedExp,
-    Uniform,
     UnsupportedModelError,
     _log_peak_quad,  # noqa: F401  kept for bench/workloads.py, which patches this name
     log_iq_quadrature,
@@ -39,27 +36,18 @@ __all__ = [
     "SaddlePointResult",
     "SeriesMomentResult",
     "Scales",
-    "conditional_moment",
-    "moment_delta",
-    "moment_uniform",
-    "moment_laplace",
     "iq_quadrature",
     "log_iq_quadrature",
     "moment_stretched_series",
-    "moment_gaussian",
     "saddlepoint_iq",
     "moment_mf",
     "log_moment_mf",
-    "moment_hmf",
-    "log_moment_hmf",
-    "hmf_exponent",
     "fd_relation",
     "scales",
     "moment",
     "log_norm_moment",
     "model_curve",
     "mf_curve",
-    "hmf_curve",
     "monofractal_curve",
 ]
 
@@ -201,37 +189,6 @@ def _log_scale(params: ModelParams) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Closed-form moments
-# ---------------------------------------------------------------------------
-
-
-def conditional_moment(q: float, eps: float, params: ModelParams) -> float:
-    """``<t^q | eps> = Gamma(1+q) * tau(eps)^q`` for one trap depth."""
-    _check_order(q)
-    return _safe_exp(
-        scipy.special.gammaln(1.0 + q) + q * (math.log(params.tau0) + params.beta * eps)
-    )
-
-
-def moment_delta(q: float, params: ModelParams) -> float:
-    if not isinstance(params.weight, Delta):
-        raise UnsupportedModelError("moment_delta needs a Delta weight")
-    return moment(q, params)
-
-
-def moment_uniform(q: float, params: ModelParams) -> float:
-    if not isinstance(params.weight, Uniform):
-        raise UnsupportedModelError("moment_uniform needs a Uniform weight")
-    return moment(q, params)
-
-
-def moment_laplace(q: float, params: ModelParams) -> float:
-    if not isinstance(params.weight, Laplace):
-        raise UnsupportedModelError("moment_laplace needs a Laplace weight")
-    return moment(q, params)
-
-
-# ---------------------------------------------------------------------------
 # Stretched-exponential weight: generating integral and its approximations
 # ---------------------------------------------------------------------------
 
@@ -312,14 +269,6 @@ def _series(
 def _series_log_norm_moment(q: float, params: ModelParams, tol: float, n_max: int) -> float:
     """``ln(<t^q> / Gamma(1+q))`` of a stretched weight from :func:`moment_stretched_series`."""
     return _series(q, params, tol, n_max)[1] - float(scipy.special.gammaln(1.0 + q))
-
-
-def moment_gaussian(q: float, params: ModelParams) -> float:
-    """Closed form at alpha = 2: ``Gamma(1+q) tau0^q l^q L^(q^2)`` with ``L = e^((sigma beta)^2/4)``."""
-    w = params.weight
-    if not (isinstance(w, StretchedExp) and w.alpha == 2.0):
-        raise UnsupportedModelError("moment_gaussian needs a StretchedExp weight with alpha = 2")
-    return moment(q, params)
 
 
 # Largest |correction - 1| at which the next-order saddle-point factor is applied.
@@ -426,16 +375,6 @@ def moment_mf(q: float, p: MFParams) -> float:
     return _safe_exp(log_moment_mf(q, p))
 
 
-def hmf_exponent(q: float, p: HMFParams) -> float:
-    """Saturating exponent ``phi(q) = (1/b1)(1 - exp(-b1 |q|^(1/(alpha-1)))) |q|``."""
-    return float(p.exponent(q))
-
-
-# the HMF law is the MF law with HMFParams' exponent
-log_moment_hmf = log_moment_mf
-moment_hmf = moment_mf
-
-
 def fd_relation(sigma: float, alpha: float, beta: float) -> float:
     """Depth offset ``mu = k sigma^(alpha/(alpha-1))`` that merges the two scales.
 
@@ -505,9 +444,6 @@ def mf_curve(q_grid, p: MFParams) -> QMomentCurve:
     """The normalized log-moment curve of an MF law, or of an HMF law."""
     q = _as_q_grid(q_grid)
     return QMomentCurve(q_grid=q, log_norm_moment=p.log_norm_moment(q), n_samples=0)
-
-
-hmf_curve = mf_curve
 
 
 def monofractal_curve(q_grid, ln_tau: float) -> QMomentCurve:

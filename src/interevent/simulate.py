@@ -17,9 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import WEIGHT_FAMILIES, EventSeries, ModelParams, UnsupportedModelError, Weight
+from .core import EventSeries, ModelParams
 
-__all__ = ["BLOCK", "SimConfig", "sample_epsilon", "sample_interevent", "generate_series"]
+__all__ = ["BLOCK", "SimConfig", "sample_interevent", "generate_series"]
 
 BLOCK = 1 << 20
 
@@ -37,13 +37,6 @@ class SimConfig:
             raise ValueError("seed must fit in an unsigned 64-bit integer")
 
 
-def sample_epsilon(weight: Weight, rng: np.random.Generator, size: int | None = None):
-    """Draw depths from the weight density with the family's ``sample`` method."""
-    if not isinstance(weight, WEIGHT_FAMILIES):
-        raise UnsupportedModelError(f"no sampler for weight {type(weight).__name__}")
-    return weight.sample(rng, size)
-
-
 def _positive_uniform(rng: np.random.Generator, size: int | None):
     u = rng.random(size)
     if size is None:
@@ -59,7 +52,7 @@ def _positive_uniform(rng: np.random.Generator, size: int | None):
 
 def sample_interevent(params: ModelParams, rng: np.random.Generator, size: int | None = None):
     """Waiting times ``t = -tau(eps) * ln(u)`` with fresh ``eps`` per event and ``u`` in (0, 1)."""
-    eps = sample_epsilon(params.weight, rng, size)
+    eps = params.weight.sample(rng, size)
     u = _positive_uniform(rng, size)
     t = params.tau0 * np.exp(params.beta * np.asarray(eps, dtype=float)) * (-np.log(u))
     return float(t) if size is None else t

@@ -120,7 +120,7 @@ def test_gaussian_weight_exactness():
             p = iv.ModelParams(
                 weight=iv.StretchedExp(mu=0.25, sigma=sb, alpha=2.0), tau0=1.3, beta=1.0
             )
-            closed = iv.moment_gaussian(q, p)
+            closed = iv.moment(q, p)
             via_mf = iv.moment_mf(
                 q, iv.MFParams(alpha=2.0, c0=math.log(1.3) + 0.25, b=sb * sb / 4.0)
             )
@@ -193,7 +193,7 @@ def test_simulation_recovers_gaussian_moments():
 def test_hmf_roundtrip_all_rows():
     q = np.round(np.arange(1, 201) * 0.1, 12)
     for name, (alpha, c0, b, b1) in HMF_ROWS.items():
-        curve = iv.hmf_curve(q, iv.HMFParams(alpha, c0, b, b1))
+        curve = iv.mf_curve(q, iv.HMFParams(alpha, c0, b, b1))
         fit = iv.fit_hmf(curve, (0.1, 20.0))
         assert fit.converged, name
         for key, truth in zip(("alpha", "c0", "b", "b1"), (alpha, c0, b, b1)):
@@ -206,7 +206,7 @@ def test_collapse_exactness():
     pos = q > 0
     for alpha, c0, b, b1 in HMF_ROWS.values():
         p = iv.HMFParams(alpha, c0, b, b1)
-        fh = iv.hmf_collapse(iv.hmf_curve(q, p), p)
+        fh = iv.hmf_collapse(iv.mf_curve(q, p), p)
         x = b1 * np.abs(q) ** (1.0 / (alpha - 1.0))
         assert np.abs(fh[pos] - (-np.expm1(-x[pos]))).max() < 1e-6
     for alpha, c0, b in MF_ROWS.values():
@@ -222,7 +222,7 @@ def test_collapse_exactness():
 def test_low_temperature_phase_mean_divergence():
     params = iv.ModelParams(weight=iv.Laplace(sigma=1.2), tau0=1.0, beta=1.0)
     with pytest.raises(iv.DivergentMomentError):
-        iv.moment_laplace(1.0, params)
+        iv.moment(1.0, params)
 
     monotone = 0
     for seed in range(10):
@@ -254,10 +254,8 @@ def test_sojourn_numeric_vs_monte_carlo():
     assert z.max() < 3.0, z.max()
 
     # noiseless survival-model roundtrip
-    from interevent.fitting import weibull_log_survival
-
     t = np.geomspace(0.01, 50.0, 80)
-    target = np.exp(weibull_log_survival(t, 1.53, 0.459))
+    target = np.exp(iv.Weibull(1.53, 0.459).log_survival(t))
     fit = iv.fit_sojourn(t, target, iv.Weibull)
     assert abs(fit.params["a"][0] - 1.53) < 1e-6
     assert abs(fit.params["c"][0] - 0.459) < 1e-6

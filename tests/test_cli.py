@@ -398,6 +398,25 @@ def test_fit_rejects_non_finite_survival_as_usage_error(tmp_path, kind, column, 
     assert r.stderr == f"usage error: soj.csv: column '{column}' has a non-finite value\n"
 
 
+_NAN_N_SAMPLES = "q,log_norm_moment,stderr,n_samples\n" + "".join(
+    f"{qi},{0.5 * qi + 0.05 * qi ** 1.5},1e-3,nan\n" for qi in np.round(np.arange(0, 36) * 0.1, 10)
+)
+
+
+@pytest.mark.parametrize("args, text, message", [
+    (["estimate"], "dt\n", "no data rows"),
+    (["fit", "--kind", "sojourn-weibull"], "t,psi\n", "no data rows"),
+    (["fit", "--kind", "mf"], "q,log_norm_moment\n", "no data rows"),
+    (["fit", "--kind", "mf"], _NAN_N_SAMPLES, "column 'n_samples' has a non-finite value"),
+], ids=["estimate-empty", "sojourn-empty", "mf-empty", "mf-nan-n-samples"])
+def test_table_without_usable_rows_is_usage_error(tmp_path, args, text, message):
+    (tmp_path / "in.csv").write_text(text)
+    r = run_cli([*args, "--input", "in.csv"], tmp_path)
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert r.stderr == f"usage error: in.csv: {message}\n"
+
+
 @pytest.mark.parametrize("kind", ["sojourn-weibull", "sojourn-qexp"])
 @pytest.mark.parametrize("flags", [["--qmin", "1"], ["--qmax", "2"]])
 def test_sojourn_fit_rejects_order_window(tmp_path, kind, flags):

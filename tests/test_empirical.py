@@ -271,7 +271,7 @@ def test_mf_collapse_properties():
 def test_hmf_collapse_and_transform():
     q = np.linspace(0.0, 20.0, 201)
     p = iv.HMFParams(alpha=1.91, c0=-3.0, b=2.5, b1=0.33)
-    curve = iv.hmf_curve(q, p)
+    curve = iv.mf_curve(q, p)
     out = iv.hmf_collapse(curve, p)
     x = 0.33 * q[1:] ** (1.0 / 0.91)
     assert np.allclose(out[1:], -np.expm1(-x), atol=1e-12)

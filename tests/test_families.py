@@ -7,7 +7,6 @@ import pytest
 
 import interevent as iv
 from interevent.core import WEIGHT_FAMILIES, UnsupportedModelError
-from interevent.simulate import sample_epsilon
 
 # one weight with a finite mean and, where the family has one, one without
 FINITE_MEAN = {
@@ -33,8 +32,8 @@ def test_weight_family_contract(family):
     assert iv.characteristic_time(p) == pytest.approx(iv.moment(1.0, p), rel=1e-12)
 
     rng = np.random.default_rng(3)
-    assert isinstance(sample_epsilon(p.weight, rng), float)
-    assert sample_epsilon(p.weight, rng, 5).shape == (5,)
+    assert isinstance(p.weight.sample(rng), float)
+    assert p.weight.sample(rng, 5).shape == (5,)
 
     if family in DIVERGENT_MEAN:
         q = iv.ModelParams(weight=DIVERGENT_MEAN[family], tau0=1.3, beta=1.0)
@@ -45,9 +44,9 @@ def test_weight_family_contract(family):
             iv.moment(1.0, q)
 
 
-def test_sample_epsilon_rejects_unknown_family():
+def test_model_params_rejects_unknown_family():
     with pytest.raises(UnsupportedModelError):
-        sample_epsilon(object(), np.random.default_rng(0), 3)
+        iv.ModelParams(weight=object())
 
 
 @pytest.mark.parametrize("family", WEIGHT_FAMILIES, ids=lambda f: f.__name__)

@@ -6,7 +6,6 @@ import pytest
 
 import interevent as iv
 from interevent import fitting
-from interevent.fitting import qexp_log_survival, weibull_log_survival
 
 
 def test_monofractal_fit_exact():
@@ -40,7 +39,7 @@ def test_monofractal_on_hmf_curve_regression():
     # large-q regression on a saturating curve approaches c0 + b/b1 from below
     p = iv.HMFParams(alpha=1.91, c0=-3.0, b=2.5, b1=0.33)
     q = np.round(np.arange(0, 201) * 0.1, 12)
-    fit = iv.fit_monofractal(iv.hmf_curve(q, p), (10.0, 20.0))
+    fit = iv.fit_monofractal(iv.mf_curve(q, p), (10.0, 20.0))
     plateau = p.c0 + p.b / p.b1
     est = fit.estimate("ln_tau")
     assert est < plateau
@@ -68,7 +67,7 @@ def test_fit_reports_optimizer_diagnostics():
     q = np.round(np.arange(0, 36) * 0.1, 12)
     mf = iv.fit_mf(iv.mf_curve(q, iv.MFParams(alpha=1.85, c0=-1.5, b=0.9)), (0.0, 3.5))
     t = np.geomspace(0.01, 50.0, 80)
-    weibull = iv.fit_sojourn(t, np.exp(weibull_log_survival(t, 1.53, 0.459)), iv.Weibull)
+    weibull = iv.fit_sojourn(t, np.exp(iv.Weibull(1.53, 0.459).log_survival(t)), iv.Weibull)
     for fit in (mf, weibull):
         assert fit.converged and fit.status > 0
         assert isinstance(fit.nfev, int) and 1 <= fit.nfev <= 500
@@ -100,7 +99,7 @@ def test_hmf_fit_rejects_purely_linear_curve():
 def test_hmf_fit_with_noise():
     truth = iv.HMFParams(alpha=1.78, c0=0.1, b=1.07, b1=0.20)
     q = np.round(np.arange(0, 201) * 0.1, 12)
-    clean = iv.hmf_curve(q, truth)
+    clean = iv.mf_curve(q, truth)
     rng = np.random.default_rng(8)
     vals = clean.log_norm_moment + rng.normal(0.0, 1e-3, q.shape)
     vals[0] = 0.0
@@ -114,15 +113,15 @@ def test_hmf_fit_with_noise():
 def test_qexp_survival_shape():
     t = np.linspace(0.0, 10.0, 50)
     # q_ts -> 1 recovers the exponential
-    near_exp = qexp_log_survival(t, 0.7, 1.0 + 1e-9)
+    near_exp = iv.QExponential(0.7, 1.0 + 1e-9).log_survival(t)
     assert np.allclose(near_exp, -0.7 * t, rtol=1e-6)
-    heavy = qexp_log_survival(t, 0.7, 1.8)
+    heavy = iv.QExponential(0.7, 1.8).log_survival(t)
     assert np.all(heavy >= near_exp - 1e-12)
 
 
 def test_qexp_fit_roundtrip():
     t = np.geomspace(0.01, 80.0, 60)
-    psi = np.exp(qexp_log_survival(t, 0.7, 1.4))
+    psi = np.exp(iv.QExponential(0.7, 1.4).log_survival(t))
     fit = iv.fit_sojourn(t, psi, iv.QExponential)
     assert fit.converged
     assert fit.estimate("m") == pytest.approx(0.7, rel=1e-8)
@@ -141,7 +140,7 @@ def test_qexp_fit_flags_exponential_boundary():
 
 def test_weibull_fit_roundtrip():
     t = np.geomspace(0.01, 50.0, 80)
-    psi = np.exp(weibull_log_survival(t, 1.53, 0.459))
+    psi = np.exp(iv.Weibull(1.53, 0.459).log_survival(t))
     fit = iv.fit_sojourn(t, psi, iv.Weibull)
     assert fit.converged
     assert fit.estimate("a") == pytest.approx(1.53, abs=1e-6)
@@ -299,6 +298,16 @@ def test_fits_pinned_on_one_seeded_series():
         for name, (est, se) in pinned.items():
             assert fit.estimate(name) == pytest.approx(est, rel=1e-9, abs=1e-12), (kind, name)
             assert fit.stderr(name) == pytest.approx(se, rel=1e-9, abs=1e-12), (kind, name)
+
+
+def test_qexp_start_skips_tied_survival_points():
+    # seed 8's empirical survival ties over its first two grid points
+    _curve, t, psi = _seeded_series(8)
+    y = np.log(psi)
+    assert y[1] == y[0]
+    m0, _q0 = iv.QExponential.initial(t, y)
+    m = iv.fit_sojourn(t, psi, iv.QExponential).estimate("m")
+    assert m / 10.0 < m0 < 10.0 * m
 
 
 # A returned estimate is a least-squares solution when a few undamped

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import interevent as iv
-from interevent.simulate import BLOCK, sample_epsilon, sample_interevent
+from interevent.simulate import BLOCK, sample_interevent
 
 
 def _delta(tau0=1.0):
@@ -57,20 +57,20 @@ def test_epsilon_sampler_distributions():
     rng = np.random.default_rng(0)
     n = 400_000
 
-    u = sample_epsilon(iv.Uniform(half_width=1.5), rng, n)
+    u = iv.Uniform(half_width=1.5).sample(rng, n)
     assert u.min() >= -1.5 and u.max() <= 1.5
     assert abs(u.mean()) < 5 * 1.5 / math.sqrt(3 * n)
 
-    lap = sample_epsilon(iv.Laplace(sigma=0.7), rng, n)
+    lap = iv.Laplace(sigma=0.7).sample(rng, n)
     assert abs(lap.mean()) < 5 * 0.7 * math.sqrt(2.0 / n)
     assert abs(np.abs(lap).mean() - 0.7) < 5 * 0.7 / math.sqrt(n)
 
     # alpha = 2 reduces to a centered normal with variance sigma^2/2
-    g = sample_epsilon(iv.StretchedExp(mu=0.3, sigma=1.0, alpha=2.0), rng, n)
+    g = iv.StretchedExp(mu=0.3, sigma=1.0, alpha=2.0).sample(rng, n)
     assert abs(g.mean() - 0.3) < 5 / math.sqrt(2 * n)
     assert abs(g.var() - 0.5) < 5 * 0.5 * math.sqrt(2.0 / n)
 
-    d = sample_epsilon(iv.Delta(mu=0.4), rng, n)
+    d = iv.Delta(mu=0.4).sample(rng, n)
     assert np.all(d == 0.4)
 
 
@@ -79,7 +79,7 @@ def test_stretched_epsilon_matches_weight_moments():
     rng = np.random.default_rng(9)
     alpha, sigma = 1.5, 1.2
     n = 400_000
-    e = sample_epsilon(iv.StretchedExp(mu=0.0, sigma=sigma, alpha=alpha), rng, n)
+    e = iv.StretchedExp(mu=0.0, sigma=sigma, alpha=alpha).sample(rng, n)
     for k in (1, 2):
         expected = sigma**k * math.gamma((k + 1) / alpha) / math.gamma(1 / alpha)
         sample = np.abs(e) ** k
