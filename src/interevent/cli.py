@@ -89,8 +89,10 @@ def _write_numeric_csv(path: str, header: list[str], columns: list[np.ndarray]) 
     """Write columns, silently finite: rows with NaN/Inf are dropped with a note.
 
     The bytes are those of :func:`_write_csv` on ``repr`` cells (CRLF line
-    ends, nothing quoted), written one block of rows at a time: faster than
-    row by row, and without holding a string per row of the whole table.
+    ends, nothing quoted), written one block of rows at a time, without
+    holding a string per row of the whole table.  Each column of a block is
+    formatted by one ``repr`` of its list, whose items are the ``repr`` of
+    each float: faster than one ``repr`` call per cell.
     """
     data = np.column_stack([np.asarray(c, dtype=float) for c in columns])
     finite = np.all(np.isfinite(data), axis=1)
@@ -101,8 +103,9 @@ def _write_numeric_csv(path: str, header: list[str], columns: list[np.ndarray]) 
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
         for start in range(0, len(data), _CSV_BLOCK_ROWS):
-            block = data[start : start + _CSV_BLOCK_ROWS].tolist()
-            lines = [",".join(map(repr, row)) for row in block]
+            block = data[start : start + _CSV_BLOCK_ROWS]
+            cells = [repr(col.tolist())[1:-1].split(", ") for col in block.T]
+            lines = [",".join(row) for row in zip(*cells)]
             lines.append("")
             fh.write("\r\n".join(lines))
 
@@ -531,7 +534,7 @@ def _cmd_collapse(args) -> int:
     for d in datasets:
         if "name" not in d or "curve" not in d:
             raise UsageError("each dataset needs 'name' and 'curve' keys")
-        if not os.path.exists(d["curve"]):
+        if not os.path.isfile(d["curve"]):
             raise UsageError(f"curve file does not exist: {d['curve']}")
         curves[d["name"]] = _read_curve(d["curve"])
 
@@ -574,7 +577,7 @@ _DISPATCH = {
 
 def _apply_config_defaults(parser, registry, args, argv):
     path = args.config
-    if not os.path.exists(path):
+    if not os.path.isfile(path):
         raise UsageError(f"config file does not exist: {path}")
     with open(path) as fh:
         try:
@@ -608,7 +611,7 @@ def run(argv) -> int:
             except SystemExit as e:
                 return 0 if e.code in (0, None) else 2
         path = getattr(args, "input", None)
-        if path is not None and not os.path.exists(path):
+        if path is not None and not os.path.isfile(path):
             raise UsageError(f"input file does not exist: {path}")
         return _DISPATCH[args.command](args)
     except UsageError as e:

@@ -8,12 +8,13 @@ densities, q-moment laws, simulation, fitting) is parameterized by a
 the weight differs between models, so each family's class carries the formulas
 the other modules call.
 
-The package imports only the top-level ``scipy`` package and reaches its
-submodules by attribute; SciPy imports each on its first use.  ``import
-interevent``, ``simulate`` and the moment-law, Weibull and q-exponential fits
-therefore load none of them; ``estimate`` and the stretched family's
-quadrature (and so the ``StretchedSojourn`` fit) load only the special
-functions.
+Log-gamma values come from ``math.lgamma`` (through :func:`_lgamma`).  No
+module of the package imports ``scipy`` at import time: only the Uniform
+survival kernel and the scaled incomplete gammas of the Laplace closed forms
+call SciPy (``exp1``, ``gammainc``, ``gammaincc``), and they import
+``scipy.special`` where they call it.  ``import interevent``, ``simulate``,
+``estimate``, every fit and the stretched family's quadrature therefore load
+no SciPy module.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from dataclasses import dataclass, field
 from typing import Union
 
 import numpy as np
-import scipy
 
 __all__ = [
     "ModelDomainError",
@@ -162,8 +162,9 @@ class Uniform:
                 eps = self.half_width * _GL_NODES
                 vals = np.exp(-x / (tau0 * np.exp(beta * eps)))
                 return float(np.dot(_GL_WEIGHTS, vals) / 2.0)
-            e1 = scipy.special.exp1
-            return (float(e1(x / tau_plus)) - float(e1(x / tau_minus))) / (2.0 * db)
+            from scipy.special import exp1
+
+            return (float(exp1(x / tau_plus)) - float(exp1(x / tau_minus))) / (2.0 * db)
 
         return kernel
 
@@ -243,7 +244,7 @@ class StretchedExp:
     @property
     def log_norm(self) -> float:
         """``ln(2 Gamma(1 + 1/alpha))``, the log mass of ``exp(-|y|**alpha)``."""
-        return math.log(2.0) + float(scipy.special.gammaln(1.0 + 1.0 / self.alpha))
+        return math.log(2.0) + _lgamma(1.0 + 1.0 / self.alpha)
 
     def log_mgf(self, s: float) -> float:
         if not self.alpha > 1:
@@ -453,6 +454,14 @@ class EventSeries:
 # ---------------------------------------------------------------------------
 
 
+def _lgamma(x: float) -> float:
+    """``math.lgamma(x)``, but ``inf`` where it overflows (``x`` above about 2.56e305)."""
+    try:
+        return math.lgamma(x)
+    except OverflowError:
+        return math.inf
+
+
 def scaled_lower_incomplete_gamma(a: float, z: float) -> float:
     """``z**(-a) * gamma_lower(a, z)`` for ``a > 0``, ``z >= 0``.
 
@@ -477,15 +486,19 @@ def scaled_lower_incomplete_gamma(a: float, z: float) -> float:
             if term < total * 1e-17 or k > 10_000:
                 break
         return math.exp(-z) * total
-    p = float(scipy.special.gammainc(a, z))
-    return math.exp(scipy.special.gammaln(a) + math.log(p) - a * math.log(z))
+    from scipy.special import gammainc
+
+    p = float(gammainc(a, z))
+    return math.exp(_lgamma(a) + math.log(p) - a * math.log(z))
 
 
 def _scaled_upper_positive(a: float, z: float) -> float:
     # a > 0, z > 0
-    q = float(scipy.special.gammaincc(a, z))
+    from scipy.special import gammaincc
+
+    q = float(gammaincc(a, z))
     if q > 0.0:
-        return math.exp(scipy.special.gammaln(a) + math.log(q) - a * math.log(z))
+        return math.exp(_lgamma(a) + math.log(q) - a * math.log(z))
     # q underflowed: leading asymptotic term z^(a-1) e^(-z) of the upper tail
     return math.exp(-z - math.log(z))
 
@@ -502,13 +515,15 @@ def scaled_upper_incomplete_gamma(a: float, z: float) -> float:
         raise ModelDomainError("scaled upper incomplete gamma requires z > 0")
     if a > 0:
         return _scaled_upper_positive(a, z)
+    from scipy.special import exp1
+
     if a == 0.0:
-        return float(scipy.special.exp1(z))
+        return float(exp1(z))
     # climb from base = a + m with m = ceil(-a) steps, base in (0, 1] or 0
     m = math.ceil(-a)
     base = a + m
     if base == 0.0:
-        s = float(scipy.special.exp1(z))
+        s = float(exp1(z))
     else:
         s = _scaled_upper_positive(base, z)
     ez = math.exp(-z)
@@ -649,5 +664,5 @@ def log_iq_quadrature(q: float, alpha: float, beta_sigma: float) -> float:
         raise ModelDomainError("q must be finite")
     s = q * beta_sigma
     if s == 0.0:
-        return math.log(2.0) + float(scipy.special.gammaln(1.0 + 1.0 / alpha))
+        return math.log(2.0) + math.lgamma(1.0 + 1.0 / alpha)
     return _log_peak_quad(alpha, -s, 0.0, 0.0)

@@ -18,7 +18,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy
 
 from .core import (
     AsymptoticRangeWarning,
@@ -28,6 +27,7 @@ from .core import (
     ModelParams,
     NoFiniteMeanError,
     UnsupportedModelError,
+    _lgamma,
     _log_peak_quad,  # noqa: F401  kept for bench/workloads.py, which patches this name
 )
 from .moments import moment
@@ -100,7 +100,7 @@ def ptd_tail(t, params: ModelParams):
             stacklevel=2,
         )
     delta = 1.0 + 1.0 / sb
-    pref = math.exp(scipy.special.gammaln(delta)) / (2.0 * sb * tau0)
+    pref = math.exp(_lgamma(delta)) / (2.0 * sb * tau0)
     out = pref * (tau0 / arr) ** delta
     return float(out) if arr.ndim == 0 else out
 

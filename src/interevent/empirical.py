@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy
 
 from .core import (
     EventSeries,
@@ -23,6 +22,7 @@ from .core import (
     ModelDomainError,
     QMomentCurve,
     _check_q_grid,
+    _lgamma,
 )
 from .moments import HMFParams, MFParams
 
@@ -132,7 +132,7 @@ def empirical_qmoments(series: EventSeries, q_grid=None) -> QMomentCurve:
     orders, where = np.unique(np.concatenate((q, 2.0 * q)), return_inverse=True)
     log_means = _log_power_means(log_t, orders)[where]
     log_mean, log_mean2 = log_means[: q.size], log_means[q.size :]
-    values = log_mean - scipy.special.gammaln(1.0 + q)
+    values = log_mean - np.array([_lgamma(1.0 + x) for x in q.tolist()])
     values[q == 0.0] = 0.0
     ratio = np.exp(np.minimum(log_mean2 - 2.0 * log_mean, 700.0))
     stderr = np.sqrt(np.maximum(ratio - 1.0, 0.0) / n)

@@ -15,7 +15,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy
 
 from .core import (
     AsymptoticRangeWarning,
@@ -26,6 +25,7 @@ from .core import (
     SeriesTruncationWarning,
     StretchedExp,
     UnsupportedModelError,
+    _lgamma,
     _log_peak_quad,  # noqa: F401  kept for bench/workloads.py, which patches this name
     log_iq_quadrature,
 )
@@ -231,12 +231,8 @@ def _series(
 
     def log_term(n: int) -> float:
         if n == 0:
-            return float(scipy.special.gammaln(1.0 / alpha))
-        return float(
-            scipy.special.gammaln((2 * n + 1) / alpha)
-            + 2 * n * math.log(x)
-            - scipy.special.gammaln(2 * n + 1)
-        )
+            return math.lgamma(1.0 / alpha)
+        return math.lgamma((2 * n + 1) / alpha) + 2 * n * math.log(x) - math.lgamma(2 * n + 1)
 
     log_sum = log_term(0)
     terms = 1
@@ -256,19 +252,14 @@ def _series(
             break
         log_sum = float(np.logaddexp(log_sum, nxt))
         terms += 1
-    log_value = float(
-        scipy.special.gammaln(1.0 + q)
-        + q * _log_scale(params)
-        - scipy.special.gammaln(1.0 / alpha)
-        + log_sum
-    )
+    log_value = float(_lgamma(1.0 + q) + q * _log_scale(params) - math.lgamma(1.0 / alpha) + log_sum)
     result = SeriesMomentResult(value=_safe_exp(log_value), terms_used=terms, converged=converged)
     return result, log_value
 
 
 def _series_log_norm_moment(q: float, params: ModelParams, tol: float, n_max: int) -> float:
     """``ln(<t^q> / Gamma(1+q))`` of a stretched weight from :func:`moment_stretched_series`."""
-    return _series(q, params, tol, n_max)[1] - float(scipy.special.gammaln(1.0 + q))
+    return _series(q, params, tol, n_max)[1] - _lgamma(1.0 + q)
 
 
 # Largest |correction - 1| at which the next-order saddle-point factor is applied.
@@ -367,7 +358,7 @@ def _saddle_log_norm_moment(q: float, params: ModelParams) -> float:
 def log_moment_mf(q: float, p: MFParams) -> float:
     """``ln <t^q> = ln Gamma(1+q) + p.log_norm_moment(q)``, for an MF or HMF law."""
     _check_order(q)
-    return float(scipy.special.gammaln(1.0 + q) + p.log_norm_moment(q))
+    return float(_lgamma(1.0 + q) + p.log_norm_moment(q))
 
 
 def moment_mf(q: float, p: MFParams) -> float:
@@ -425,7 +416,7 @@ def moment(q: float, params: ModelParams) -> float:
     with alpha != 2 the generating integral by the fixed tanh-sinh rule of
     :func:`log_iq_quadrature`."""
     _check_order(q)
-    return _safe_exp(float(scipy.special.gammaln(1.0 + q)) + log_norm_moment(q, params))
+    return _safe_exp(_lgamma(1.0 + q) + log_norm_moment(q, params))
 
 
 def _as_q_grid(q_grid) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""End-to-end checks of the command-line interface via subprocess."""
+"""Checks of the command-line interface, end to end via subprocess, and of its CSV writer."""
 import csv
 import hashlib
 import json
@@ -9,6 +9,8 @@ import sys
 
 import numpy as np
 import pytest
+
+from interevent import cli
 
 CMD = [sys.executable, "-m", "interevent"]
 
@@ -190,6 +192,51 @@ def test_estimate_reads_durations_and_timestamps(tmp_path):
 def test_estimate_missing_input_file(tmp_path):
     r = run_cli(["estimate", "--input", "absent.csv"], tmp_path)
     assert r.returncode == 2
+
+
+@pytest.mark.parametrize("args, message", [
+    (["fit", "--kind", "mf", "--input", "d"], "input file does not exist: d"),
+    (["estimate", "--input", "d"], "input file does not exist: d"),
+    (["simulate", "--config", "d"], "config file does not exist: d"),
+    (["collapse", "--config", "c.json"], "curve file does not exist: d"),
+], ids=["fit-input", "estimate-input", "config", "collapse-curve"])
+def test_directory_path_is_usage_error(tmp_path, args, message):
+    (tmp_path / "d").mkdir()
+    cfg = {"datasets": [{"name": "aa", "curve": "d", "ln_tau": 1.0}]}
+    (tmp_path / "c.json").write_text(json.dumps(cfg))
+    r = run_cli(args, tmp_path)
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert r.stderr == f"usage error: {message}\n"
+
+
+def test_estimate_skips_orders_whose_log_gamma_overflows(tmp_path):
+    # ln Gamma(1 + q) overflows a float from q of about 2.56e305; those orders are
+    # non-finite rows, which the writer drops with a note, as for any other
+    (tmp_path / "events.csv").write_text("dt\n1.0\n2.0\n4.0\n")
+    r = run_cli(["estimate", "--input", "events.csv", "--qmax", "1e306", "--qstep", "1e305",
+                 "--out-moments", "m.csv", "--out-sojourn", "s.csv"], tmp_path)
+    assert r.returncode == 0, r.stderr
+    assert r.stderr == "note: skipped 8 non-finite row(s) in m.csv\n"
+    _, rows = read_csv(tmp_path / "m.csv")
+    assert [float(row[0]) for row in rows] == [0.0, 1e305, 2e305]
+
+
+def test_numeric_writer_matches_csv_module(tmp_path, capsys):
+    # 10,000 rows cross the writer's 4096-row blocks; the NaN row is dropped with a note
+    rng = np.random.default_rng(5)
+    cols = [rng.standard_normal(10_000) * 10.0 ** rng.integers(-300, 300, 10_000)
+            for _ in range(3)]
+    special = [0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, 1.0, -2.5]
+    cols[0][:8], cols[1][8:16], cols[2][4092:4100] = special, special, special
+    cols[1][5000] = np.nan
+    path = str(tmp_path / "blocks.csv")
+    cli._write_numeric_csv(path, ["a", "b", "c"], cols)
+    keep = ~np.isnan(cols[1])
+    cli._write_csv(str(tmp_path / "rows.csv"), ["a", "b", "c"],
+                   [[repr(x) for x in row] for row in zip(*(c[keep].tolist() for c in cols))])
+    assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+    assert capsys.readouterr().err == f"note: skipped 1 non-finite row(s) in {path}\n"
 
 
 def test_fit_mono_json_schema(tmp_path):
@@ -435,14 +482,14 @@ def test_help_exits_zero(tmp_path):
         assert cmd in r.stdout
 
 
-# Runs CLI commands in one fresh interpreter, then prints which heavy scipy
-# submodules that interpreter has loaded.
+# Runs CLI commands in one fresh interpreter, then prints which of scipy and
+# its heavy submodules that interpreter has loaded.
 _IMPORT_PROBE = """
 import json, sys
 from interevent import cli
 for argv in json.loads(sys.argv[1]):
     assert cli.run(argv) == 0, argv
-heavy = ("scipy.special", "scipy.integrate", "scipy.optimize")
+heavy = ("scipy", "scipy.special", "scipy.integrate", "scipy.optimize")
 print(json.dumps([m for m in heavy if m in sys.modules]))
 """
 
@@ -465,14 +512,20 @@ def test_simulate_loads_no_scipy_submodule(tmp_path):
     assert _scipy_submodules_after([_SIMULATE], tmp_path) == []
 
 
-def test_estimate_loads_only_special_functions(tmp_path):
-    assert _scipy_submodules_after([_SIMULATE, _ESTIMATE], tmp_path) == ["scipy.special"]
+def test_estimate_loads_no_scipy_module(tmp_path):
+    assert _scipy_submodules_after([_SIMULATE, _ESTIMATE], tmp_path) == []
 
 
-def test_stretched_ptd_loads_only_special_functions(tmp_path):
+def test_stretched_ptd_loads_no_scipy_module(tmp_path):
     ptd = ["ptd", "--weight", "stretched", "--sigma", "1", "--alpha", "1.5", "--points", "20",
            "--out", "ptd.csv"]
-    assert _scipy_submodules_after([ptd], tmp_path) == ["scipy.special"]
+    assert _scipy_submodules_after([ptd], tmp_path) == []
+
+
+def test_laplace_ptd_loads_special_functions(tmp_path):
+    # the Laplace closed forms call scipy's incomplete gammas and exponential integral
+    ptd = ["ptd", "--weight", "laplace", "--sigma", "0.5", "--points", "20", "--out", "ptd.csv"]
+    assert _scipy_submodules_after([ptd], tmp_path) == ["scipy", "scipy.special"]
 
 
 def test_fit_loads_no_scipy_submodule(tmp_path):
