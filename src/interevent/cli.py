@@ -1,8 +1,8 @@
 """Command-line front end: evaluate, simulate, estimate, fit, collapse.
 
 Exit codes: 0 success, 2 usage error (unknown flags, malformed or missing
-inputs), 1 computation error with a single tab-separated line
-``error<TAB>ErrorType<TAB>message`` on stderr.
+inputs, an output path that is a directory), 1 computation error with a
+single tab-separated line ``error<TAB>ErrorType<TAB>message`` on stderr.
 
 File formats
 ------------
@@ -68,9 +68,10 @@ def _fmt(x: float) -> str:
 
 
 def _out_path(given: str | None, default_name: str) -> str:
-    if given:
-        return given
-    return os.path.join(os.environ.get(ENV_OUTDIR, "."), default_name)
+    path = given or os.path.join(os.environ.get(ENV_OUTDIR, "."), default_name)
+    if os.path.isdir(path):
+        raise UsageError(f"output path is a directory: {path}")
+    return path
 
 
 # rows per write in _write_numeric_csv; bounds the strings held at once (about 1 MiB per column)
@@ -253,8 +254,6 @@ def _build_parser():
     p.add_argument("--c0", type=float)
     p.add_argument("--b", type=float)
     p.add_argument("--b1", type=float)
-    p.add_argument("--tol", type=float, default=1e-12)
-    p.add_argument("--nmax", type=int, default=500)
     p.add_argument("--qmin", type=float)
     p.add_argument("--qmax", type=float, default=20.0)
     p.add_argument("--qstep", type=float, default=0.1)
@@ -338,13 +337,10 @@ def _cmd_moments(args) -> int:
         params = _model_params(args, "--model")
         with warnings.catch_warnings(record=True) as truncated:
             warnings.simplefilter("always", SeriesTruncationWarning)
-            values = np.array([
-                moments._series_log_norm_moment(float(qi), params, args.tol, args.nmax) for qi in q
-            ])
+            values = np.array([moments._series_log_norm_moment(float(qi), params) for qi in q])
         if truncated:
             print(
-                f"note: series truncated at --nmax {args.nmax} terms before reaching --tol "
-                f"at {len(truncated)} order(s)",
+                f"note: series tail bound above float64 precision at {len(truncated)} order(s)",
                 file=sys.stderr,
             )
     elif model == "saddle":
@@ -384,12 +380,14 @@ def _cmd_estimate(args) -> int:
     opts = empirical.IngestOptions(
         input_kind=kind, gap_cutoff=args.gap_cutoff, min_duration=args.min_duration
     )
+    out_moments = _out_path(args.out_moments, "moments.csv")
+    out_sojourn = _out_path(args.out_sojourn, "sojourn.csv") if args.sojourn_points > 0 else None
     series = empirical.ingest(data, opts)
     for reason, count in series.dropped.items():
         print(f"note: dropped {count} record(s): {reason}", file=sys.stderr)
     curve = empirical.empirical_qmoments(series, _q_grid(args.qmin, args.qmax, args.qstep))
     _write_numeric_csv(
-        _out_path(args.out_moments, "moments.csv"),
+        out_moments,
         ["q", "log_norm_moment", "stderr", "n_samples"],
         [
             curve.q_grid,
@@ -398,7 +396,7 @@ def _cmd_estimate(args) -> int:
             np.full(curve.q_grid.shape, float(curve.n_samples)),
         ],
     )
-    if args.sojourn_points > 0:
+    if out_sojourn:
         lo = float(series.durations.min())
         hi = float(series.durations.max())
         if lo == hi:
@@ -406,7 +404,7 @@ def _cmd_estimate(args) -> int:
         else:
             grid = np.geomspace(lo, hi, args.sojourn_points)
         psi = empirical.empirical_sojourn(series, grid)
-        _write_numeric_csv(_out_path(args.out_sojourn, "sojourn.csv"), ["t", "psi"], [grid, psi])
+        _write_numeric_csv(out_sojourn, ["t", "psi"], [grid, psi])
     return 0
 
 
@@ -429,6 +427,7 @@ def _fit_result_doc(result) -> dict:
 
 def _cmd_fit(args) -> int:
     _require(args, "--kind", "--input")
+    out = args.out and _out_path(args.out, "")
     kind = args.kind
     if kind in _FIT_DEFAULT_RANGES:
         curve = _read_curve(args.input)
@@ -459,8 +458,8 @@ def _cmd_fit(args) -> int:
         result = fitting.fit_sojourn(t, psi, model)
 
     text = json.dumps(_fit_result_doc(result), indent=2) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
+    if out:
+        with open(out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)

@@ -72,7 +72,7 @@ class IngestError(ValueError):
 
 
 class SeriesTruncationWarning(UserWarning):
-    """A power series was cut off at its term cap before reaching tolerance."""
+    """A power series ended with its tail bound above float64 epsilon of its sum."""
 
 
 class AsymptoticRangeWarning(UserWarning):

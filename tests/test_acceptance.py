@@ -136,7 +136,7 @@ def test_series_agrees_with_quadrature():
             p = iv.ModelParams(
                 weight=iv.StretchedExp(mu=0.0, sigma=sb, alpha=alpha), tau0=1.0, beta=1.0
             )
-            ser = iv.moment_stretched_series(q, p, tol=1e-14)
+            ser = iv.moment_stretched_series(q, p)
             via_quad = (
                 math.gamma(1.0 + q)
                 * iv.iq_quadrature(q, alpha, sb)

@@ -150,16 +150,32 @@ def test_simulate_bytes_frozen(tmp_path):
 def test_moments_series_keeps_overflowing_orders(tmp_path):
     # <t^q> overflows a float from about q = 8.5 here; its log does not
     r = run_cli(["moments", "--model", "series", "--sigma", "2", "--alpha", "1.5",
-                 "--qmax", "20", "--nmax", "5000", "--out", "m.csv"], tmp_path)
+                 "--qmax", "20", "--out", "m.csv"], tmp_path)
     assert r.returncode == 0, r.stderr
     _, rows = read_csv(tmp_path / "m.csv")
     assert len(rows) == 201
     values = np.array([float(v) for _, v in rows])
     assert values[0] == 0.0
     assert np.all(np.isfinite(values)) and np.all(np.diff(values[1:]) > 0)
-    lines = [ln for ln in r.stderr.splitlines() if ln]
-    assert len(lines) == 1 and lines[0].startswith("note: series truncated")
-    assert "Warning" not in r.stderr
+    assert r.stderr == ""
+
+
+def test_moments_series_has_no_term_flag(tmp_path):
+    r = run_cli(["moments", "--model", "series", "--sigma", "1", "--alpha", "1.5",
+                 "--nmax", "5", "--out", "m.csv"], tmp_path)
+    assert r.returncode == 2
+    assert not (tmp_path / "m.csv").exists()
+
+
+def test_moments_series_past_term_cap_maps_to_exit_one(tmp_path):
+    # at alpha = 1.2 the series needs more terms than its cap from q of about 8
+    r = run_cli(["moments", "--model", "series", "--sigma", "1", "--alpha", "1.2",
+                 "--out", "m.csv"], tmp_path)
+    assert r.returncode == 1
+    lines = r.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error\tModelDomainError\t")
+    assert r.stdout == ""
+    assert not (tmp_path / "m.csv").exists()
 
 
 def test_estimate_reads_durations_and_timestamps(tmp_path):
@@ -208,6 +224,24 @@ def test_directory_path_is_usage_error(tmp_path, args, message):
     assert r.returncode == 2
     assert r.stdout == ""
     assert r.stderr == f"usage error: {message}\n"
+
+
+@pytest.mark.parametrize("args", [
+    ["ptd", "--weight", "delta", "--out", "d"],
+    ["moments", "--model", "delta", "--out", "d"],
+    ["simulate", "--weight", "delta", "--n", "5", "--seed", "1", "--out", "d"],
+    ["fit", "--kind", "mono", "--input", "e.csv", "--out", "d"],
+    ["estimate", "--input", "e.csv", "--out-moments", "d"],
+    ["estimate", "--input", "e.csv", "--out-moments", "m.csv", "--out-sojourn", "d"],
+], ids=["ptd", "moments", "simulate", "fit", "estimate-moments", "estimate-sojourn"])
+def test_directory_output_is_usage_error(tmp_path, args):
+    (tmp_path / "d").mkdir()
+    (tmp_path / "e.csv").write_text("dt\n1.0\n2.0\n4.0\n")
+    r = run_cli(args, tmp_path)
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert r.stderr == "usage error: output path is a directory: d\n"
+    assert not (tmp_path / "m.csv").exists()
 
 
 def test_estimate_skips_orders_whose_log_gamma_overflows(tmp_path):

@@ -127,10 +127,10 @@ def test_log_iq_quadrature_far_peak_reference():
 @pytest.mark.parametrize("q,alpha,sigma,tau0,beta,mu,expected", ST_MOM_TABLE)
 def test_stretched_series_reference(q, alpha, sigma, tau0, beta, mu, expected):
     p = _stretched(alpha, sigma, tau0, beta, mu)
-    res = iv.moment_stretched_series(q, p, tol=1e-14)
+    res = iv.moment_stretched_series(q, p)
     assert res.converged
     assert res.value == pytest.approx(expected, rel=1e-11)
-    log_norm = iv.moments._series_log_norm_moment(q, p, 1e-14, 500)
+    log_norm = iv.moments._series_log_norm_moment(q, p)
     assert log_norm == pytest.approx(math.log(expected) - math.lgamma(1 + q), rel=1e-11)
 
 
@@ -155,22 +155,49 @@ def test_dispatcher_matches_reference(q, alpha, sigma, tau0, beta, mu, expected)
     assert iv.moment(q, p) == pytest.approx(expected, rel=1e-9)
 
 
-def test_series_truncation_warning():
+def test_series_truncation_warning(monkeypatch):
+    # a budget cut to a handful of terms fails the tail bound: flagged, warned at the caller
+    monkeypatch.setattr(iv.moments, "_SERIES_WIDTHS", 0.0)
+    monkeypatch.setattr(iv.moments, "_SERIES_FALL", 1.0)
     p = _stretched(1.5, 1.0, 1.0, 0.8)
-    with pytest.warns(SeriesTruncationWarning):
-        res = iv.moment_stretched_series(3.0, p, n_max=3)
+    with pytest.warns(SeriesTruncationWarning) as caught:
+        res = iv.moment_stretched_series(3.0, p)
     assert not res.converged
-    assert res.terms_used == 3
+    assert res.terms_used == 5
+    assert caught[0].filename == __file__
+
+
+def test_series_raises_past_its_term_cap():
+    # alpha = 1.2 puts the largest term near n = 1.3e7 at q = 20: no partial sum comes back
+    p = _stretched(1.2, 1.0, 1.0, 1.0)
+    with pytest.raises(ModelDomainError, match="q = 20"):
+        iv.moment_stretched_series(20.0, p)
+    with pytest.raises(ModelDomainError):
+        iv.moments._series_log_norm_moment(20.0, p)
+
+
+@pytest.mark.parametrize("sigma", [0.9, 1.1, 2.0])
+def test_series_converges_on_default_grid(sigma):
+    # ln I(q) = ln(2/alpha) + ln sum_n T_n; at sigma = 2, q = 20 the sum takes about 16,000 terms
+    alpha = 1.5
+    p = _stretched(alpha, sigma, 1.0, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", SeriesTruncationWarning)
+        for q in iv.DEFAULT_Q_GRID.tolist():
+            res = iv.moment_stretched_series(q, p)
+            assert res.converged, q
+            got = res.log_value - math.lgamma(1.0 + q) + math.lgamma(1.0 / alpha) + math.log(2.0 / alpha)
+            assert got == pytest.approx(iv.log_iq_quadrature(q, alpha, sigma), rel=1e-11), q
 
 
 def test_series_log_norm_moment_finite_past_overflow():
     # at q = 9 the moment overflows a float (value inf) but its log is ~866
     p = _stretched(1.5, 2.0, 1.0, 1.0)
-    assert iv.moment_stretched_series(9.0, p, n_max=5000).value == math.inf
-    got = iv.moments._series_log_norm_moment(9.0, p, 1e-12, 5000)
+    res = iv.moment_stretched_series(9.0, p)
+    assert res.value == math.inf and res.converged
+    got = iv.moments._series_log_norm_moment(9.0, p)
     assert got == pytest.approx(iv.log_norm_moment(9.0, p), rel=1e-9)
-    with pytest.warns(SeriesTruncationWarning):
-        iv.moments._series_log_norm_moment(20.0, p, 1e-12, 50)
+    assert res.log_value == pytest.approx(got + math.lgamma(10.0), rel=1e-15)
 
 
 def test_series_rejects_heavy_alpha():
@@ -196,6 +223,11 @@ def test_saddlepoint_fields_and_gaussian_exactness():
     sp = iv.saddlepoint_iq(2.0, 1.5, 0.8)
     assert sp.lam == pytest.approx(0.8**3, rel=1e-14)
     assert sp.value == pytest.approx(sp.prefactor * math.exp(sp.exponent_coeff * 2.0 ** 3.0), rel=1e-12)
+    assert sp.log_value == pytest.approx(math.log(sp.value), rel=1e-15)
+    # at q = 200 the exponent is about 6.1e5: I(q) overflows a float, its log does not
+    far = iv.saddlepoint_iq(200.0, 1.5, 0.8)
+    assert far.value == math.inf
+    assert far.log_value == pytest.approx(math.log(far.prefactor) + far.exponent_coeff * 200.0**3, rel=1e-15)
 
     sp2 = iv.saddlepoint_iq(1.7, 2.0, 0.9)
     assert sp2.value == pytest.approx(math.sqrt(math.pi) * math.exp((1.7 * 0.9) ** 2 / 4), rel=1e-13)
@@ -312,11 +344,8 @@ def test_curve_builders_pin_zero():
 @settings(max_examples=60, deadline=None)
 def test_series_vs_quadrature_property(q, sb, alpha):
     p = _stretched(alpha, sb, 1.0, 1.0)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", SeriesTruncationWarning)
-        ser = iv.moment_stretched_series(q, p, tol=1e-13)
-    if not ser.converged:
-        return
+    ser = iv.moment_stretched_series(q, p)
+    assert ser.converged
     via_quad = (
         math.gamma(1 + q) * iv.iq_quadrature(q, alpha, sb) / (2.0 * math.gamma(1 + 1 / alpha))
     )
