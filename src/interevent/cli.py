@@ -1,8 +1,9 @@
 """Command-line front end: evaluate, simulate, estimate, fit, collapse.
 
-Exit codes: 0 success, 2 usage error (unknown flags, malformed or missing
-inputs, an output path that is a directory), 1 computation error with a
-single tab-separated line ``error<TAB>ErrorType<TAB>message`` on stderr.
+Exit codes: 0 success, 2 usage error (unknown flags, flag values out of
+range, malformed or missing inputs, an output path that is a directory), 1
+computation error with a single tab-separated line
+``error<TAB>ErrorType<TAB>message`` on stderr.
 
 File formats
 ------------
@@ -217,8 +218,8 @@ def _model_params(args: argparse.Namespace, flag: str = "--weight") -> ModelPara
 
 
 def _q_grid(qmin: float, qmax: float, qstep: float) -> np.ndarray:
-    if not (qstep > 0 and qmax > qmin):
-        raise UsageError("need qmax > qmin and qstep > 0")
+    if not (0 < qstep < math.inf and qmax > qmin and math.isfinite((qmax - qmin) / qstep)):
+        raise UsageError("need finite qmin < qmax and qstep > 0")
     n = int(math.floor((qmax - qmin) / qstep + 1e-9)) + 1
     q = qmin + qstep * np.arange(n)
     q[np.abs(q) < 1e-12] = 0.0
@@ -307,9 +308,11 @@ def _cmd_ptd(args) -> int:
     params = _model_params(args)
     if args.points < 1:
         raise UsageError("--points must be >= 1")
+    if not (0 <= args.tmin < math.inf and 0 <= args.tmax < math.inf):
+        raise UsageError("--tmin and --tmax must be finite and nonnegative")
     if args.spacing == "log":
-        if args.tmin <= 0:
-            raise UsageError("log spacing needs --tmin > 0")
+        if min(args.tmin, args.tmax) <= 0:
+            raise UsageError("log spacing needs --tmin > 0 and --tmax > 0")
         t = np.geomspace(args.tmin, args.tmax, args.points)
     else:
         t = np.linspace(args.tmin, args.tmax, args.points)
@@ -372,20 +375,26 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_estimate(args) -> int:
     _require(args, "--input")
+    q = _q_grid(args.qmin, args.qmax, args.qstep)
+    if args.sojourn_points < 0:
+        raise UsageError("--sojourn-points must be >= 0 (0 writes no survival file)")
     header = _read_header(args.input)
     if header[:1] not in (["t"], ["dt"]):
         raise UsageError(f"{args.input}: event CSV header must be 't' or 'dt', got {header}")
-    data = _read_columns(args.input, header[:1])[header[0]]
     kind = "timestamps" if header[0] == "t" else "durations"
-    opts = empirical.IngestOptions(
-        input_kind=kind, gap_cutoff=args.gap_cutoff, min_duration=args.min_duration
-    )
+    try:
+        opts = empirical.IngestOptions(
+            input_kind=kind, gap_cutoff=args.gap_cutoff, min_duration=args.min_duration
+        )
+    except ValueError as e:
+        raise UsageError(f"--gap-cutoff/--min-duration: {e}")
+    data = _read_columns(args.input, header[:1])[header[0]]
     out_moments = _out_path(args.out_moments, "moments.csv")
     out_sojourn = _out_path(args.out_sojourn, "sojourn.csv") if args.sojourn_points > 0 else None
     series = empirical.ingest(data, opts)
     for reason, count in series.dropped.items():
         print(f"note: dropped {count} record(s): {reason}", file=sys.stderr)
-    curve = empirical.empirical_qmoments(series, _q_grid(args.qmin, args.qmax, args.qstep))
+    curve = empirical.empirical_qmoments(series, q)
     _write_numeric_csv(
         out_moments,
         ["q", "log_norm_moment", "stderr", "n_samples"],

@@ -580,8 +580,9 @@ def _crossing(f, x: float, step: float, level: float) -> float:
     return v
 
 
-def _log_peak_quad(alpha: float, shift: float, c: float, bs: float) -> float:
-    """``ln int exp(-|y|**alpha - shift*y - c*exp(-bs*y)) dy`` over the real line, ``c >= 0``.
+def _peak_nodes(alpha: float, shift: float, c: float, bs: float):
+    """``(g_max, y, w)`` with ``sum(w * f(y)) = exp(-g_max) int f(y) exp(g(y)) dy`` over the real
+    line, to the rule's accuracy, for ``g(y) = -|y|**alpha - shift*y - c*exp(-bs*y)`` and ``c >= 0``.
 
     Each half-line is mapped to ``v = ln|y|``, which removes the kink of
     ``|y|**alpha`` at 0; the log-integrand ``G(v)`` is unimodal on each side
@@ -590,7 +591,7 @@ def _log_peak_quad(alpha: float, shift: float, c: float, bs: float) -> float:
     and where the ``c`` term turns over (a step for small ``alpha``, and the
     edge of the second mode that ``alpha < 1`` can give).  One fixed
     tanh-sinh rule is summed over the panels, with ``G`` taken relative to
-    its peak so that nothing cancels where ``|G|`` is large.
+    its peak ``g_max`` so that nothing cancels where ``|G|`` is large.
     """
     # as Python floats, products in walks far past the peak overflow to -inf quietly
     alpha, shift, c, bs = float(alpha), float(shift), float(c), float(bs)
@@ -637,7 +638,13 @@ def _log_peak_quad(alpha: float, shift: float, c: float, bs: float) -> float:
     g = off + w - ap * np.expm1(alpha * w) - shift * yp * np.expm1(w)
     if c:
         g -= np.exp(log_c - bs * yp * np.exp(w)) - ep
-    return g_max + math.log(float(np.sum(0.5 * (b - a) * _TS_WEIGHTS * np.exp(g))))
+    return g_max, yp * np.exp(w), 0.5 * (b - a) * _TS_WEIGHTS * np.exp(g)
+
+
+def _log_peak_quad(alpha: float, shift: float, c: float, bs: float) -> float:
+    """``ln int exp(g(y)) dy`` for :func:`_peak_nodes`' log-integrand ``g``."""
+    g_max, _y, w = _peak_nodes(alpha, shift, c, bs)
+    return g_max + math.log(float(np.sum(w)))
 
 
 def _log_sinhc(x: float) -> float:

@@ -61,7 +61,7 @@ class IngestOptions:
     def __post_init__(self):
         if self.input_kind not in ("durations", "timestamps"):
             raise ValueError("input_kind must be 'durations' or 'timestamps'")
-        if self.min_duration < 0:
+        if not self.min_duration >= 0:
             raise ValueError("min_duration must be nonnegative")
         if self.gap_cutoff is not None and not self.gap_cutoff > self.min_duration:
             raise ValueError("gap_cutoff must exceed min_duration")

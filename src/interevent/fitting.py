@@ -1,8 +1,8 @@
 """Parameter estimation on q-moment curves and survival functions.
 
 Each fitted law is a frozen dataclass whose fields are its parameters in fit
-order, carrying its values, its ``jacobian`` (``None`` for finite
-differences) and the ``bounds`` its fit searches: ``MFParams`` and
+order, carrying its values, its analytic ``jacobian`` and the
+``bounds`` its fit searches: ``MFParams`` and
 ``HMFParams`` give the normalized log curve ``y(q) = ln(<t^q>/Gamma(1+q))``;
 :class:`QExponential`, :class:`Weibull` and :class:`StretchedSojourn` give
 ``ln Psi(t)`` and their start ``initial(t, y)``.  Every iterative fit runs
@@ -16,11 +16,11 @@ the curve carries them; survival residuals are unweighted.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .core import FitResult, ModelDomainError, ModelParams, QMomentCurve, StretchedExp
+from .core import FitResult, ModelDomainError, ModelParams, QMomentCurve, StretchedExp, _peak_nodes
 from .densities import sojourn as _sojourn
 from .moments import HMFParams, MFParams
 
@@ -117,7 +117,6 @@ class StretchedSojourn:
     c0: float
 
     bounds = ((1.05, 1e-9, -np.inf), (6.0, 1e3, np.inf))
-    jacobian = None  # no closed form; the fit differences log_survival
 
     def __post_init__(self):
         if not (1 < self.alpha < math.inf and 0 < self.b < math.inf and math.isfinite(self.c0)):
@@ -133,6 +132,22 @@ class StretchedSojourn:
 
     def log_survival(self, t):
         return np.log(_sojourn(t, self.params))
+
+    def jacobian(self, t):
+        """With ``E_c`` the mean on :func:`_peak_nodes` at ``c = t/tau0`` and ``bs = beta sigma``:
+        ``d/dc0 = E_c[c e^(-bs y)]``, ``d/dln bs = bs E_c[c y e^(-bs y)]``, and at fixed ``bs``
+        ``d/dalpha = E_0[|y|^alpha ln|y|] - E_c[|y|^alpha ln|y|]``, chained through ``bs(alpha, b)``."""
+        alpha, bs, tau0 = self.alpha, self.params.weight.sigma, math.exp(self.c0)
+
+        def means(c):
+            _g_max, y, w = _peak_nodes(alpha, 0.0, c, bs)
+            e, ay = c * np.exp(-bs * y), np.abs(y)
+            return np.sum(w * np.array([ay ** alpha * np.log(ay), bs * e * y, e]), axis=(1, 2)) / np.sum(w)
+
+        m = np.array([means(x / tau0) for x in t])
+        d_alpha, d_log_bs = means(0.0)[0] - m[:, 0], m[:, 1]
+        return np.column_stack([d_alpha + d_log_bs * math.log(self.b / (alpha - 1.0)) / alpha ** 2,
+                                d_log_bs * (alpha - 1.0) / (alpha * self.b), m[:, 2]])
 
     @staticmethod
     def initial(t, y):
@@ -191,7 +206,7 @@ def least_squares(fun, x0, jac, bounds, max_nfev=500) -> LeastSquaresResult:
     point, and clips ``x + p`` to the box.  A trial whose cost rises by no
     more than rounding is accepted and ``lam`` shrinks tenfold; otherwise
     (non-finite residuals count as infinite cost) ``lam`` grows tenfold.
-    ``jac(x, f)`` receives the residuals ``f = fun(x)`` already computed.
+    ``jac(x)`` is the Jacobian of ``fun`` at ``x``.
     """
     lo, hi = (np.asarray(b, dtype=float) for b in bounds)
     x = np.clip(np.asarray(x0, dtype=float), lo, hi)
@@ -199,7 +214,7 @@ def least_squares(fun, x0, jac, bounds, max_nfev=500) -> LeastSquaresResult:
     if not np.all(np.isfinite(f)):
         raise ValueError("residuals are not finite at the initial point")
     cost = 0.5 * float(f @ f)
-    J = jac(x, f)
+    J = jac(x)
     nfev, njev, lam, status = 1, 1, 1.0, 0
     while nfev < max_nfev:
         g = J.T @ f
@@ -215,7 +230,7 @@ def least_squares(fun, x0, jac, bounds, max_nfev=500) -> LeastSquaresResult:
         small = np.linalg.norm(x_new - x) <= 1e-10 * (1e-10 + np.linalg.norm(x))
         if cost - cost_new >= -16.0 * np.finfo(float).eps * cost:
             x, f, cost = x_new, f_new, cost_new
-            J = jac(x, f)
+            J = jac(x)
             njev += 1
             lam = max(lam / 10.0, 1e-15)
         else:
@@ -226,41 +241,21 @@ def least_squares(fun, x0, jac, bounds, max_nfev=500) -> LeastSquaresResult:
     return LeastSquaresResult(x=x, cost=cost, jac=J, nfev=nfev, njev=njev, status=status)
 
 
-def _forward_differences(residual, hi):
-    """Forward-difference Jacobian of ``residual`` with steps
-    ``sqrt(eps) max(1, |theta|)``, taken inward at an upper bound ``hi``."""
-
-    def jac(theta, f):
-        h = np.sqrt(np.finfo(float).eps) * np.maximum(1.0, np.abs(theta))
-        h = np.where(theta + h > hi, -h, h)
-        columns = []
-        for i in range(theta.size):
-            shifted = theta.copy()
-            shifted[i] += h[i]
-            columns.append((residual(shifted) - f) / (shifted[i] - theta[i]))
-        return np.column_stack(columns)
-
-    return jac
-
-
 def _nls(law, values, x, y, w, theta0, domain, weighted) -> FitResult:
     """Least squares of ``sqrt(w) (values(law(*theta), x) - y)`` within ``law.bounds``,
     naming the parameters after ``law``'s fields.  Unless ``weighted`` (``w``
-    are inverse variances) the covariance is scaled by the residual variance."""
+    are inverse variances) the covariance is scaled by the residual variance.
+    An estimate within ``1e-6 max(1, |bound|)`` of a finite bound is flagged
+    ``<field>_at_lower_boundary`` or ``<field>_at_upper_boundary``."""
     sw = np.sqrt(w)
 
     def residual(theta):
         return sw * (values(law(*theta), x) - y)
 
-    def jac(theta, f):
+    def jac(theta):
         return sw[:, None] * law(*theta).jacobian(x)
 
-    res = least_squares(
-        residual,
-        theta0,
-        jac=_forward_differences(residual, law.bounds[1]) if law.jacobian is None else jac,
-        bounds=law.bounds,
-    )
+    res = least_squares(residual, theta0, jac=jac, bounds=law.bounds)
     rss = float(2.0 * res.cost)
     cov = np.linalg.pinv(res.jac.T @ res.jac)
     dof = len(x) - res.jac.shape[1]
@@ -268,11 +263,17 @@ def _nls(law, values, x, y, w, theta0, domain, weighted) -> FitResult:
         cov = cov * (rss / dof if dof > 0 else np.nan)
     with np.errstate(invalid="ignore"):
         stderr = np.sqrt(np.diag(cov))
+    flags = []
+    for f, e, lo, hi in zip(fields(law), res.x, *law.bounds):
+        for side, bound in (("lower", lo), ("upper", hi)):
+            if math.isfinite(bound) and abs(e - bound) <= 1e-6 * max(1.0, abs(bound)):
+                flags.append(f"{f.name}_at_{side}_boundary")
     return FitResult(
         params={f.name: (float(e), float(se)) for f, e, se in zip(fields(law), res.x, stderr)},
         q_domain=domain,
         residual_norm=rss,
         converged=res.status > 0,
+        flags=tuple(flags),
         nfev=int(res.nfev),
         status=int(res.status),
         jac_cond=float(np.linalg.cond(res.jac)),
@@ -373,7 +374,8 @@ def fit_sojourn(t_grid, psi_values, model_class) -> FitResult:
     ``model_class`` is :class:`QExponential`, :class:`Weibull` or
     :class:`StretchedSojourn`.  The returned ``q_domain`` holds the fitted
     t-range.  A q-exponential fit at the exponential limit ``q_ts -> 1`` is
-    flagged ``q_ts_at_lower_boundary``.
+    flagged ``q_ts_at_lower_boundary``, as :func:`_nls` flags every estimate
+    that ends on its bound.
     """
     t = np.asarray(t_grid, dtype=float)
     psi = np.asarray(psi_values, dtype=float)
@@ -392,8 +394,5 @@ def fit_sojourn(t_grid, psi_values, model_class) -> FitResult:
     if len(t) < len(fields(model_class)):
         raise ValueError("fewer points than parameters")
     y = np.log(psi)
-    result = _nls(model_class, model_class.log_survival, t, y, np.ones_like(t),
-                  model_class.initial(t, y), (float(t[0]), float(t[-1])), False)
-    if model_class is QExponential and result.params["q_ts"][0] <= 1.0 + 1e-6:
-        result = replace(result, flags=result.flags + ("q_ts_at_lower_boundary",))
-    return result
+    return _nls(model_class, model_class.log_survival, t, y, np.ones_like(t),
+                model_class.initial(t, y), (float(t[0]), float(t[-1])), False)

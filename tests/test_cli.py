@@ -244,6 +244,28 @@ def test_directory_output_is_usage_error(tmp_path, args):
     assert not (tmp_path / "m.csv").exists()
 
 
+_ESTIMATE = ["estimate", "--input", "events.csv", "--out-moments", "m.csv", "--out-sojourn", "s.csv"]
+
+
+@pytest.mark.parametrize("args", [
+    [*_ESTIMATE, "--sojourn-points", "-3"],
+    [*_ESTIMATE, "--qmax", "inf"],
+    ["moments", "--model", "laplace", "--sigma", "0.5", "--qmax", "inf", "--out", "m.csv"],
+    ["ptd", "--weight", "delta", "--tmax", "inf", "--out", "d.csv"],
+    [*_ESTIMATE, "--gap-cutoff", "-1"],
+    [*_ESTIMATE, "--min-duration", "-1"],
+    [*_ESTIMATE, "--min-duration", "nan"],
+], ids=["sojourn-points", "estimate-qmax", "moments-qmax", "ptd-tmax", "gap-cutoff", "min-duration",
+        "min-duration-nan"])
+def test_flag_values_checked_before_any_work_are_usage_errors(tmp_path, args):
+    (tmp_path / "events.csv").write_text("dt\n1.0\n2.0\n4.0\n")
+    r = run_cli(args, tmp_path)
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert r.stderr.startswith("usage error: ") and r.stderr.count("\n") == 1, r.stderr
+    assert sorted(os.listdir(tmp_path)) == ["events.csv"]
+
+
 def test_estimate_skips_orders_whose_log_gamma_overflows(tmp_path):
     # ln Gamma(1 + q) overflows a float from q of about 2.56e305; those orders are
     # non-finite rows, which the writer drops with a note, as for any other
