@@ -320,6 +320,40 @@ def test_stretched_heavy_weight_mpmath_reference(fn, alpha, sigma, t, expected):
     assert fn(t, p) == pytest.approx(expected, rel=1e-8)
 
 
+# Heavy weights, alpha < 1, where each side can have a second mode: t = 1e-3 puts the c-term
+# turn (|y| = |ln c|/bs) on the negative side, t = 1e3 on the positive side.  40-digit mpmath
+# in v = ln|y| per side, over the range where the log-integrand is within 90 of its peak, split
+# every 0.25 and again every 0.2 in v (the two agree to 4e-29); mu = 0, tau0 = beta = 1.
+STRETCHED_SUBLINEAR = [
+    # (alpha, beta*sigma, t, psi, Psi)
+    (0.3, 0.1, 0.001, 17.795418090853035173, 0.79776756014122583088),
+    (0.3, 0.1, 1000, 0.000014407931298126938123, 0.18307376723832264011),
+    (0.3, 1.0, 0.001, 9.6535601793054321784, 0.59401518664275152641),
+    (0.3, 1.0, 1000, 8.7487696338722799209e-6, 0.39525846369914137752),
+    (0.3, 3.0, 0.001, 5.2079572092825532997, 0.54446288416360175143),
+    (0.3, 3.0, 1000, 4.8574033662369418943e-6, 0.44969193917144182734),
+    (0.6, 0.1, 0.001, 1.1928593693969386932, 0.99879552296686275206),
+    (0.6, 0.1, 1000, 1.1004121451222498445e-8, 0.000010188596866926586615),
+    (0.6, 1.0, 0.001, 18.145083085052523671, 0.92713709589500860582),
+    (0.6, 1.0, 1000, 0.000012459724813979368497, 0.054049696463073568059),
+    (0.6, 3.0, 0.001, 23.918109941970985056, 0.78275254981580652281),
+    (0.6, 3.0, 1000, 0.000020020267029365686524, 0.19140814019735820742),
+    (0.9, 0.1, 0.001, 1.0138630731902181171, 0.99898560579416378439),
+    (0.9, 0.1, 1000, 7.6130058069826076101e-20, 1.2551168239147768392e-17),
+    (0.9, 1.0, 0.001, 5.2352095160272431418, 0.99277293994466846295),
+    (0.9, 1.0, 1000, 1.4740870819428187248e-6, 0.0020138359856501501538),
+    (0.9, 3.0, 0.001, 24.191560589689676850, 0.91004422063240457521),
+    (0.9, 3.0, 1000, 0.000017206124124274734246, 0.064910628414520712438),
+]
+
+
+@pytest.mark.parametrize("alpha, sigma, t, psi, surv", STRETCHED_SUBLINEAR)
+def test_stretched_sublinear_weight_mpmath_reference(alpha, sigma, t, psi, surv):
+    p = iv.ModelParams(weight=iv.StretchedExp(mu=0.0, sigma=sigma, alpha=alpha))
+    assert iv.ptd(t, p) == pytest.approx(psi, rel=1e-8)
+    assert iv.sojourn(t, p) == pytest.approx(surv, rel=1e-8)
+
+
 def test_characteristic_time_stretched_divergent_mean():
     # alpha <= 1: every positive moment of the mixture diverges
     with pytest.raises(iv.NoFiniteMeanError):
