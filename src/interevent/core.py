@@ -8,6 +8,13 @@ densities, q-moment laws, simulation, fitting) is parameterized by a
 the weight differs between models, so each family's class carries the formulas
 the other modules call.
 
+Every layer hands a family a whole grid: ``log_mgf`` takes an array of
+arguments and ``ptd_kernel``/``sojourn_kernel`` return maps over an array of
+times.  The stretched family's psi, Psi and ln I(q) are one integral,
+:func:`_peak_nodes`, which takes arrays of points: its peak and cut searches
+run on every point in lockstep, and one tanh-sinh rule is summed over all
+their panels, ``_BLOCK`` points at a time.  A single point is a batch of one.
+
 Log-gamma values come from ``math.lgamma`` (through :func:`_lgamma`).  No
 module of the package imports ``scipy`` at import time: only the Uniform
 survival kernel and the scaled incomplete gammas of the Laplace closed forms
@@ -83,12 +90,19 @@ class AsymptoticRangeWarning(UserWarning):
 # Weight families
 # ---------------------------------------------------------------------------
 # A family is one class listed in WEIGHT_FAMILIES, with the methods every layer
-# calls: log_mgf(s) = ln E[exp(s eps)] (DivergentMomentError where infinite),
-# sample(rng, size), and ptd_kernel / sojourn_kernel(tau0, beta), which return
-# the scalar maps t -> psi(t) and t -> Psi(t).  Each family fixes its accuracy.
+# calls: log_mgf(s) = ln E[exp(s eps)] on a 1-d array of s (DivergentMomentError
+# where infinite), sample(rng, size), and ptd_kernel / sojourn_kernel(tau0, beta),
+# which return the maps t -> psi(t) and t -> Psi(t) on a 1-d array of times.  The
+# closed forms apply their scalar formula point by point (_each); the stretched
+# family integrates a whole grid at once.  Each family fixes its accuracy.
 
 # 64-point Gauss-Legendre for the narrow-uniform survival fallback
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
+
+
+def _each(kernel):
+    """The array map that applies the scalar ``kernel`` to each time in turn."""
+    return lambda x: np.array([kernel(v) for v in x.tolist()], dtype=float)
 
 
 @dataclass(frozen=True)
@@ -101,7 +115,7 @@ class Delta:
         if not math.isfinite(self.mu):
             raise ModelDomainError("mu must be finite")
 
-    def log_mgf(self, s: float) -> float:
+    def log_mgf(self, s: np.ndarray) -> np.ndarray:
         return s * self.mu
 
     def sample(self, rng: np.random.Generator, size: int | None = None):
@@ -111,11 +125,11 @@ class Delta:
 
     def ptd_kernel(self, tau0: float, beta: float):
         tau_mu = tau0 * math.exp(beta * self.mu)
-        return lambda x: math.exp(-x / tau_mu) / tau_mu
+        return _each(lambda x: math.exp(-x / tau_mu) / tau_mu)
 
     def sojourn_kernel(self, tau0: float, beta: float):
         tau_mu = tau0 * math.exp(beta * self.mu)
-        return lambda x: math.exp(-x / tau_mu)
+        return _each(lambda x: math.exp(-x / tau_mu))
 
 
 @dataclass(frozen=True)
@@ -128,8 +142,8 @@ class Uniform:
         if not (self.half_width > 0 and math.isfinite(self.half_width)):
             raise ModelDomainError("half_width must be positive and finite")
 
-    def log_mgf(self, s: float) -> float:
-        return _log_sinhc(s * self.half_width)
+    def log_mgf(self, s: np.ndarray) -> np.ndarray:
+        return np.array([_log_sinhc(x * self.half_width) for x in s.tolist()], dtype=float)
 
     def sample(self, rng: np.random.Generator, size: int | None = None):
         return rng.uniform(-self.half_width, self.half_width, size)
@@ -147,7 +161,7 @@ class Uniform:
                 return math.exp(-x / tau_plus) * rate_gap * (1.0 - 0.5 * u) / (2.0 * db)
             return math.exp(-x / tau_plus) * (-math.expm1(-u)) / (2.0 * db * x)
 
-        return kernel
+        return _each(kernel)
 
     def sojourn_kernel(self, tau0: float, beta: float):
         db = beta * self.half_width
@@ -166,7 +180,7 @@ class Uniform:
 
             return (float(exp1(x / tau_plus)) - float(exp1(x / tau_minus))) / (2.0 * db)
 
-        return kernel
+        return _each(kernel)
 
 
 @dataclass(frozen=True)
@@ -179,12 +193,13 @@ class Laplace:
         if not (self.sigma > 0 and math.isfinite(self.sigma)):
             raise ModelDomainError("sigma must be positive and finite")
 
-    def log_mgf(self, s: float) -> float:
-        if abs(s) * self.sigma >= 1.0:
+    def log_mgf(self, s: np.ndarray) -> np.ndarray:
+        reach = np.abs(s) * self.sigma
+        if np.any(reach >= 1.0):
             raise DivergentMomentError(
-                f"Laplace-weight moment diverges for |q|*beta*sigma = {abs(s) * self.sigma} >= 1"
+                f"Laplace-weight moment diverges for |q|*beta*sigma = {reach[reach >= 1.0][0]} >= 1"
             )
-        return -math.log1p(-((s * self.sigma) ** 2))
+        return np.array([-math.log1p(-((x * self.sigma) ** 2)) for x in s.tolist()], dtype=float)
 
     def sample(self, rng: np.random.Generator, size: int | None = None):
         return rng.laplace(0.0, self.sigma, size)
@@ -204,7 +219,7 @@ class Laplace:
             val += scaled_upper_incomplete_gamma(a_up, z)
             return val / (2.0 * sb * tau0)
 
-        return kernel
+        return _each(kernel)
 
     def sojourn_kernel(self, tau0: float, beta: float):
         sb = beta * self.sigma
@@ -218,7 +233,7 @@ class Laplace:
             val += scaled_upper_incomplete_gamma(-c, z)
             return val / (2.0 * sb)
 
-        return kernel
+        return _each(kernel)
 
 
 @dataclass(frozen=True)
@@ -246,7 +261,7 @@ class StretchedExp:
         """``ln(2 Gamma(1 + 1/alpha))``, the log mass of ``exp(-|y|**alpha)``."""
         return math.log(2.0) + _lgamma(1.0 + 1.0 / self.alpha)
 
-    def log_mgf(self, s: float) -> float:
+    def log_mgf(self, s: np.ndarray) -> np.ndarray:
         if not self.alpha > 1:
             raise DivergentMomentError(
                 f"stretched-weight moments diverge for alpha <= 1 (got {self.alpha})"
@@ -271,12 +286,15 @@ class StretchedExp:
         bs = beta * self.sigma
         scale = tau0 * math.exp(beta * self.mu)
         log_pref = -self.log_norm - math.log(scale)
+        diverges_at_0 = alpha < 1.0 or (alpha == 1.0 and bs >= 1.0)
 
-        def kernel(x: float) -> float:
+        def kernel(x: np.ndarray) -> np.ndarray:
             c = x / scale
-            if c == 0.0 and (alpha < 1.0 or (alpha == 1.0 and bs >= 1.0)):
-                return math.inf
-            return math.exp(_log_peak_quad(alpha, bs, c, bs) + log_pref)
+            out = np.full(c.shape, math.inf)
+            finite = (c > 0.0) | (not diverges_at_0)
+            with np.errstate(over="ignore"):  # a density beyond the float range is inf, as at 0
+                out[finite] = np.exp(_log_peak_quad(alpha, bs, c[finite], bs) + log_pref)
+            return out
 
         return kernel
 
@@ -285,10 +303,10 @@ class StretchedExp:
         scale = tau0 * math.exp(beta * self.mu)
         log_norm = self.log_norm
 
-        def kernel(x: float) -> float:
-            if x == 0.0:
-                return 1.0
-            return math.exp(_log_peak_quad(self.alpha, 0.0, x / scale, bs) - log_norm)
+        def kernel(x: np.ndarray) -> np.ndarray:
+            out = np.ones(x.shape)
+            out[x > 0.0] = np.exp(_log_peak_quad(self.alpha, 0.0, x[x > 0.0] / scale, bs) - log_norm)
+            return out
 
         return kernel
 
@@ -543,108 +561,200 @@ _TS_NODES = np.tanh(0.5 * math.pi * np.sinh(_TS_KH))
 _TS_WEIGHTS = (math.pi / 32.0) * np.cosh(_TS_KH) / np.cosh(0.5 * math.pi * np.sinh(_TS_KH)) ** 2
 # each side is cut where its log-integrand falls this far below its peak
 _LOG_CUT = 40.0
+# points per _peak_nodes call: a point has at most 2 sides x 3 panels x 129 nodes, 6 KB per
+# array, and a block holds about four such arrays at once (about 3 MiB at this size)
+_BLOCK = 128
 
 
-def _crossing(f, x: float, step: float, level: float) -> float:
-    """Where ``f(v)[0]`` crosses ``level``, with ``f(v)[1]`` its slope.
+def _crossing(f, x, step, level):
+    """Where ``f(v)[0]`` crosses ``level`` on each row, with ``f(v)[1]`` its slope.
 
-    Walks from ``x`` in doubling steps until the value changes side of
-    ``level``, then takes Newton steps from the nearer end of that bracket,
+    Every row walks from ``x`` in doubling steps until its value changes side
+    of ``level``, then takes Newton steps from the nearer end of that bracket,
     bisecting whenever one leaves the bracket or fails to halve the last step.
+    The rows move in lockstep; a row that has finished keeps its values.
     """
     fx, sx = f(x)
     above = fx >= level
+    walking = np.ones(x.shape, dtype=bool)
+    v = x
     for _ in range(64):
-        v = x + step
+        v = np.where(walking, x + step, v)
         fv, sv = f(v)
-        if (fv >= level) != above:
+        walking &= (fv >= level) == above
+        if not walking.any():
             break
-        x, fx, sx, step = v, fv, sv, 2.0 * step
+        x, fx, sx = np.where(walking, v, x), np.where(walking, fv, fx), np.where(walking, sv, sx)
+        step = np.where(walking, 2.0 * step, step)
     else:
         raise ArithmeticError("found no crossing of the log-integrand")
-    a, b, dx = x, v, abs(step)
-    if abs(fx - level) < abs(fv - level):
-        v, fv, sv = x, fx, sx
+    a, b, dx = x, v, np.abs(step)
+    near = np.abs(fx - level) < np.abs(fv - level)
+    v, fv, sv = np.where(near, x, v), np.where(near, fx, fv), np.where(near, sx, sv)
+    out, live = v.copy(), np.ones(v.shape, dtype=bool)
     for _ in range(100):
-        t = v - (fv - level) / sv if sv and math.isfinite(sv) else math.nan
-        if not (min(a, b) <= t <= max(a, b) and abs(t - v) <= 0.5 * dx):
-            t = 0.5 * (a + b)
-        if abs(t - v) <= 1e-12 * (1.0 + abs(v)):
-            return t
-        dx, v = abs(t - v), t
+        t = np.where((sv != 0.0) & np.isfinite(sv), v - (fv - level) / sv, np.nan)
+        inside = (np.minimum(a, b) <= t) & (t <= np.maximum(a, b)) & (np.abs(t - v) <= 0.5 * dx)
+        t = np.where(inside, t, 0.5 * (a + b))
+        done = live & (np.abs(t - v) <= 1e-12 * (1.0 + np.abs(v)))
+        out[done] = t[done]
+        live &= ~done
+        if not live.any():
+            return out
+        dx, v = np.where(live, np.abs(t - v), dx), np.where(live, t, v)
         fv, sv = f(v)
-        if (fv >= level) == above:
-            a = v
-        else:
-            b = v
-    return v
+        same = (fv >= level) == above
+        a, b = np.where(live & same, v, a), np.where(live & ~same, v, b)
+    out[live] = v[live]
+    return out
 
 
-def _peak_nodes(alpha: float, shift: float, c: float, bs: float):
-    """``(g_max, y, w)`` with ``sum(w * f(y)) = exp(-g_max) int f(y) exp(g(y)) dy`` over the real
-    line, to the rule's accuracy, for ``g(y) = -|y|**alpha - shift*y - c*exp(-bs*y)`` and ``c >= 0``.
+def _c_rise(log_e0, x):
+    # c e^(-bs y) - c e^(-bs y0) = e0 expm1(x), for ln e0 = ln c - bs y0 and x = -bs (y - y0):
+    # expm1 keeps the digits where e0 reaches 1e17; where x > 1 nothing cancels, and the plain
+    # difference keeps the digits of an e0 that underflows, with ln e capped at 700 as in the
+    # slopes, so that a Newton step in a far walk sees a value and a slope that agree.  x is
+    # overwritten, which keeps a block of panels to about four arrays
+    e0 = np.exp(log_e0)
+    out = np.minimum(x, 1.0)
+    np.expm1(out, out=out)
+    out *= e0
+    big = x > 1.0
+    x += log_e0
+    np.minimum(x, 700.0, out=x)
+    np.exp(x, out=x)
+    x -= e0
+    np.copyto(out, x, where=big)
+    return out
+
+
+def _peak_nodes(alpha: float, shift, c, bs: float):
+    """``(g_max, y, w, point)`` with ``np.bincount(point, (w * f(y)).sum(1)) = exp(-g_max) int f(y)
+    exp(g(y)) dy`` over the real line at each point, to the rule's accuracy, for
+    ``g(y) = -|y|**alpha - shift*y - c*exp(-bs*y)``, ``c >= 0`` and ``shift``, ``c`` 1-d arrays
+    (or scalars) that broadcast against each other.
 
     Each half-line is mapped to ``v = ln|y|``, which removes the kink of
     ``|y|**alpha`` at 0; the log-integrand ``G(v)`` is unimodal on each side
     for ``alpha > 1``.  Its peak is found by safeguarded Newton, each side is
     cut where ``G`` falls ``_LOG_CUT`` below the peak and split at the peak
     and where the ``c`` term turns over (a step for small ``alpha``, and the
-    edge of the second mode that ``alpha < 1`` can give).  One fixed
-    tanh-sinh rule is summed over the panels, with ``G`` taken relative to
-    its peak ``g_max`` so that nothing cancels where ``|G|`` is large.
+    edge of the second mode that ``alpha < 1`` can give).  The searches run
+    on every point and side at once, in lockstep.  One fixed tanh-sinh rule
+    is summed over the panels, with ``G`` taken relative to its peak
+    ``g_max`` so that nothing cancels where ``|G|`` is large.  ``y`` and
+    ``w`` hold one row of signed nodes and weights per panel, and ``point``
+    the point each panel belongs to; a point has two to six panels.
+    Callers pass at most ``_BLOCK`` points per call, which bounds the memory.
     """
-    # as Python floats, products in walks far past the peak overflow to -inf quietly
-    alpha, shift, c, bs = float(alpha), float(shift), float(c), float(bs)
-    log_c = math.log(c) if c else 0.0
+    shift, c = np.broadcast_arrays(np.atleast_1d(np.asarray(shift, dtype=float)),
+                                   np.atleast_1d(np.asarray(c, dtype=float)))
+    alpha, bs = float(alpha), float(bs)
+    # one row per point and side: point i's negative side is row 2i, its positive side 2i + 1
+    side = np.tile([-1.0, 1.0], c.size)
+    shift, c = np.repeat(shift, 2), np.repeat(c, 2)
+    any_c = bool(np.any(c > 0.0))
+    with np.errstate(divide="ignore"):
+        log_c = np.log(c)  # -inf at c = 0, where the c term vanishes
 
-    def logf(w: float, y0: float, a0: float, e0: float) -> tuple[float, float, float]:
-        # G(v0 + w) - G(v0), G' and G'' about a point v0 where y = y0, |y|**alpha = a0 and
-        # c*exp(-bs*y) = e0; expm1 keeps the power and linear terms, which reach 1e17 in
-        # ln I(q), from cancelling, and capped exponents keep far walks finite
-        w, aw = min(w, 700.0), min(alpha * w, 700.0)
-        y, ya = y0 * math.exp(w), a0 * math.exp(aw)
-        d = w - a0 * math.expm1(aw) - shift * y0 * math.expm1(w)
-        d1, d2 = 1.0 - alpha * ya - shift * y, -alpha * alpha * ya - shift * y
-        if c:
-            e = math.exp(min(log_c - bs * y, 700.0))
-            d, d1, d2 = d - e + e0, d1 + bs * y * e, d2 + bs * y * e * (1.0 - bs * y)
-        return d, d1, d2
+    def slopes(y, ya, lc, sh):
+        # G' and G'' at y, where |y|**alpha = ya
+        d1, d2 = 1.0 - alpha * ya - sh * y, -alpha * alpha * ya - sh * y
+        if any_c:
+            bye = bs * y * np.exp(np.minimum(lc - bs * y, 700.0))
+            d1, d2 = d1 + bye, d2 + bye * (1.0 - bs * y)
+        return d1, d2
 
-    peaks = []
-    for side in (-1.0, 1.0):
-        # slopes about v0 = 0, where y = side; they do not depend on e0
-        slope = lambda v: logf(v, side, 1.0, 0.0)[1:]  # noqa: E731
-        vp = _crossing(slope, 0.0, 1.0 if slope(0.0)[0] >= 0.0 else -1.0, 0.0)
-        yp = side * math.exp(vp)
-        at = (yp, math.exp(alpha * vp), math.exp(log_c - bs * yp) if c else 0.0)
-        peaks.append((side, vp, at, vp - at[1] - shift * yp - at[2], slope(vp)[1]))
-    g_max = max(p[3] for p in peaks)
-    panels = []
-    for side, vp, at, gp, g2 in peaks:
-        if gp < g_max - _LOG_CUT:
-            continue  # below the other side's peak by more than the cut
-        value = lambda w: logf(w, *at)[:2]  # noqa: E731
-        d = math.sqrt(2.0 * _LOG_CUT / -g2) if g2 < 0.0 else 1.0
-        cuts = [_crossing(value, 0.0, -d, -_LOG_CUT), 0.0, _crossing(value, 0.0, d, -_LOG_CUT)]
-        if c:
+    # capped exponents keep walks far past the peak finite; the products there may still
+    # overflow to inf or meet 0 * inf, which the searches read as a crossing or a bisection
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        def slope(v):
+            return slopes(side * np.exp(np.minimum(v, 700.0)), np.exp(np.minimum(alpha * v, 700.0)),
+                          log_c, shift)
+
+        zero = np.zeros(side.size)
+        vp = _crossing(slope, zero, np.where(slope(zero)[0] >= 0.0, 1.0, -1.0), 0.0)
+        yp, ap = side * np.exp(vp), np.exp(alpha * vp)
+        log_ep = log_c - bs * yp
+        gp = vp - ap - shift * yp - np.exp(log_ep)
+        g2 = slope(vp)[1]
+        g_max = np.maximum(gp[0::2], gp[1::2])
+        # a side below the other side's peak by more than the cut has no panel
+        r = np.flatnonzero(~(gp < np.repeat(g_max, 2) - _LOG_CUT))
+        # both cuts of every live side in one search, the lower ones first
+        y0, a0, le0, sh, lc = (np.tile(p[r], 2) for p in (yp, ap, log_ep, shift, log_c))
+        has_c = lc > -np.inf
+
+        def value(w):
+            wc, aw = np.minimum(w, 700.0), np.minimum(alpha * w, 700.0)
+            em1 = np.expm1(wc)
+            y, ya = y0 * np.exp(wc), a0 * np.exp(aw)
+            d = wc - a0 * np.expm1(aw) - sh * y0 * em1
+            if any_c:
+                d = d - np.where(has_c, _c_rise(le0, -bs * y0 * em1), 0.0)
+            return d, slopes(y, ya, lc, sh)[0]
+
+        g2r = g2[r]
+        d = np.where(g2r < 0.0, np.sqrt(2.0 * _LOG_CUT / np.abs(g2r)), 1.0)
+        # a first step below the spacing of floats at v_peak might not reach in 64 doublings a
+        # peak that sits between two floats
+        d = np.maximum(d, 1e-15 * (1.0 + np.abs(vp[r])))
+        cuts = _crossing(value, np.zeros(2 * r.size), np.concatenate([-d, d]), -_LOG_CUT)
+        lo, hi = cuts[:r.size], cuts[r.size:]
+        mid = np.zeros((2, r.size))
+        if any_c:
             # the c term turns over near |y| = max(1, |ln c|)/bs
-            wt = math.log(max(1.0, side * log_c) / bs) - vp
-            if cuts[0] < wt < cuts[2] and wt != 0.0:
-                cuts = sorted(cuts + [wt])
-        panels += [(a, b, *at, gp - g_max) for a, b in zip(cuts, cuts[1:])]
-    # the same rule on every panel, in w = v - v_peak
-    a, b, yp, ap, ep, off = (np.array(col)[:, None] for col in zip(*panels))
-    w = 0.5 * (a + b) + 0.5 * (b - a) * _TS_NODES
-    g = off + w - ap * np.expm1(alpha * w) - shift * yp * np.expm1(w)
-    if c:
-        g -= np.exp(log_c - bs * yp * np.exp(w)) - ep
-    return g_max, yp * np.exp(w), 0.5 * (b - a) * _TS_WEIGHTS * np.exp(g)
+            wt = np.log(np.maximum(1.0, side[r] * log_c[r]) / bs) - vp[r]
+            split = (c[r] > 0.0) & (lo < wt) & (wt < hi) & (wt != 0.0)
+            mid = np.where(split, [np.minimum(wt, 0.0), np.maximum(wt, 0.0)], 0.0)
+    # panels [lo, m1], [m1, m2], [m2, hi] of each live side, less the empty middle one
+    edges = np.stack([lo, mid[0], mid[1], hi], axis=1)
+    a, b = edges[:, :-1].ravel(), edges[:, 1:].ravel()
+    keep = b > a
+    a, b, row = a[keep], b[keep], np.repeat(r, 3)[keep]
+    # the same rule on every panel, in w = v - v_peak, one row of nodes per panel; the arrays
+    # are reused in place, so that a block holds about four of them at a time
+    half = (0.5 * (b - a))[:, None]
+    w = half * _TS_NODES
+    w += (0.5 * (a + b))[:, None]
+    g = np.multiply(alpha, w)
+    np.expm1(g, out=g)
+    g *= -ap[row, None]
+    g += w
+    e = np.expm1(w)
+    x = e * (-bs * yp[row])[:, None] if any_c else None
+    e *= (shift[row] * yp[row])[:, None]
+    g -= e
+    del e
+    if any_c:
+        g -= _c_rise(log_ep[row, None], x)
+    # each point's weights are taken relative to its top node.  The panel ends are nodes, so
+    # that is the peak, 0, unless the peak is narrower than the spacing of floats at v_peak
+    # (|G''| above about 1e31, where G(v_peak) < -1e28): G about v_peak then has a linear term
+    # that lifts nodes far above it, and exp would overflow
+    point = row // 2
+    off = gp[row] - g_max[point]
+    top = np.full(g_max.size, -np.inf)
+    np.maximum.at(top, point, off + g.max(axis=1))
+    g += (off - top[point])[:, None]
+    weights = np.exp(g, out=g)
+    weights *= half
+    weights *= _TS_WEIGHTS
+    y = np.exp(w, out=w)
+    y *= yp[row, None]
+    return g_max + top, y, weights, point
 
 
-def _log_peak_quad(alpha: float, shift: float, c: float, bs: float) -> float:
-    """``ln int exp(g(y)) dy`` for :func:`_peak_nodes`' log-integrand ``g``."""
-    g_max, _y, w = _peak_nodes(alpha, shift, c, bs)
-    return g_max + math.log(float(np.sum(w)))
+def _log_peak_quad(alpha: float, shift, c, bs: float) -> np.ndarray:
+    """``ln int exp(g(y)) dy`` at each point, for :func:`_peak_nodes`' log-integrand ``g``,
+    in blocks of ``_BLOCK`` points."""
+    shift, c = np.broadcast_arrays(np.atleast_1d(np.asarray(shift, dtype=float)),
+                                   np.atleast_1d(np.asarray(c, dtype=float)))
+    out = np.empty(c.shape)
+    for i in range(0, c.size, _BLOCK):
+        g_max, _y, w, point = _peak_nodes(alpha, shift[i:i + _BLOCK], c[i:i + _BLOCK], bs)
+        out[i:i + _BLOCK] = g_max + np.log(np.bincount(point, w.sum(axis=1), g_max.size))
+    return out
 
 
 def _log_sinhc(x: float) -> float:
@@ -659,17 +769,19 @@ def _log_sinhc(x: float) -> float:
     return ax - math.log(2.0 * ax) + math.log1p(-math.exp(-2.0 * ax))
 
 
-def log_iq_quadrature(q: float, alpha: float, beta_sigma: float) -> float:
-    """``ln I(q)`` with ``I(q) = int exp(-|y|^alpha + q*beta*sigma*y) dy``."""
+def log_iq_quadrature(q, alpha: float, beta_sigma: float):
+    """``ln I(q)`` with ``I(q) = int exp(-|y|^alpha + q*beta*sigma*y) dy``, for a scalar ``q``
+    or elementwise for an array of orders, all of them in one quadrature call per block."""
     if not alpha > 1:
         raise DivergentMomentError(
             f"the generating integral converges only for alpha > 1 (got {alpha})"
         )
     if not (beta_sigma > 0 and math.isfinite(beta_sigma)):
         raise ModelDomainError("beta_sigma must be positive")
-    if not math.isfinite(q):
+    q = np.asarray(q, dtype=float)
+    if not np.all(np.isfinite(q)):
         raise ModelDomainError("q must be finite")
-    s = q * beta_sigma
-    if s == 0.0:
-        return math.log(2.0) + math.lgamma(1.0 + 1.0 / alpha)
-    return _log_peak_quad(alpha, -s, 0.0, 0.0)
+    s = q.ravel() * beta_sigma
+    out = np.full(s.shape, math.log(2.0) + math.lgamma(1.0 + 1.0 / alpha))
+    out[s != 0.0] = _log_peak_quad(alpha, -s[s != 0.0], 0.0, 0.0)
+    return float(out[0]) if q.ndim == 0 else out.reshape(q.shape)

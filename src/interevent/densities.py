@@ -5,9 +5,11 @@ For a weight density ``rho(eps)`` the unconditional waiting-time density is
     psi(t) = int rho(eps) * exp(-t / tau(eps)) / tau(eps) deps,
 
 with ``tau(eps) = tau0 * exp(beta * eps)``.  Each weight class in :mod:`.core`
-supplies this integral as a scalar kernel: closed form for Delta, Uniform and
-Laplace weights, a fixed tanh-sinh rule on each side of the weight's centre
-for the stretched-exponential weight.
+supplies this integral as a map over an array of times, and :func:`ptd` and
+:func:`sojourn` pass it the whole raveled grid in one call: closed forms,
+applied time by time, for Delta, Uniform and Laplace weights, and for the
+stretched-exponential weight a fixed tanh-sinh rule on each side of the
+weight's centre, whose peak and cut searches run on the whole grid at once.
 """
 
 from __future__ import annotations
@@ -58,12 +60,12 @@ class PhaseLabel:
 
 
 def _map_times(fn, t):
+    # the whole raveled grid goes to the family's array map in one call
     arr = np.asarray(t, dtype=float)
     if np.any(~np.isfinite(arr)) or np.any(arr < 0):
         raise ModelDomainError("t must be finite and nonnegative")
-    if arr.ndim == 0:
-        return float(fn(float(arr)))
-    return np.array([fn(float(x)) for x in arr.ravel()]).reshape(arr.shape)
+    out = fn(arr.ravel())
+    return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
 
 def ptd(t, params: ModelParams):

@@ -20,7 +20,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .core import FitResult, ModelDomainError, ModelParams, QMomentCurve, StretchedExp, _peak_nodes
+from .core import _BLOCK, FitResult, ModelDomainError, ModelParams, QMomentCurve, StretchedExp, _peak_nodes
 from .densities import sojourn as _sojourn
 from .moments import HMFParams, MFParams
 
@@ -136,18 +136,21 @@ class StretchedSojourn:
     def jacobian(self, t):
         """With ``E_c`` the mean on :func:`_peak_nodes` at ``c = t/tau0`` and ``bs = beta sigma``:
         ``d/dc0 = E_c[c e^(-bs y)]``, ``d/dln bs = bs E_c[c y e^(-bs y)]``, and at fixed ``bs``
-        ``d/dalpha = E_0[|y|^alpha ln|y|] - E_c[|y|^alpha ln|y|]``, chained through ``bs(alpha, b)``."""
+        ``d/dalpha = E_0[|y|^alpha ln|y|] - E_c[|y|^alpha ln|y|]``, chained through ``bs(alpha, b)``.
+        The ``c = 0`` node set rides in the first block with every ``t``."""
         alpha, bs, tau0 = self.alpha, self.params.weight.sigma, math.exp(self.c0)
-
-        def means(c):
-            _g_max, y, w = _peak_nodes(alpha, 0.0, c, bs)
-            e, ay = c * np.exp(-bs * y), np.abs(y)
-            return np.sum(w * np.array([ay ** alpha * np.log(ay), bs * e * y, e]), axis=(1, 2)) / np.sum(w)
-
-        m = np.array([means(x / tau0) for x in t])
-        d_alpha, d_log_bs = means(0.0)[0] - m[:, 0], m[:, 1]
+        c = np.concatenate([[0.0], np.asarray(t, dtype=float) / tau0])
+        m = np.empty((3, c.size))
+        for i in range(0, c.size, _BLOCK):
+            cb = c[i:i + _BLOCK]
+            _g_max, y, w, point = _peak_nodes(alpha, 0.0, cb, bs)
+            e, ay = cb[point, None] * np.exp(-bs * y), np.abs(y)
+            total = np.bincount(point, w.sum(axis=1), cb.size)
+            for k, f in enumerate((ay ** alpha * np.log(ay), bs * e * y, e)):
+                m[k, i:i + _BLOCK] = np.bincount(point, (w * f).sum(axis=1), cb.size) / total
+        d_alpha, d_log_bs = m[0, 0] - m[0, 1:], m[1, 1:]
         return np.column_stack([d_alpha + d_log_bs * math.log(self.b / (alpha - 1.0)) / alpha ** 2,
-                                d_log_bs * (alpha - 1.0) / (alpha * self.b), m[:, 2]])
+                                d_log_bs * (alpha - 1.0) / (alpha * self.b), m[2, 1:]])
 
     @staticmethod
     def initial(t, y):

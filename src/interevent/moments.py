@@ -406,7 +406,7 @@ def log_norm_moment(q: float, params: ModelParams) -> float:
     _check_order(q)
     if q == 0.0:
         return 0.0
-    return q * math.log(params.tau0) + params.weight.log_mgf(q * params.beta)
+    return q * math.log(params.tau0) + float(params.weight.log_mgf(np.array([q * params.beta]))[0])
 
 
 def moment(q: float, params: ModelParams) -> float:
@@ -423,9 +423,14 @@ def _as_q_grid(q_grid) -> np.ndarray:
 
 
 def model_curve(q_grid, params: ModelParams) -> QMomentCurve:
-    """Analytic normalized log-moment curve for a weight family."""
+    """Analytic normalized log-moment curve for a weight family: :func:`log_norm_moment` at
+    each order, with the whole grid passed to the weight's ``log_mgf`` in one call."""
     q = _as_q_grid(q_grid)
-    vals = np.array([log_norm_moment(float(x), params) for x in q])
+    bad = q[~(np.isfinite(q) & (q > -1.0))]
+    if bad.size:
+        _check_order(float(bad[0]))
+    vals = q * math.log(params.tau0) + params.weight.log_mgf(q * params.beta)
+    vals[q == 0.0] = 0.0
     return QMomentCurve(q_grid=q, log_norm_moment=vals, n_samples=0)
 
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import interevent as iv
-from interevent.core import AsymptoticRangeWarning, ModelDomainError, UnsupportedModelError
+from interevent.core import _BLOCK, AsymptoticRangeWarning, ModelDomainError, UnsupportedModelError
 from interevent.densities import Phase
 
 # Pointwise references from 30-digit quadrature of the defining mixture
@@ -352,6 +353,42 @@ def test_stretched_sublinear_weight_mpmath_reference(alpha, sigma, t, psi, surv)
     p = iv.ModelParams(weight=iv.StretchedExp(mu=0.0, sigma=sigma, alpha=alpha))
     assert iv.ptd(t, p) == pytest.approx(psi, rel=1e-8)
     assert iv.sojourn(t, p) == pytest.approx(surv, rel=1e-8)
+
+
+@pytest.mark.parametrize("alpha", [3.0, 10.0, 20.0])
+def test_stretched_far_tail_underflows_cleanly(alpha):
+    # sigma = tau0 = beta = 1: the c term at the peak passes 1e17 (from t = 1e42 at alpha = 10,
+    # 1e21 at alpha = 20), and the peak gets narrower than the spacing of floats in ln|y|
+    p = iv.ModelParams(weight=iv.StretchedExp(mu=0.0, sigma=1.0, alpha=alpha))
+    t = 10.0 ** np.arange(0, 301)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        psi, surv = iv.ptd(t, p), iv.sojourn(t, p)
+    assert np.all(np.isfinite(psi)) and np.all(psi >= 0.0)
+    assert np.all((surv >= 0.0) & (surv <= 1.0)) and np.all(np.diff(surv) <= 0.0)
+
+
+def test_stretched_density_past_the_float_range_is_inf():
+    # at alpha < 1 psi diverges at t = 0; at a subnormal t it is past the float range as well
+    p = iv.ModelParams(weight=iv.StretchedExp(mu=0.0, sigma=1.0, alpha=0.3))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert iv.ptd(5e-324, p) == math.inf
+        assert np.array_equal(iv.ptd(np.array([0.0, 5e-324]), p), [math.inf, math.inf])
+        assert math.isfinite(iv.ptd(1e-310, p))
+
+
+@pytest.mark.parametrize("fn", [iv.ptd, iv.sojourn], ids=["ptd", "sojourn"])
+@pytest.mark.parametrize("alpha", [0.5, 1.5, 2.5])
+def test_stretched_value_does_not_depend_on_its_batch(fn, alpha):
+    # one grid over three quadrature blocks, the same grid shuffled, and single points
+    p = iv.ModelParams(weight=iv.StretchedExp(mu=0.0, sigma=1.0, alpha=alpha))
+    t = np.concatenate([[0.0], np.geomspace(1e-6, 1e6, 2 * _BLOCK + 36)])
+    whole = fn(t, p)
+    order = np.random.default_rng(0).permutation(t.size)
+    np.testing.assert_allclose(fn(t[order], p), whole[order], rtol=1e-14, atol=0.0)
+    for i in (0, 1, _BLOCK - 1, _BLOCK, t.size - 1):
+        assert fn(float(t[i]), p) == pytest.approx(whole[i], rel=1e-14, abs=0.0)
 
 
 def test_characteristic_time_stretched_divergent_mean():

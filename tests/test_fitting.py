@@ -6,6 +6,7 @@ import pytest
 
 import interevent as iv
 from interevent import fitting
+from interevent.core import _BLOCK
 
 
 def test_monofractal_fit_exact():
@@ -217,6 +218,16 @@ def test_analytic_jacobian_matches_central_differences(law, method, theta, x):
     assert analytic.shape == (x.size, len(theta))
     numeric = _central_differences(law, getattr(law, method), theta, x)
     np.testing.assert_allclose(analytic, numeric, rtol=1e-6, atol=1e-9)
+
+
+def test_stretched_jacobian_row_does_not_depend_on_its_batch():
+    # the rows of a grid over three quadrature blocks against the same rows asked for alone
+    law = iv.StretchedSojourn(1.5, 0.25, 0.4)
+    t = np.geomspace(1e-3, 1e3, 2 * _BLOCK + 9)
+    whole = law.jacobian(t)
+    pick = np.random.default_rng(1).choice(t.size, 17, replace=False)
+    np.testing.assert_allclose(law.jacobian(t[pick]), whole[pick], rtol=1e-14, atol=0.0)
+    np.testing.assert_allclose(law.jacobian(t[[_BLOCK]]), whole[[_BLOCK]], rtol=1e-14, atol=0.0)
 
 
 def test_fit_window_excludes_zero_order():

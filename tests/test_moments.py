@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 import interevent as iv
 from interevent import cli
 from interevent.core import (
+    _BLOCK,
     AsymptoticRangeWarning,
     DivergentMomentError,
     ModelDomainError,
@@ -122,6 +123,18 @@ def test_log_iq_quadrature_far_peak_reference():
     # whose correction is 1 - 3.8e-11 here, agrees to 4e-15
     got = iv.log_iq_quadrature(16.63115577889447, 1.2, 3.0)
     assert got == pytest.approx(1033248159.562462675872151, rel=1e-12)
+
+
+def test_log_iq_quadrature_value_does_not_depend_on_its_batch():
+    # one grid of orders over three quadrature blocks, the same grid shuffled, and single orders
+    q = np.linspace(-0.9, 20.0, 2 * _BLOCK + 37)
+    whole = iv.log_iq_quadrature(q, 1.5, 1.0)
+    assert whole.shape == q.shape
+    order = np.random.default_rng(0).permutation(q.size)
+    np.testing.assert_allclose(iv.log_iq_quadrature(q[order], 1.5, 1.0), whole[order],
+                               rtol=1e-14, atol=0.0)
+    for i in (0, _BLOCK - 1, _BLOCK, q.size - 1):
+        assert iv.log_iq_quadrature(float(q[i]), 1.5, 1.0) == pytest.approx(whole[i], rel=1e-14, abs=0.0)
 
 
 @pytest.mark.parametrize("q,alpha,sigma,tau0,beta,mu,expected", ST_MOM_TABLE)
