@@ -6,9 +6,9 @@ order, carrying its values, its analytic ``jacobian`` and the
 ``HMFParams`` give the normalized log curve ``y(q) = ln(<t^q>/Gamma(1+q))``;
 :class:`QExponential`, :class:`Weibull` and :class:`StretchedSojourn` give
 ``ln Psi(t)`` and their start ``initial(t, y)``.  Every iterative fit runs
-through :func:`_nls` and :func:`least_squares`, a projected
-Levenberg-Marquardt method in numpy stopping at relative step 1e-10 or 500
-evaluations.
+through :func:`_nls`, which builds each law once per trial point and reuses it
+for the Jacobian, and :func:`least_squares`, a projected Levenberg-Marquardt
+method in numpy stopping at relative step 1e-10 or 500 evaluations.
 Moment-curve residuals are weighted by inverse squared standard errors when
 the curve carries them; survival residuals are unweighted.
 """
@@ -93,9 +93,7 @@ class Weibull:
 
     def jacobian(self, t):
         tc = t ** self.c
-        with np.errstate(divide="ignore", invalid="ignore"):
-            dlog = np.where(t > 0, np.log(np.maximum(t, 1e-300)), 0.0)
-        return np.column_stack([-tc, -self.a * tc * dlog])
+        return np.column_stack([-tc, -self.a * tc * np.log(t, out=np.zeros(t.shape), where=t > 0)])
 
     @staticmethod
     def initial(t, y):
@@ -185,6 +183,10 @@ def _window_points(curve: QMomentCurve, q_range, min_points: int):
     return q, y, w, weighted, domain
 
 
+# a trial is accepted while its cost rises by no more than 16 eps of the cost (rounding)
+_ROUNDING_RISE = -16.0 * np.finfo(float).eps
+
+
 @dataclass(frozen=True)
 class LeastSquaresResult:
     """Where :func:`least_squares` stopped: the estimate ``x``, half the sum of
@@ -208,11 +210,13 @@ def least_squares(fun, x0, jac, bounds, max_nfev=500) -> LeastSquaresResult:
     held at a bound by the gradient, with ``D = diag(J^T J)`` at the current
     point, and clips ``x + p`` to the box.  A trial whose cost rises by no
     more than rounding is accepted and ``lam`` shrinks tenfold; otherwise
-    (non-finite residuals count as infinite cost) ``lam`` grows tenfold.
-    ``jac(x)`` is the Jacobian of ``fun`` at ``x``.
+    (non-finite residuals or an overflowing sum of squares count as infinite
+    cost) ``lam`` grows tenfold.  ``jac(x)`` is the Jacobian of ``fun`` at
+    ``x``, and is only called with the array ``fun`` was last called with.
     """
     lo, hi = (np.asarray(b, dtype=float) for b in bounds)
-    x = np.clip(np.asarray(x0, dtype=float), lo, hi)
+    box = list(zip(lo.tolist(), hi.tolist()))
+    x = np.minimum(np.maximum(np.asarray(x0, dtype=float), lo), hi)
     f = fun(x)
     if not np.all(np.isfinite(f)):
         raise ValueError("residuals are not finite at the initial point")
@@ -221,17 +225,24 @@ def least_squares(fun, x0, jac, bounds, max_nfev=500) -> LeastSquaresResult:
     nfev, njev, lam, status = 1, 1, 1.0, 0
     while nfev < max_nfev:
         g = J.T @ f
-        free = ~(((x <= lo) & (g > 0)) | ((x >= hi) & (g < 0)))
-        A = (J.T @ J)[np.ix_(free, free)]
-        d = np.diag(A)
-        step = np.zeros_like(x)
-        step[free] = np.linalg.solve(A + lam * np.diag(np.where(d > 0, d, 1.0)), -g[free])
-        x_new = np.clip(x + step, lo, hi)
+        # on 2-4 parameters a numpy call costs more than its arithmetic: test them as floats
+        free = [not (xi <= a and gi > 0 or xi >= b and gi < 0)
+                for xi, gi, (a, b) in zip(x.tolist(), g.tolist(), box)]
+        free = slice(None) if all(free) else np.array(free)
+        A = (J.T @ J)[free][:, free]
+        d = A.diagonal()
+        A.flat[::d.size + 1] = d + lam * np.where(d > 0, d, 1.0)
+        step = np.zeros(x.shape)
+        step[free] = np.linalg.solve(A, -g[free])
+        x_new = np.minimum(np.maximum(x + step, lo), hi)
         f_new = fun(x_new)
         nfev += 1
-        cost_new = 0.5 * float(f_new @ f_new) if np.all(np.isfinite(f_new)) else np.inf
-        small = np.linalg.norm(x_new - x) <= 1e-10 * (1e-10 + np.linalg.norm(x))
-        if cost - cost_new >= -16.0 * np.finfo(float).eps * cost:
+        with np.errstate(over="ignore"):
+            ss = float(f_new @ f_new)
+        cost_new = 0.5 * ss if math.isfinite(ss) else math.inf
+        dx = x_new - x
+        small = math.sqrt(dx.dot(dx)) <= 1e-10 * (1e-10 + math.sqrt(x.dot(x)))
+        if cost - cost_new >= _ROUNDING_RISE * cost:
             x, f, cost = x_new, f_new, cost_new
             J = jac(x)
             njev += 1
@@ -251,12 +262,14 @@ def _nls(law, values, x, y, w, theta0, domain, weighted) -> FitResult:
     An estimate within ``1e-6 max(1, |bound|)`` of a finite bound is flagged
     ``<field>_at_lower_boundary`` or ``<field>_at_upper_boundary``."""
     sw = np.sqrt(w)
+    last = [None, None]  # residual's last point and its law, on Python floats; jac reuses the law
 
     def residual(theta):
-        return sw * (values(law(*theta), x) - y)
+        last[:] = theta, law(*theta.tolist())
+        return sw * (values(last[1], x) - y)
 
     def jac(theta):
-        return sw[:, None] * law(*theta).jacobian(x)
+        return sw[:, None] * (last[1] if theta is last[0] else law(*theta.tolist())).jacobian(x)
 
     res = least_squares(residual, theta0, jac=jac, bounds=law.bounds)
     rss = float(2.0 * res.cost)

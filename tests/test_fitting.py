@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -220,6 +221,17 @@ def test_analytic_jacobian_matches_central_differences(law, method, theta, x):
     np.testing.assert_allclose(analytic, numeric, rtol=1e-6, atol=1e-9)
 
 
+def test_weibull_jacobian_at_zero_and_subnormal_times():
+    a, c = 1.3, 0.05
+    t = np.array([0.0, 1e-310, 1e-200, 1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        jac = iv.Weibull(a, c).jacobian(t)
+    expected_dc = [0.0] + [-a * v ** c * math.log(v) for v in t[1:]]
+    np.testing.assert_allclose(jac[:, 0], -t ** c, rtol=1e-15, atol=0.0)
+    np.testing.assert_allclose(jac[:, 1], expected_dc, rtol=1e-14, atol=0.0)
+
+
 def test_stretched_jacobian_row_does_not_depend_on_its_batch():
     # the rows of a grid over three quadrature blocks against the same rows asked for alone
     law = iv.StretchedSojourn(1.5, 0.25, 0.4)
@@ -434,3 +446,65 @@ def test_solver_rejects_a_non_finite_trial_step():
     assert res.status > 0
     assert np.all(np.isfinite(residual(res.x)))
     assert res.x[0] == pytest.approx(1.0, abs=1e-9)
+
+
+def test_solver_holds_one_parameter_on_its_bound_while_the_other_converges():
+    def residual(x):
+        return np.array([x[0] - 3.0, x[1] - 0.5])
+
+    res = fitting.least_squares(residual, np.array([0.2, 0.2]), jac=lambda x: np.eye(2),
+                                bounds=([0.0, 0.0], [1.0, 1.0]))
+    assert res.status == 3
+    assert res.x[0] == 1.0
+    assert res.x[1] == pytest.approx(0.5, abs=1e-12)
+
+
+def test_solver_rejects_a_trial_whose_sum_of_squares_overflows():
+    # tanh(x - 1) plus a residual 1e200 (x - 5) past x = 5: from x = -3 the first
+    # trials land past 5, where the residuals are finite (up to x = 5 + 1.7e108)
+    # but their sum of squares overflows
+    calls = []
+
+    def residual(x):
+        calls.append(("fun", x[0]))
+        return np.array([math.tanh(x[0] - 1.0), 1e200 * max(x[0] - 5.0, 0.0)])
+
+    def jac(x):
+        calls.append(("jac", x[0]))
+        return np.array([[1.0 / math.cosh(x[0] - 1.0) ** 2], [1e200 if x[0] > 5.0 else 0.0]])
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = fitting.least_squares(residual, np.array([-3.0]), jac=jac, bounds=([-np.inf], [np.inf]))
+    overflowing = [x for kind, x in calls if kind == "fun" and x > 5.0]
+    assert overflowing and max(overflowing) < 1e100
+    assert not any(kind == "jac" and x > 5.0 for kind, x in calls)
+    assert res.status == 3
+    assert res.x[0] == pytest.approx(1.0, abs=1e-9)
+
+
+def test_solver_asks_for_the_jacobian_at_the_array_it_last_evaluated(monkeypatch):
+    # fitting._nls reuses the law its residual built when jac gets that same array
+    solver, calls = fitting.least_squares, []
+
+    def recording(fun, x0, jac, bounds, **kwargs):
+        def fun_seen(x):
+            calls.append(("fun", x))
+            return fun(x)
+
+        def jac_seen(x):
+            calls.append(("jac", x))
+            return jac(x)
+
+        return solver(fun_seen, x0, jac_seen, bounds, **kwargs)
+
+    monkeypatch.setattr(fitting, "least_squares", recording)
+    curve, t, psi = _seeded_series(7)
+    nfev = iv.fit_mf(curve, (0.0, 3.5)).nfev + iv.fit_sojourn(t, psi, iv.Weibull).nfev
+    # rejected trials: from x = 20 the first steps land at x < 0, where ln x is NaN
+    with np.errstate(invalid="ignore", divide="ignore"):
+        nfev += fitting.least_squares(np.log, np.array([20.0]), lambda x: np.array([[1.0 / x[0]]]),
+                                      ([-np.inf], [np.inf])).nfev
+    jac_at = [i for i, (kind, _x) in enumerate(calls) if kind == "jac"]
+    assert len(calls) - len(jac_at) == nfev > len(jac_at)
+    assert all(calls[i - 1][0] == "fun" and calls[i][1] is calls[i - 1][1] for i in jac_at)

@@ -112,19 +112,6 @@ def test_iq_quadrature_kink_near_peak(q, alpha, sb, expected):
     assert iv.iq_quadrature(q, alpha, sb) == pytest.approx(expected, rel=1e-10)
 
 
-def test_model_curve_finite_on_default_grid_near_alpha_one():
-    # alpha = 1.1 puts the peak of I(q) near y = 4e12 at q = 20
-    curve = iv.model_curve(iv.DEFAULT_Q_GRID, _stretched(1.1, 1.0, 1.0, 1.0))
-    assert np.all(np.isfinite(curve.log_norm_moment))
-
-
-def test_log_iq_quadrature_far_peak_reference():
-    # 40-digit mpmath over +-12 widths of the peak at y ~ 1.2e8; the saddle point,
-    # whose correction is 1 - 3.8e-11 here, agrees to 4e-15
-    got = iv.log_iq_quadrature(16.63115577889447, 1.2, 3.0)
-    assert got == pytest.approx(1033248159.562462675872151, rel=1e-12)
-
-
 def test_log_iq_quadrature_value_does_not_depend_on_its_batch():
     # one grid of orders over three quadrature blocks, the same grid shuffled, and single orders
     q = np.linspace(-0.9, 20.0, 2 * _BLOCK + 37)
