@@ -49,7 +49,7 @@ def main():
         return
     q = np.linspace(0.1, 5.0, 60)
     beta_sigma = 3.0
-    exact = np.array([iv.iq_quadrature(qi, ALPHA, beta_sigma) for qi in q])
+    exact = iv.iq_quadrature(q, ALPHA, beta_sigma)
     sp = np.array([iv.saddlepoint_iq(qi, ALPHA, beta_sigma).value for qi in q])
     fig, ax = plt.subplots(figsize=(6, 4.5))
     ax.semilogy(q, exact, label="quadrature")

@@ -10,15 +10,16 @@ the other modules call.
 
 Every layer hands a family a whole grid: ``log_mgf`` takes an array of
 arguments and ``ptd_kernel``/``sojourn_kernel`` return maps over an array of
-times.  The stretched family's psi, Psi and ln I(q) are one integral,
-:func:`_peak_nodes`, which takes arrays of points: its peak and cut searches
-run on every point in lockstep, and one tanh-sinh rule is summed over all
-their panels, ``_BLOCK`` points at a time.  A single point is a batch of one.
+times.  The closed forms are numpy on that array.  The stretched family's psi,
+Psi and ln I(q) are one integral, :func:`_peak_nodes`, which takes arrays of
+points: its peak and cut searches run on every point in lockstep, and one
+tanh-sinh rule is summed over all their panels, ``_BLOCK`` points at a time.
+A single point is a batch of one, and :func:`_shape_like` hands it back as a float.
 
 Log-gamma values come from ``math.lgamma`` (through :func:`_lgamma`).  No
 module of the package imports ``scipy`` at import time: only the Uniform
 survival kernel and the scaled incomplete gammas of the Laplace closed forms
-call SciPy (``exp1``, ``gammainc``, ``gammaincc``), and they import
+call SciPy's ufuncs (``exp1``, ``gammainc``, ``gammaincc``), and they import
 ``scipy.special`` where they call it.  ``import interevent``, ``simulate``,
 ``estimate``, every fit and the stretched family's quadrature therefore load
 no SciPy module.
@@ -92,17 +93,9 @@ class AsymptoticRangeWarning(UserWarning):
 # A family is one class listed in WEIGHT_FAMILIES, with the methods every layer
 # calls: log_mgf(s) = ln E[exp(s eps)] on a 1-d array of s (DivergentMomentError
 # where infinite), sample(rng, size), and ptd_kernel / sojourn_kernel(tau0, beta),
-# which return the maps t -> psi(t) and t -> Psi(t) on a 1-d array of times.  The
-# closed forms apply their scalar formula point by point (_each); the stretched
-# family integrates a whole grid at once.  Each family fixes its accuracy.
-
-# 64-point Gauss-Legendre for the narrow-uniform survival fallback
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
-
-
-def _each(kernel):
-    """The array map that applies the scalar ``kernel`` to each time in turn."""
-    return lambda x: np.array([kernel(v) for v in x.tolist()], dtype=float)
+# which return the maps t -> psi(t) and t -> Psi(t) on a 1-d array of times.  Each
+# is numpy on the whole array, with every branch evaluated on its own mask only;
+# the stretched family integrates the grid at once.  Each family fixes its accuracy.
 
 
 @dataclass(frozen=True)
@@ -125,11 +118,15 @@ class Delta:
 
     def ptd_kernel(self, tau0: float, beta: float):
         tau_mu = tau0 * math.exp(beta * self.mu)
-        return _each(lambda x: math.exp(-x / tau_mu) / tau_mu)
+        return lambda x: np.exp(-x / tau_mu) / tau_mu
 
     def sojourn_kernel(self, tau0: float, beta: float):
         tau_mu = tau0 * math.exp(beta * self.mu)
-        return _each(lambda x: math.exp(-x / tau_mu))
+        return lambda x: np.exp(-x / tau_mu)
+
+
+# 1/(2k+1)! for k = 9, ..., 1: sinh(x)/x - 1 = x^2 polyval(_SINHC_SERIES, x^2) to 1e-19 below 1
+_SINHC_SERIES = 1.0 / np.array([math.factorial(k) for k in range(19, 2, -2)], dtype=float)
 
 
 @dataclass(frozen=True)
@@ -143,7 +140,13 @@ class Uniform:
             raise ModelDomainError("half_width must be positive and finite")
 
     def log_mgf(self, s: np.ndarray) -> np.ndarray:
-        return np.array([_log_sinhc(x * self.half_width) for x in s.tolist()], dtype=float)
+        # ln(sinh(x)/x) at x = |s| half_width: below x = 1 the ratio is too near 1 for its log, so
+        # sinh(x)/x - 1 is a series; from x = 20 a form in which sinh does not overflow
+        x = np.abs(s * self.half_width)
+        return np.piecewise(x, [x < 1.0, x >= 20.0], [
+            lambda x: np.log1p(x * x * np.polyval(_SINHC_SERIES, x * x)),
+            lambda x: x - np.log(2.0 * x) + np.log1p(-np.exp(-2.0 * x)),
+            lambda x: np.log(np.sinh(x) / x)])
 
     def sample(self, rng: np.random.Generator, size: int | None = None):
         return rng.uniform(-self.half_width, self.half_width, size)
@@ -154,33 +157,34 @@ class Uniform:
         tau_minus = tau0 * math.exp(-db)
         rate_gap = 1.0 / tau_minus - 1.0 / tau_plus
 
-        def kernel(x: float) -> float:
-            u = x * rate_gap
-            if u < 1e-8:
-                # two-term series of -expm1(-u)/x; avoids 0/0 at the origin
-                return math.exp(-x / tau_plus) * rate_gap * (1.0 - 0.5 * u) / (2.0 * db)
-            return math.exp(-x / tau_plus) * (-math.expm1(-u)) / (2.0 * db * x)
+        def near(x: np.ndarray) -> np.ndarray:
+            # two-term series of -expm1(-u)/x below u = x rate_gap = 1e-8; avoids 0/0 at the origin
+            return np.exp(-x / tau_plus) * rate_gap * (1.0 - 0.5 * (x * rate_gap)) / (2.0 * db)
 
-        return _each(kernel)
+        def far(x: np.ndarray) -> np.ndarray:
+            return np.exp(-x / tau_plus) * -np.expm1(-x * rate_gap) / (2.0 * db * x)
+
+        return lambda x: np.piecewise(x, [x * rate_gap < 1e-8], [near, far])
 
     def sojourn_kernel(self, tau0: float, beta: float):
         db = beta * self.half_width
         tau_plus = tau0 * math.exp(db)
         tau_minus = tau0 * math.exp(-db)
+        # below db = 1e-3 the E1 difference cancels; integrate exp(-x/tau(eps)) on tanh-sinh nodes
+        rates = np.exp(-db * _TS_NODES) / tau0
 
-        def kernel(x: float) -> float:
-            if x == 0.0:
-                return 1.0
+        def kernel(x: np.ndarray) -> np.ndarray:
+            out = np.ones(x.shape)
+            pos = x > 0.0
             if db < 1e-3:
-                # E1 difference cancels; integrate exp(-x/tau(eps)) directly
-                eps = self.half_width * _GL_NODES
-                vals = np.exp(-x / (tau0 * np.exp(beta * eps)))
-                return float(np.dot(_GL_WEIGHTS, vals) / 2.0)
-            from scipy.special import exp1
+                out[pos] = (np.exp(np.multiply.outer(-x[pos], rates)) * _TS_WEIGHTS).sum(1) / 2.0
+            else:
+                from scipy.special import exp1
 
-            return (float(exp1(x / tau_plus)) - float(exp1(x / tau_minus))) / (2.0 * db)
+                out[pos] = (exp1(x[pos] / tau_plus) - exp1(x[pos] / tau_minus)) / (2.0 * db)
+            return out
 
-        return _each(kernel)
+        return kernel
 
 
 @dataclass(frozen=True)
@@ -199,41 +203,32 @@ class Laplace:
             raise DivergentMomentError(
                 f"Laplace-weight moment diverges for |q|*beta*sigma = {reach[reach >= 1.0][0]} >= 1"
             )
-        return np.array([-math.log1p(-((x * self.sigma) ** 2)) for x in s.tolist()], dtype=float)
+        return -np.log1p(-((s * self.sigma) ** 2))
 
     def sample(self, rng: np.random.Generator, size: int | None = None):
         return rng.laplace(0.0, self.sigma, size)
 
     def ptd_kernel(self, tau0: float, beta: float):
         sb = beta * self.sigma
-        a_low = 1.0 + 1.0 / sb
-        a_up = 1.0 - 1.0 / sb
-
-        def kernel(x: float) -> float:
-            if x == 0.0:
-                if sb < 1.0:
-                    return 1.0 / (tau0 * (1.0 - sb * sb))
-                return math.inf
-            z = x / tau0
-            val = scaled_lower_incomplete_gamma(a_low, z)
-            val += scaled_upper_incomplete_gamma(a_up, z)
-            return val / (2.0 * sb * tau0)
-
-        return _each(kernel)
+        return self._gamma_pair(tau0, sb, 1, 1.0 / (tau0 * (1.0 - sb * sb)) if sb < 1 else math.inf)
 
     def sojourn_kernel(self, tau0: float, beta: float):
-        sb = beta * self.sigma
-        c = 1.0 / sb
+        return self._gamma_pair(tau0, beta * self.sigma, 0, 1.0)
 
-        def kernel(x: float) -> float:
-            if x == 0.0:
-                return 1.0
-            z = x / tau0
-            val = scaled_lower_incomplete_gamma(c, z)
-            val += scaled_upper_incomplete_gamma(-c, z)
-            return val / (2.0 * sb)
+    @staticmethod
+    def _gamma_pair(tau0: float, sb: float, k: int, at_zero: float):
+        # x -> (S_lower(k + 1/sb, z) + S_upper(k - 1/sb, z)) / (2 sb tau0**k) at z = x/tau0, and
+        # at_zero at x = 0: psi for k = 1, Psi for k = 0
+        def kernel(x: np.ndarray) -> np.ndarray:
+            out = np.full(x.shape, at_zero)
+            pos = x > 0.0
+            z = x[pos] / tau0
+            val = scaled_lower_incomplete_gamma(k + 1.0 / sb, z)
+            val += scaled_upper_incomplete_gamma(k - 1.0 / sb, z)
+            out[pos] = val / (2.0 * sb * tau0 ** k)
+            return out
 
-        return _each(kernel)
+        return kernel
 
 
 @dataclass(frozen=True)
@@ -292,8 +287,7 @@ class StretchedExp:
             c = x / scale
             out = np.full(c.shape, math.inf)
             finite = (c > 0.0) | (not diverges_at_0)
-            with np.errstate(over="ignore"):  # a density beyond the float range is inf, as at 0
-                out[finite] = np.exp(_log_peak_quad(alpha, bs, c[finite], bs) + log_pref)
+            out[finite] = np.exp(_log_peak_quad(alpha, bs, c[finite], bs) + log_pref)
             return out
 
         return kernel
@@ -480,75 +474,87 @@ def _lgamma(x: float) -> float:
         return math.inf
 
 
-def scaled_lower_incomplete_gamma(a: float, z: float) -> float:
-    """``z**(-a) * gamma_lower(a, z)`` for ``a > 0``, ``z >= 0``.
+def _shape_like(values, arr: np.ndarray):
+    """``values`` in the shape of ``arr``, or a float where ``arr`` is 0-d: every public entry point
+    computes on a 1-d array, and a scalar is a batch of one."""
+    values = np.reshape(values, arr.shape)
+    return float(values) if arr.ndim == 0 else values
+
+
+def scaled_lower_incomplete_gamma(a: float, z):
+    """``z**(-a) * gamma_lower(a, z)`` for ``a > 0``, ``z >= 0``, elementwise in ``z``.
 
     The scaled form stays finite for small z (limit ``1/a``), which is what
     the mixed-density closed forms consume directly.
     """
     if not a > 0:
         raise ModelDomainError("scaled lower incomplete gamma requires a > 0")
-    if z < 0:
+    arr = np.asarray(z, dtype=float)
+    if np.any(arr < 0):
         raise ModelDomainError("z must be nonnegative")
-    if z == 0.0:
-        return 1.0 / a
-    if z < a + 1.0:
-        # power series: exp(-z) * sum_k z^k / (a (a+1) ... (a+k))
-        term = 1.0 / a
-        total = term
-        k = 0
-        while True:
-            k += 1
+
+    def series(z):
+        # exp(-z) sum_k z^k / (a (a+1) ... (a+k)) on every z in lockstep.  The terms fall, so one
+        # below 1e-17 of its sum, and every later one, rounds away: a finished sum stays bit for bit
+        term = np.full(z.shape, 1.0 / a)
+        total = term.copy()
+        for k in range(1, 10_002):
             term *= z / (a + k)
             total += term
-            if term < total * 1e-17 or k > 10_000:
+            if np.all(term < total * 1e-17):
                 break
-        return math.exp(-z) * total
-    from scipy.special import gammainc
+        return np.exp(-z) * total
 
-    p = float(gammainc(a, z))
-    return math.exp(_lgamma(a) + math.log(p) - a * math.log(z))
+    def ratio(z):
+        from scipy.special import gammainc
+
+        return np.exp(_lgamma(a) + np.log(gammainc(a, z)) - a * np.log(z))
+
+    z = arr.ravel()
+    return _shape_like(np.piecewise(z, [z < a + 1.0], [series, ratio]), arr)
 
 
-def _scaled_upper_positive(a: float, z: float) -> float:
-    # a > 0, z > 0
+def _log_scaled_upper_positive(a: float, z: np.ndarray) -> np.ndarray:
+    # ln(z**(-a) Gamma_upper(a, z)) for a > 0 and an array of z > 0
     from scipy.special import gammaincc
 
-    q = float(gammaincc(a, z))
-    if q > 0.0:
-        return math.exp(_lgamma(a) + math.log(q) - a * math.log(z))
-    # q underflowed: leading asymptotic term z^(a-1) e^(-z) of the upper tail
-    return math.exp(-z - math.log(z))
+    q = gammaincc(a, z)
+    # where q underflowed: the leading asymptotic term z^(a-1) e^(-z) of the upper tail
+    out, ok = -z - np.log(z), q > 0.0
+    out[ok] = _lgamma(a) + np.log(q[ok]) - a * np.log(z[ok])
+    return out
 
 
-def scaled_upper_incomplete_gamma(a: float, z: float) -> float:
-    """``z**(-a) * Gamma_upper(a, z)`` for ``z > 0`` and any real ``a``.
+def scaled_upper_incomplete_gamma(a: float, z):
+    """``z**(-a) * Gamma_upper(a, z)`` for ``z > 0`` and any real ``a``, elementwise in ``z``.
 
     Orders ``a <= 0`` are reached by the upward recurrence
     ``S(a) = (z * S(a+1) - exp(-z)) / a`` from a base order in ``(0, 1]``
     (or the exponential integral at order 0); the scaling keeps every
-    intermediate bounded.
+    intermediate bounded.  The first step starts from ``z * S(base)``, taken
+    in logs, which is finite at a subnormal z where ``S(base)`` is not.
     """
-    if not (z > 0 and math.isfinite(z)):
+    arr = np.asarray(z, dtype=float)
+    if not np.all((arr > 0) & np.isfinite(arr)):
         raise ModelDomainError("scaled upper incomplete gamma requires z > 0")
+    z = arr.ravel()
     if a > 0:
-        return _scaled_upper_positive(a, z)
-    from scipy.special import exp1
-
-    if a == 0.0:
-        return float(exp1(z))
+        return _shape_like(np.exp(_log_scaled_upper_positive(a, z)), arr)
     # climb from base = a + m with m = ceil(-a) steps, base in (0, 1] or 0
     m = math.ceil(-a)
     base = a + m
     if base == 0.0:
-        s = float(exp1(z))
+        from scipy.special import exp1
+
+        s = exp1(z)
+        zs = z * s
     else:
-        s = _scaled_upper_positive(base, z)
-    ez = math.exp(-z)
+        zs = np.exp(np.log(z) + _log_scaled_upper_positive(base, z))
+    ez = np.exp(-z)
     for j in range(1, m + 1):
-        order = base - j
-        s = (z * s - ez) / order
-    return s
+        s = (zs - ez) / (base - j)
+        zs = z * s
+    return _shape_like(s, arr)
 
 
 # ---------------------------------------------------------------------------
@@ -757,18 +763,6 @@ def _log_peak_quad(alpha: float, shift, c, bs: float) -> np.ndarray:
     return out
 
 
-def _log_sinhc(x: float) -> float:
-    # ln(sinh(x)/x), even in x, stable near 0 and for large |x|
-    ax = abs(x)
-    if ax == 0.0:
-        return 0.0
-    if ax < 1e-4:
-        return math.log1p(ax * ax / 6.0 + ax ** 4 / 120.0)
-    if ax < 20.0:
-        return math.log(math.sinh(ax) / ax)
-    return ax - math.log(2.0 * ax) + math.log1p(-math.exp(-2.0 * ax))
-
-
 def log_iq_quadrature(q, alpha: float, beta_sigma: float):
     """``ln I(q)`` with ``I(q) = int exp(-|y|^alpha + q*beta*sigma*y) dy``, for a scalar ``q``
     or elementwise for an array of orders, all of them in one quadrature call per block."""
@@ -784,4 +778,4 @@ def log_iq_quadrature(q, alpha: float, beta_sigma: float):
     s = q.ravel() * beta_sigma
     out = np.full(s.shape, math.log(2.0) + math.lgamma(1.0 + 1.0 / alpha))
     out[s != 0.0] = _log_peak_quad(alpha, -s[s != 0.0], 0.0, 0.0)
-    return float(out[0]) if q.ndim == 0 else out.reshape(q.shape)
+    return _shape_like(out, q)

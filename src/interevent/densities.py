@@ -6,8 +6,8 @@ For a weight density ``rho(eps)`` the unconditional waiting-time density is
 
 with ``tau(eps) = tau0 * exp(beta * eps)``.  Each weight class in :mod:`.core`
 supplies this integral as a map over an array of times, and :func:`ptd` and
-:func:`sojourn` pass it the whole raveled grid in one call: closed forms,
-applied time by time, for Delta, Uniform and Laplace weights, and for the
+:func:`sojourn` pass it the whole raveled grid in one call: closed forms in
+numpy for Delta, Uniform and Laplace weights, and for the
 stretched-exponential weight a fixed tanh-sinh rule on each side of the
 weight's centre, whose peak and cut searches run on the whole grid at once.
 """
@@ -31,6 +31,7 @@ from .core import (
     UnsupportedModelError,
     _lgamma,
     _log_peak_quad,  # noqa: F401  kept for bench/workloads.py, which patches this name
+    _shape_like,
 )
 from .moments import moment
 
@@ -59,13 +60,14 @@ class PhaseLabel:
     tail_exponent: float | None = None
 
 
-def _map_times(fn, t):
-    # the whole raveled grid goes to the family's array map in one call
+def _map_times(kernel, t):
+    # the whole raveled grid goes to the family's array map in one call; past the float range, inf
     arr = np.asarray(t, dtype=float)
     if np.any(~np.isfinite(arr)) or np.any(arr < 0):
         raise ModelDomainError("t must be finite and nonnegative")
-    out = fn(arr.ravel())
-    return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
+    with np.errstate(over="ignore"):
+        out = kernel(arr.ravel())
+    return _shape_like(out, arr)
 
 
 def ptd(t, params: ModelParams):
@@ -103,20 +105,14 @@ def ptd_tail(t, params: ModelParams):
         )
     delta = 1.0 + 1.0 / sb
     pref = math.exp(_lgamma(delta)) / (2.0 * sb * tau0)
-    out = pref * (tau0 / arr) ** delta
-    return float(out) if arr.ndim == 0 else out
-
-
-def _clamp_unit(v):
-    # cancellation in the E1/quadrature branches can overshoot by ~1e-13
-    if isinstance(v, np.ndarray):
-        return np.clip(v, 0.0, 1.0)
-    return min(1.0, max(0.0, v))
+    return _shape_like(pref * (tau0 / arr) ** delta, arr)
 
 
 def sojourn(t, params: ModelParams):
     """Survival probability ``Psi(t) = P(waiting time > t)``, in [0, 1], to :func:`ptd`'s accuracy."""
-    return _clamp_unit(_map_times(params.weight.sojourn_kernel(params.tau0, params.beta), t))
+    kernel = params.weight.sojourn_kernel(params.tau0, params.beta)
+    # cancellation in the E1/quadrature branches can overshoot by ~1e-13
+    return _map_times(lambda x: np.clip(kernel(x), 0.0, 1.0), t)
 
 
 def characteristic_time(params: ModelParams) -> float:

@@ -23,6 +23,7 @@ from .core import (
     QMomentCurve,
     _check_q_grid,
     _lgamma,
+    _shape_like,
 )
 from .moments import HMFParams, MFParams
 
@@ -263,5 +264,4 @@ def scale_q(q, market: HMFParams, reference: HMFParams):
         raise ModelDomainError("order rescaling needs q > 0")
     factor = (reference.b1 / market.b1) ** (market.alpha - 1.0)
     expo = (market.alpha - 1.0) / (reference.alpha - 1.0)
-    out = factor * arr ** expo
-    return float(out) if arr.ndim == 0 else out
+    return _shape_like(factor * arr ** expo, arr)

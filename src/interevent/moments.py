@@ -28,6 +28,7 @@ from .core import (
     UnsupportedModelError,
     _lgamma,
     _log_peak_quad,  # noqa: F401  kept for bench/workloads.py, which patches this name
+    _shape_like,
     log_iq_quadrature,
 )
 
@@ -177,15 +178,19 @@ class Scales:
 # ---------------------------------------------------------------------------
 
 
-def _check_order(q: float) -> None:
-    if not (math.isfinite(q) and q > -1.0):
-        raise DivergentMomentError(f"moments exist only for q > -1 (got q = {q})")
+def _check_order(q) -> None:
+    # the first order of a scalar or array q that is not finite and above -1 is named in the error
+    q = np.asarray(q, dtype=float)
+    bad = q[~(np.isfinite(q) & (q > -1.0))]
+    if bad.size:
+        raise DivergentMomentError(f"moments exist only for q > -1 (got q = {float(bad[0])})")
 
 
 def _safe_exp(x: float) -> float:
-    if x > 709.0:
+    try:
+        return math.exp(x)
+    except OverflowError:
         return math.inf
-    return math.exp(x)
 
 
 def _log_scale(params: ModelParams) -> float:
@@ -198,9 +203,12 @@ def _log_scale(params: ModelParams) -> float:
 # ---------------------------------------------------------------------------
 
 
-def iq_quadrature(q: float, alpha: float, beta_sigma: float) -> float:
-    """The generating integral I(q) by the stretched family's tanh-sinh quadrature."""
-    return _safe_exp(log_iq_quadrature(q, alpha, beta_sigma))
+def iq_quadrature(q, alpha: float, beta_sigma: float):
+    """The generating integral I(q) by the stretched family's tanh-sinh quadrature, for a scalar
+    ``q`` or elementwise for an array of orders; ``inf`` where it overflows."""
+    q = np.asarray(q, dtype=float)
+    with np.errstate(over="ignore"):
+        return _shape_like(np.exp(log_iq_quadrature(q, alpha, beta_sigma)), q)
 
 
 # The term budget n* + 12 w + 8/c of moment_stretched_series, and the most terms it sums:
@@ -400,38 +408,38 @@ def scales(params: ModelParams) -> Scales:
 # ---------------------------------------------------------------------------
 
 
-def log_norm_moment(q: float, params: ModelParams) -> float:
-    """``ln(<t^q> / Gamma(1+q)) = q ln(tau0) + ln E[exp(q beta eps)]`` for any weight
-    family (exact 0 at q = 0)."""
+def log_norm_moment(q, params: ModelParams):
+    """``ln(<t^q> / Gamma(1+q)) = q ln(tau0) + ln E[exp(q beta eps)]`` for any weight family, for
+    a scalar ``q`` or elementwise on an array of orders: exact 0 at q = 0, one ``log_mgf`` call."""
+    q = np.asarray(q, dtype=float)
     _check_order(q)
-    if q == 0.0:
-        return 0.0
-    return q * math.log(params.tau0) + float(params.weight.log_mgf(np.array([q * params.beta]))[0])
+    s = q.ravel()
+    out = np.zeros(s.shape)
+    nz = s != 0.0
+    if nz.any():  # <t^0> = 1 also where every other moment diverges
+        out[nz] = s[nz] * math.log(params.tau0) + params.weight.log_mgf(s[nz] * params.beta)
+    return _shape_like(out, q)
 
 
-def moment(q: float, params: ModelParams) -> float:
-    """``<t^q>`` for any weight family: closed form, or for the stretched weight
-    with alpha != 2 the generating integral by the fixed tanh-sinh rule of
-    :func:`log_iq_quadrature`."""
-    _check_order(q)
-    return _safe_exp(_lgamma(1.0 + q) + log_norm_moment(q, params))
+def moment(q, params: ModelParams):
+    """``<t^q>`` for any weight family, for a scalar ``q`` or elementwise for an array of orders:
+    closed form, or for the stretched weight with alpha != 2 the generating integral by the
+    fixed tanh-sinh rule of :func:`log_iq_quadrature`; ``inf`` where it overflows."""
+    q = np.asarray(q, dtype=float)
+    log_m = log_norm_moment(q.ravel(), params)
+    log_m += [_lgamma(1.0 + x) for x in q.ravel().tolist()]
+    with np.errstate(over="ignore"):
+        return _shape_like(np.exp(log_m), q)
 
 
 def _as_q_grid(q_grid) -> np.ndarray:
-    q = np.atleast_1d(np.asarray(q_grid, dtype=float))
-    return q
+    return np.atleast_1d(np.asarray(q_grid, dtype=float))
 
 
 def model_curve(q_grid, params: ModelParams) -> QMomentCurve:
-    """Analytic normalized log-moment curve for a weight family: :func:`log_norm_moment` at
-    each order, with the whole grid passed to the weight's ``log_mgf`` in one call."""
+    """Analytic normalized log-moment curve for a weight family: :func:`log_norm_moment` on it."""
     q = _as_q_grid(q_grid)
-    bad = q[~(np.isfinite(q) & (q > -1.0))]
-    if bad.size:
-        _check_order(float(bad[0]))
-    vals = q * math.log(params.tau0) + params.weight.log_mgf(q * params.beta)
-    vals[q == 0.0] = 0.0
-    return QMomentCurve(q_grid=q, log_norm_moment=vals, n_samples=0)
+    return QMomentCurve(q_grid=q, log_norm_moment=log_norm_moment(q, params), n_samples=0)
 
 
 def mf_curve(q_grid, p: MFParams) -> QMomentCurve:

@@ -227,6 +227,39 @@ def test_characteristic_time():
     assert iv.characteristic_time(ps) == pytest.approx(iv.moment(1.0, ps), rel=1e-10)
 
 
+# 30-digit mpmath of (1/(2 hw)) int exp(-t exp(-eps)) deps over [-hw, hw], below the cut at
+# half_width*beta = 1e-3 where the survival integrates on the tanh-sinh nodes
+NARROW_UNIFORM_SOJ = [
+    (5e-4, 0.3, 0.7408182141995585030488),
+    (5e-4, 1.7, 0.1826835331107924708448),
+    (5e-4, 6.0, 0.002478755275106896846085),
+    (5e-4, 50.0, 1.928946746720226055294e-22),
+    (2e-4, 0.3, 0.7408182196445723588519),
+    (2e-4, 1.7, 0.1826835255020239347192),
+    (2e-4, 6.0, 0.002478752672416801886624),
+    (2e-4, 50.0, 1.928781351019991882548e-22),
+]
+
+
+@pytest.mark.parametrize("hw, t, expected", NARROW_UNIFORM_SOJ)
+def test_uniform_narrow_width_mpmath_reference(hw, t, expected):
+    assert iv.sojourn(t, _uniform(hw)) == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("t", [5e-324, 1e-312])
+def test_laplace_at_a_subnormal_time(t):
+    # z**(-a) Gamma(a, z) at the recurrence's base order overflows here though the step's
+    # z**(1-a) Gamma(a, z) does not.  Below beta*sigma = 1/2 the density is at its t -> 0 limit
+    # 1/(1 - (beta*sigma)**2) to rounding; above, it is finite and rising to inf at 0
+    assert iv.ptd(t, _laplace(0.4921875)) == 1.3196939186467982
+    for sb in np.linspace(0.05, 3.0, 600).tolist():
+        psi = iv.ptd(t, _laplace(sb))
+        if sb < 0.5:
+            assert psi == pytest.approx(1.0 / (1.0 - sb * sb), rel=1e-14), sb
+        assert 0.0 < psi < math.inf, sb
+        assert iv.sojourn(t, _laplace(sb)) == pytest.approx(1.0, rel=1e-14), sb
+
+
 def test_uniform_narrow_width_fallback_is_continuous():
     # the quadrature fallback below half_width*beta = 1e-3 must join smoothly
     t = np.array([0.3, 1.7, 6.0])

@@ -42,6 +42,7 @@ def test_weight_family_contract(family):
             iv.characteristic_time(q)
         with pytest.raises(iv.DivergentMomentError):
             iv.moment(1.0, q)
+        assert iv.moment(0.0, q) == 1.0 and iv.log_norm_moment(0.0, q) == 0.0
 
 
 def test_model_params_rejects_unknown_family():
@@ -75,3 +76,24 @@ def test_density_and_moment_api_takes_no_tolerance(call):
     p = iv.ModelParams(weight=FINITE_MEAN[iv.StretchedExp], tau0=1.3, beta=0.9)
     with pytest.raises(TypeError):
         call(p)
+
+
+# weights whose maps take every branch: the Uniform series below u = 1e-8 and the narrow-width
+# quadrature, both sides of the incomplete gammas' series cut, and a density infinite at 0
+ONE_PATH = [
+    iv.Delta(mu=0.3),
+    iv.Uniform(half_width=1.5),
+    iv.Uniform(half_width=5e-4),
+    iv.Laplace(sigma=0.3),
+    iv.Laplace(sigma=0.6),
+    iv.Laplace(sigma=1.5),
+    iv.StretchedExp(mu=0.2, sigma=0.8, alpha=1.6),
+]
+
+
+@pytest.mark.parametrize("weight", ONE_PATH, ids=repr)
+def test_kernels_on_a_grid_equal_their_batches_of_one(weight):
+    t = np.array([0.0, 5e-324, 1e-9, 0.3, 1.7, 6.0, 50.0, 700.0])
+    for kernel in (weight.ptd_kernel(1.3, 0.9), weight.sojourn_kernel(1.3, 0.9)):
+        whole = kernel(t)
+        assert whole.tobytes() == np.concatenate([kernel(t[i:i + 1]) for i in range(t.size)]).tobytes()

@@ -360,3 +360,67 @@ def test_log_norm_moment_zero_order_is_exact_zero():
         _stretched(1.5, 1.0, 1.0, 0.8),
     ):
         assert iv.log_norm_moment(0.0, p) == 0.0
+
+
+ONE_PATH = {
+    "delta": iv.ModelParams(weight=iv.Delta(mu=0.3), tau0=1.5, beta=1.0),
+    "uniform": iv.ModelParams(weight=iv.Uniform(half_width=1.0), tau0=1.0, beta=1.2),
+    "uniform_narrow": iv.ModelParams(weight=iv.Uniform(half_width=2e-4)),
+    "laplace": iv.ModelParams(weight=iv.Laplace(sigma=0.25), tau0=0.7, beta=1.0),
+    "stretched": _stretched(1.5, 1.0, 1.0, 0.8),
+    "gaussian": _stretched(2.0, 0.9, 1.2, 1.0, mu=0.1),
+}
+
+
+@pytest.mark.parametrize("p", ONE_PATH.values(), ids=ONE_PATH.keys())
+def test_moment_entry_points_on_a_grid_equal_their_scalar_calls(p):
+    q = np.array([[0.0, 0.4, 1.0], [2.5, -0.5, 3.0]])
+    for fn in (iv.moment, iv.log_norm_moment):
+        whole = fn(q, p)
+        assert whole.shape == q.shape
+        single = [fn(x, p) for x in q.ravel().tolist()]
+        assert all(type(v) is float for v in single)
+        assert whole.tobytes() == np.array(single).reshape(q.shape).tobytes()
+        assert fn(q[0], p).tobytes() == whole[0].tobytes()
+    assert iv.model_curve(q[0], p).log_norm_moment.tobytes() == iv.log_norm_moment(q[0], p).tobytes()
+
+
+def test_iq_quadrature_on_a_grid_equals_its_scalar_calls():
+    # ln I(7) at beta*sigma = 3 is about 1370, past the float range: I is inf there, with no warning
+    q = np.array([[0.0, -0.5, 2.0], [4.0, 5.0, 7.0]])
+    whole = iv.iq_quadrature(q, 1.5, 3.0)
+    assert whole.shape == q.shape
+    single = [iv.iq_quadrature(x, 1.5, 3.0) for x in q.ravel().tolist()]
+    assert all(type(v) is float for v in single)
+    assert whole.tobytes() == np.array(single).reshape(q.shape).tobytes()
+    assert whole[1, 2] == math.inf and math.isfinite(whole[1, 1])
+
+
+@pytest.mark.parametrize("fn", [iv.moment, iv.log_norm_moment, iv.model_curve])
+def test_order_grid_error_names_its_first_bad_order(fn):
+    p = ONE_PATH["delta"]
+    with pytest.raises(DivergentMomentError, match=r"got q = -3\.0\)"):
+        fn(np.array([-3.0, -1.0, 0.5]), p)
+    with pytest.raises(DivergentMomentError, match=r"got q = nan\)"):
+        fn(np.array([0.5, np.nan]), p)
+
+
+# 30-digit ln(sinh(x)/x) at x = q*half_width, where sinh(x)/x lies within 1e-8 to 0.05 of 1
+@pytest.mark.parametrize("hw,q,expected", [
+    (2e-4, 0.6, 2.399999998848000001053e-9),
+    (2e-4, 2.5, 4.166666631944444995591e-8),
+    (2e-4, 30.0, 0.000005999992800016457098423),
+    (0.05, 1.0, 0.0004166319499548750984943),
+    (0.05, 10.0, 0.04132485461291810897836),
+])
+def test_uniform_log_moment_keeps_its_digits_near_zero_reach(hw, q, expected):
+    p = iv.ModelParams(weight=iv.Uniform(half_width=hw))
+    assert iv.log_norm_moment(q, p) == pytest.approx(expected, rel=1e-14, abs=0.0)
+
+
+def test_moment_mf_is_finite_up_to_the_float_range():
+    # ln <t^q> = 709.5 here, and exp is finite up to about 709.78
+    p = iv.MFParams(alpha=2.0, c0=0.0, b=1.0)
+    q = 25.49303523102282
+    assert iv.log_moment_mf(q, p) == 709.5
+    assert iv.moment_mf(q, p) == math.exp(709.5)
