@@ -20,11 +20,12 @@ def main():
     print("series vs quadrature at beta*sigma = 1.2, alpha = 1.5")
     params = iv.ModelParams(weight=iv.StretchedExp(mu=0.0, sigma=1.2, alpha=ALPHA), tau0=1.0, beta=1.0)
     norm = 2.0 * math.gamma(1.0 + 1.0 / ALPHA)
-    for q in (0.5, 1.0, 2.0, 3.0):
-        series = iv.moment_stretched_series(q, params)
-        quad = math.gamma(1.0 + q) * iv.iq_quadrature(q, ALPHA, 1.2) / norm
-        print(f"  q = {q:3.1f}  series = {series.value:.12e}  ({series.terms_used:3d} terms)"
-              f"  quadrature = {quad:.12e}  rel diff = {abs(series.value / quad - 1):.2e}")
+    orders = np.array([0.5, 1.0, 2.0, 3.0])
+    series = iv.moment_stretched_series(orders, params)
+    quad = np.array([math.gamma(1.0 + q) for q in orders]) * iv.iq_quadrature(orders, ALPHA, 1.2) / norm
+    for q, value, terms, exact in zip(orders, series.value, series.terms_used, quad):
+        print(f"  q = {q:3.1f}  series = {value:.12e}  ({terms:3d} terms)"
+              f"  quadrature = {exact:.12e}  rel diff = {abs(value / exact - 1):.2e}")
 
     print()
     print("saddle-point error at q = 2 as the scale parameter grows")
@@ -50,7 +51,7 @@ def main():
     q = np.linspace(0.1, 5.0, 60)
     beta_sigma = 3.0
     exact = iv.iq_quadrature(q, ALPHA, beta_sigma)
-    sp = np.array([iv.saddlepoint_iq(qi, ALPHA, beta_sigma).value for qi in q])
+    sp = iv.saddlepoint_iq(q, ALPHA, beta_sigma).value
     fig, ax = plt.subplots(figsize=(6, 4.5))
     ax.semilogy(q, exact, label="quadrature")
     ax.semilogy(q, sp, "--", label="saddle point")

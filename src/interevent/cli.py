@@ -38,16 +38,7 @@ from dataclasses import fields
 import numpy as np
 
 from . import densities, empirical, fitting, moments
-from .core import (
-    AsymptoticRangeWarning,
-    Delta,
-    Laplace,
-    ModelParams,
-    QMomentCurve,
-    SeriesTruncationWarning,
-    StretchedExp,
-    Uniform,
-)
+from .core import Delta, Laplace, ModelParams, QMomentCurve, StretchedExp, Uniform
 from .simulate import SimConfig, generate_series
 
 __all__ = ["run", "main", "entry"]
@@ -322,6 +313,15 @@ def _cmd_ptd(args) -> int:
     return 0
 
 
+# model -> its log-moment route, which also marks the orders that the note counts, and the note
+_NOTED_ROUTES = {
+    "series": (moments._series_log_norm_moment,
+               "series tail bound above float64 precision at {} order(s)"),
+    "saddle": (moments._saddle_log_norm_moment, "saddle point kept leading order at {} order(s) "
+               "where its next-order factor is out of range"),
+}
+
+
 def _cmd_moments(args) -> int:
     _require(args, "--model")
     model = args.model
@@ -336,27 +336,14 @@ def _cmd_moments(args) -> int:
             flags = [f"--{name}" for name in names]
             raise UsageError(f"--model {model} needs {', '.join(flags[:-1])} and {flags[-1]}")
         values = law(*given).log_norm_moment(q)
-    elif model == "series":
-        params = _model_params(args, "--model")
-        with warnings.catch_warnings(record=True) as truncated:
-            warnings.simplefilter("always", SeriesTruncationWarning)
-            values = np.array([moments._series_log_norm_moment(float(qi), params) for qi in q])
-        if truncated:
-            print(
-                f"note: series tail bound above float64 precision at {len(truncated)} order(s)",
-                file=sys.stderr,
-            )
-    elif model == "saddle":
-        params = _model_params(args, "--model")
-        with warnings.catch_warnings(record=True) as out_of_range:
-            warnings.simplefilter("always", AsymptoticRangeWarning)
-            values = np.array([moments._saddle_log_norm_moment(float(qi), params) for qi in q])
-        if out_of_range:
-            print(
-                f"note: saddle point kept leading order at {len(out_of_range)} order(s) "
-                "where its next-order factor is out of range",
-                file=sys.stderr,
-            )
+    elif model in _NOTED_ROUTES:
+        route, note = _NOTED_ROUTES[model]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # counted in the note below
+            values, noted = route(q, _model_params(args, "--model"))
+        count = np.count_nonzero(noted)
+        if count:
+            print(f"note: {note.format(count)}", file=sys.stderr)
     else:
         params = _model_params(args, "--model")
         values = moments.model_curve(q, params).log_norm_moment
@@ -526,17 +513,12 @@ def _cmd_collapse(args) -> int:
         if "hmf" not in matches[0]:
             raise UsageError(f"reference dataset '{ref_name}' has no hmf parameter block")
 
-    quantities = args.quantities or cfg.get("quantities")
-    if quantities is None:
-        quantities = [
-            quantity for quantity in _COLLAPSE_QUANTITIES
-            if all(_collapse_ready(quantity, d, shared) for d in datasets)
-        ]
-        if not quantities:
-            raise UsageError("no collapse quantity is computable from the config")
-    unknown = set(quantities) - set(_COLLAPSE_QUANTITIES)
-    if unknown:
-        raise UsageError(f"unknown collapse quantities: {sorted(unknown)}")
+    quantities = args.quantities or [
+        quantity for quantity in _COLLAPSE_QUANTITIES
+        if all(_collapse_ready(quantity, d, shared) for d in datasets)
+    ]
+    if not quantities:
+        raise UsageError("no collapse quantity is computable from the config")
 
     curves = {}
     for d in datasets:
@@ -594,15 +576,27 @@ def _apply_config_defaults(parser, registry, args, argv):
             raise UsageError(f"config is not valid JSON: {e}")
     if not isinstance(cfg, dict):
         raise UsageError("config must be a JSON object")
-    sub = registry[args.command]
-    valid = {a.dest for a in sub._actions}
-    flat = {k: v for k, v in cfg.items() if k in valid}
+    flags = {a.dest: a for a in registry[args.command]._actions
+             if a.option_strings and a.dest not in ("help", "config")}
     if args.command != "collapse":
-        unknown = set(cfg) - valid
+        unknown = set(cfg) - set(flags)
         if unknown:
             raise UsageError(f"config keys not recognized for '{args.command}': {sorted(unknown)}")
-    sub.set_defaults(**flat)
-    return parser.parse_args(argv)
+    # each value becomes flag tokens ahead of the explicit flags, so argparse checks its type and
+    # choices and a later explicit flag wins; null leaves the flag's default
+    tokens = []
+    for key, value in cfg.items():
+        if key not in flags or value is None:
+            continue
+        flag = flags[key].option_strings[0]
+        if flags[key].nargs == "+":
+            if not isinstance(value, list):
+                raise UsageError(f"config key '{key}' must be a list")
+            tokens += [flag, *map(str, value)]
+        else:
+            tokens.append(f"{flag}={value}")
+    at = argv.index(args.command) + 1
+    return parser.parse_args(argv[:at] + tokens + argv[at:])
 
 
 def run(argv) -> int:

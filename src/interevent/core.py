@@ -14,7 +14,7 @@ times.  The closed forms are numpy on that array.  The stretched family's psi,
 Psi and ln I(q) are one integral, :func:`_peak_nodes`, which takes arrays of
 points: its peak and cut searches run on every point in lockstep, and one
 tanh-sinh rule is summed over all their panels, ``_BLOCK`` points at a time.
-A single point is a batch of one, and :func:`_shape_like` hands it back as a float.
+A single point is a batch of one, and :func:`_shape_like` hands it back as a scalar.
 
 Log-gamma values come from ``math.lgamma`` (through :func:`_lgamma`).  No
 module of the package imports ``scipy`` at import time: only the Uniform
@@ -474,11 +474,16 @@ def _lgamma(x: float) -> float:
         return math.inf
 
 
+def _lgamma1p(q: np.ndarray) -> np.ndarray:
+    """``ln Gamma(1 + q)`` elementwise on an array of orders, through :func:`_lgamma`."""
+    return np.array(list(map(_lgamma, (q.ravel() + 1.0).tolist()))).reshape(q.shape)
+
+
 def _shape_like(values, arr: np.ndarray):
-    """``values`` in the shape of ``arr``, or a float where ``arr`` is 0-d: every public entry point
-    computes on a 1-d array, and a scalar is a batch of one."""
-    values = np.reshape(values, arr.shape)
-    return float(values) if arr.ndim == 0 else values
+    """``values`` in the shape of ``arr``, or a Python ``float``/``int``/``bool`` where ``arr`` is
+    0-d: every public entry point computes on a 1-d array, and a scalar is a batch of one."""
+    values = np.asarray(values)
+    return values.item() if arr.ndim == 0 else values.reshape(arr.shape)
 
 
 def scaled_lower_incomplete_gamma(a: float, z):

@@ -22,7 +22,7 @@ from .core import (
     ModelDomainError,
     QMomentCurve,
     _check_q_grid,
-    _lgamma,
+    _lgamma1p,
     _shape_like,
 )
 from .moments import HMFParams, MFParams
@@ -133,7 +133,7 @@ def empirical_qmoments(series: EventSeries, q_grid=None) -> QMomentCurve:
     orders, where = np.unique(np.concatenate((q, 2.0 * q)), return_inverse=True)
     log_means = _log_power_means(log_t, orders)[where]
     log_mean, log_mean2 = log_means[: q.size], log_means[q.size :]
-    values = log_mean - np.array([_lgamma(1.0 + x) for x in q.tolist()])
+    values = log_mean - _lgamma1p(q)
     values[q == 0.0] = 0.0
     ratio = np.exp(np.minimum(log_mean2 - 2.0 * log_mean, 700.0))
     stderr = np.sqrt(np.maximum(ratio - 1.0, 0.0) / n)
@@ -173,7 +173,8 @@ def empirical_sojourn(series: EventSeries, t_grid):
     """Fraction of durations exceeding each grid time (the survival estimate)."""
     if len(series) == 0:
         raise ValueError("cannot estimate the survival function of an empty series")
-    t = np.atleast_1d(np.asarray(t_grid, dtype=float))
+    grid = np.asarray(t_grid, dtype=float)
+    t = np.atleast_1d(grid)
     if np.any(np.isnan(t)):
         raise ValueError("t_grid must not contain NaN")
     if np.any(t < 0):
@@ -186,7 +187,7 @@ def empirical_sojourn(series: EventSeries, t_grid):
     n = ordered.size
     exceed = n - np.searchsorted(ordered, t, side="right")
     psi = exceed / n
-    return float(psi[0]) if np.ndim(t_grid) == 0 else psi
+    return _shape_like(psi, grid)
 
 
 # ---------------------------------------------------------------------------

@@ -273,12 +273,13 @@ def _nls(law, values, x, y, w, theta0, domain, weighted) -> FitResult:
 
     res = least_squares(residual, theta0, jac=jac, bounds=law.bounds)
     rss = float(2.0 * res.cost)
-    cov = np.linalg.pinv(res.jac.T @ res.jac)
+    # diag(pinv(J^T J)) from one SVD of J, zeroing s_i^2 <= 1e-15 s_max^2 as pinv does
+    _, sv, vt = np.linalg.svd(res.jac, full_matrices=False)
+    var = np.divide(1.0, sv**2, out=np.zeros_like(sv), where=sv**2 > 1e-15 * sv[0] ** 2) @ vt**2
     dof = len(x) - res.jac.shape[1]
     if not weighted:
-        cov = cov * (rss / dof if dof > 0 else np.nan)
-    with np.errstate(invalid="ignore"):
-        stderr = np.sqrt(np.diag(cov))
+        var = var * (rss / dof if dof > 0 else np.nan)
+    stderr = np.sqrt(var)
     flags = []
     for f, e, lo, hi in zip(fields(law), res.x, *law.bounds):
         for side, bound in (("lower", lo), ("upper", hi)):
@@ -292,7 +293,7 @@ def _nls(law, values, x, y, w, theta0, domain, weighted) -> FitResult:
         flags=tuple(flags),
         nfev=int(res.nfev),
         status=int(res.status),
-        jac_cond=float(np.linalg.cond(res.jac)),
+        jac_cond=float(sv[0] / sv[-1]) if sv[-1] > 0 else math.inf,
     )
 
 

@@ -27,6 +27,7 @@ from .core import (
     StretchedExp,
     UnsupportedModelError,
     _lgamma,
+    _lgamma1p,
     _log_peak_quad,  # noqa: F401  kept for bench/workloads.py, which patches this name
     _shape_like,
     log_iq_quadrature,
@@ -138,7 +139,8 @@ class SaddlePointResult:
     ``h2_x0`` the rescaled exponent and its (positive) second derivative there.
     ``correction`` is the next-order Laplace factor; ``prefactor`` includes it
     when ``|correction - 1| <= SADDLE_CORRECTION_BOUND`` and is leading order
-    otherwise.
+    otherwise.  ``lam`` and ``exponent_coeff`` are floats; every other field has
+    the shape of q, and is a float for a scalar q.
     """
 
     value: float
@@ -155,7 +157,8 @@ class SaddlePointResult:
 @dataclass(frozen=True)
 class SeriesMomentResult:
     """Stretched-weight moment from its series; ``log_value`` stays finite where ``value``
-    overflows, and ``converged`` is the tail bound's verdict (:func:`moment_stretched_series`)."""
+    overflows, and ``converged`` is the tail bound's verdict (:func:`moment_stretched_series`).
+    Each field has the shape of q, and is a Python float, int or bool for a scalar q."""
 
     value: float
     log_value: float
@@ -181,16 +184,9 @@ class Scales:
 def _check_order(q) -> None:
     # the first order of a scalar or array q that is not finite and above -1 is named in the error
     q = np.asarray(q, dtype=float)
-    bad = q[~(np.isfinite(q) & (q > -1.0))]
-    if bad.size:
-        raise DivergentMomentError(f"moments exist only for q > -1 (got q = {float(bad[0])})")
-
-
-def _safe_exp(x: float) -> float:
-    try:
-        return math.exp(x)
-    except OverflowError:
-        return math.inf
+    ok = (q > -1.0) & (q < math.inf)
+    if not ok.all():
+        raise DivergentMomentError(f"moments exist only for q > -1 (got q = {float(q[~ok][0])})")
 
 
 def _log_scale(params: ModelParams) -> float:
@@ -218,8 +214,8 @@ _SERIES_FALL = 8.0
 _SERIES_MAX_TERMS = 2**16
 
 
-def moment_stretched_series(q: float, params: ModelParams) -> SeriesMomentResult:
-    """Even-order series for the stretched-weight moment, summed to its own term budget.
+def moment_stretched_series(q, params: ModelParams) -> SeriesMomentResult:
+    """Even-order series for the stretched-weight moment, elementwise on a scalar or array ``q``.
 
     ``<t^q> = Gamma(1+q) (tau0 l)^q / Gamma(1/alpha) * sum_n T_n`` with
     ``T_n = Gamma((2n+1)/alpha) x^(2n) / (2n)!`` and ``x = |q| beta sigma``.
@@ -229,9 +225,10 @@ def moment_stretched_series(q: float, params: ModelParams) -> SeriesMomentResult
     ``N = n* + 12 w + 8/c`` are built as one array of logs and summed by one
     shifted exp-sum.  Past the peak the term ratio r falls, so the tail is at
     most ``T_N r/(1-r)``; ``converged`` says that is below float64 epsilon of
-    the sum, and a :class:`SeriesTruncationWarning` comes where it is not.  A
-    budget above ``2**16`` terms (from x of about 65 at alpha = 1.5, 8 at 1.2)
-    raises :class:`ModelDomainError`; :func:`log_norm_moment` has those orders.
+    the sum, and one :class:`SeriesTruncationWarning` counts the orders where
+    it is not.  The first order with a budget above ``2**16`` terms (x of about
+    65 at alpha = 1.5, 8 at 1.2) raises :class:`ModelDomainError`;
+    :func:`log_norm_moment` has those orders.
     """
     w = params.weight
     if not isinstance(w, StretchedExp):
@@ -240,45 +237,58 @@ def moment_stretched_series(q: float, params: ModelParams) -> SeriesMomentResult
         raise DivergentMomentError(
             f"stretched-weight moments diverge for alpha <= 1 (got {w.alpha})"
         )
+    q = np.asarray(q, dtype=float)
     _check_order(q)
-    alpha = w.alpha
-    x = abs(q) * params.beta * w.sigma
-    log_terms = np.array([math.lgamma(1.0 / alpha)])
-    if x > 0.0:
-        c = 2.0 * (alpha - 1.0) / alpha
-        peak = 0.5 * _safe_exp((2.0 * math.log(x) - 2.0 / alpha * math.log(alpha)) / c)
-        budget = peak + _SERIES_WIDTHS * math.sqrt(peak / c) + _SERIES_FALL / c
+    alpha, s = w.alpha, q.ravel()
+    c = 2.0 * (alpha - 1.0) / alpha
+    front = _log_scale(params), math.lgamma(1.0 / alpha)  # ln(tau0 l) and ln Gamma(1/alpha)
+    log_x, sizes, log_value, converged = [], [], [], []
+    for qi in s.tolist():
+        x = abs(qi) * params.beta * w.sigma
+        lx = math.log(x) if x > 0.0 else 0.0  # at x = 0 only the term n = 0 is summed
+        arg = (2.0 * lx - 2.0 / alpha * math.log(alpha)) / c
+        peak = 0.5 * math.exp(arg) if arg < 709.0 else math.inf
+        budget = peak + _SERIES_WIDTHS * math.sqrt(peak / c) + _SERIES_FALL / c if x > 0.0 else 0.0
         if not budget <= _SERIES_MAX_TERMS:
-            raise ModelDomainError(f"the stretched series at q = {q} needs about {budget:.3g} "
+            raise ModelDomainError(f"the stretched series at q = {qi} needs about {budget:.3g} "
                                    f"terms, more than its cap of {_SERIES_MAX_TERMS}")
-        n = np.arange(int(budget) + 1)
-        log_terms = 2.0 * math.log(x) * n + [
-            math.lgamma((2 * k + 1) / alpha) - math.lgamma(2 * k + 1) for k in n.tolist()]
-    top = log_terms.max()
-    log_sum = float(top + math.log(np.exp(log_terms - top).sum()))
-    # ln r of the last two terms, and the tail bound T_N r / (1 - r) against 2**-52 of the sum
-    log_ratio = float(log_terms[-1] - log_terms[-2]) if log_terms.size > 1 else -math.inf
-    converged = log_ratio < 0.0 and (log_terms[-1] + log_ratio - math.log1p(-math.exp(log_ratio))
-                                     - log_sum <= -52 * math.log(2.0))
-    if not converged:
-        warnings.warn(f"series at q = {q} ends after {log_terms.size} terms with a tail bound "
-                      "above float64 epsilon of its sum", SeriesTruncationWarning, stacklevel=2)
-    log_value = _lgamma(1.0 + q) + q * _log_scale(params) - math.lgamma(1.0 / alpha) + log_sum
-    return SeriesMomentResult(value=_safe_exp(log_value), log_value=log_value,
-                              terms_used=log_terms.size, converged=bool(converged))
+        log_x.append(lx)
+        sizes.append(int(budget) + 1)
+    # the part of ln T_n free of q, once up to the largest budget
+    n = np.arange(max(sizes))
+    free = np.array([math.lgamma(k / alpha) - math.lgamma(k) for k in range(1, 2 * n.size, 2)])
+    for qi, lx, size in zip(s.tolist(), log_x, sizes):
+        log_terms = 2.0 * lx * n[:size] + free[:size]
+        top = float(log_terms.max())
+        log_sum = top + math.log(np.exp(log_terms - top).sum())
+        # ln r of the last two terms, and the tail bound T_N r / (1 - r) against 2**-52 of the sum
+        last = log_terms[-2:].tolist()
+        log_ratio = last[-1] - last[0] if size > 1 else -math.inf
+        converged.append(log_ratio < 0.0 and last[-1] + log_ratio
+                         - math.log1p(-math.exp(log_ratio)) - log_sum <= -52 * math.log(2.0))
+        log_value.append(_lgamma(1.0 + qi) + qi * front[0] - front[1] + log_sum)
+    if not all(converged):
+        i = converged.index(False)
+        warnings.warn(f"series tail bound above float64 epsilon of its sum at "
+                      f"{converged.count(False)} order(s), the first at q = {float(s[i])} after "
+                      f"{sizes[i]} terms", SeriesTruncationWarning, stacklevel=2)
+    with np.errstate(over="ignore"):
+        value = np.exp(log_value)
+    return SeriesMomentResult(*(_shape_like(v, q) for v in (value, log_value, sizes, converged)))
 
 
-def _series_log_norm_moment(q: float, params: ModelParams) -> float:
-    """``ln(<t^q> / Gamma(1+q))`` of a stretched weight from :func:`moment_stretched_series`."""
-    return moment_stretched_series(q, params).log_value - _lgamma(1.0 + q)
+def _series_log_norm_moment(q, params: ModelParams):
+    """``ln(<t^q>/Gamma(1+q))`` by :func:`moment_stretched_series`, and its unconverged orders."""
+    res = moment_stretched_series(q, params)
+    return res.log_value - _lgamma1p(np.asarray(q, dtype=float)), np.logical_not(res.converged)
 
 
 # Largest |correction - 1| at which the next-order saddle-point factor is applied.
 SADDLE_CORRECTION_BOUND = 0.5
 
 
-def saddlepoint_iq(q: float, alpha: float, beta_sigma: float) -> SaddlePointResult:
-    """Laplace-method approximation of the generating integral I(q), to next order.
+def saddlepoint_iq(q, alpha: float, beta_sigma: float) -> SaddlePointResult:
+    """Laplace-method approximation of I(q) to next order, elementwise on a scalar or array ``q``.
 
     In the rescaled variable ``I(q) = lam**(1/alpha) * int exp(lam f(x)) dx``
     with ``f(x) = q x - |x|**alpha``, maximal at ``x0``.  The leading order
@@ -296,9 +306,9 @@ def saddlepoint_iq(q: float, alpha: float, beta_sigma: float) -> SaddlePointResu
     without bound as ``lam |q|**(alpha/(alpha-1)) -> 0``.  Where
     ``|correction - 1| > SADDLE_CORRECTION_BOUND`` (0.5) the factor is not
     applied: the leading order is returned, ``correction`` still reports the
-    factor, and :class:`AsymptoticRangeWarning` is raised.  The bound is below
-    1, so ``prefactor`` stays positive.  Raises at q = 0 where the expansion
-    degenerates.
+    factor, and one :class:`AsymptoticRangeWarning` counts those orders.  The
+    bound is below 1, so ``prefactor`` stays positive.  Raises at the first
+    order that is 0, where the expansion degenerates, or not finite.
     """
     if not alpha > 1:
         raise DivergentMomentError(
@@ -306,54 +316,49 @@ def saddlepoint_iq(q: float, alpha: float, beta_sigma: float) -> SaddlePointResu
         )
     if not (beta_sigma > 0 and math.isfinite(beta_sigma)):
         raise ModelDomainError("beta_sigma must be positive")
-    if q == 0.0:
-        raise ModelDomainError("saddle point degenerates at q = 0")
-    if not math.isfinite(q):
-        raise ModelDomainError("q must be finite")
+    q = np.asarray(q, dtype=float)
+    s = q.ravel()
+    bad = s[~(np.isfinite(s) & (s != 0.0))]
+    if bad.size:
+        raise ModelDomainError("saddle point degenerates at q = 0" if bad[0] == 0.0 else
+                               "q must be finite")
     gamma = alpha / (alpha - 1.0)
     lam = beta_sigma ** gamma
-    aq = abs(q)
-    x0 = math.copysign((aq / alpha) ** (1.0 / (alpha - 1.0)), q)
-    h_x0 = -(alpha - 1.0) * (aq / alpha) ** gamma
-    h2_x0 = alpha * (alpha - 1.0) * (aq / alpha) ** ((alpha - 2.0) / (alpha - 1.0))
-    prefactor = lam ** (1.0 / alpha) * math.sqrt(2.0 * math.pi / (lam * h2_x0))
+    aq = np.abs(s)
+    r = aq / alpha  # |x0|**(alpha - 1)
+    x0 = np.copysign(r ** (1.0 / (alpha - 1.0)), s)
+    r_gamma = r ** gamma  # |x0|**alpha
+    h_x0 = -(alpha - 1.0) * r_gamma
+    h2_x0 = alpha * (alpha - 1.0) * r ** ((alpha - 2.0) / (alpha - 1.0))
+    prefactor = lam ** (1.0 / alpha) * np.sqrt(2.0 * math.pi / (lam * h2_x0))
     k = (alpha - 2.0) * (2.0 * alpha - 1.0) / (24.0 * alpha * (alpha - 1.0))
-    scale = lam * (aq / alpha) ** gamma  # lam |x0|**alpha; 0 only on underflow
-    if k == 0.0:
-        correction = 1.0
-    elif scale > 0.0:
-        correction = 1.0 + k / scale
-    else:
-        correction = math.copysign(math.inf, k)
-    if abs(correction - 1.0) <= SADDLE_CORRECTION_BOUND:
-        prefactor *= correction
-    else:
-        warnings.warn(
-            f"saddle point at q = {q}, lam = {lam:.6g}: next-order factor {correction:.6g} "
-            f"is off 1 by more than {SADDLE_CORRECTION_BOUND}; returning the leading order",
-            AsymptoticRangeWarning,
-            stacklevel=2,
-        )
+    with np.errstate(divide="ignore"):  # lam |x0|**alpha is 0 only on underflow: +-inf there
+        correction = 1.0 + k / (lam * r_gamma) if k else np.ones(s.shape)
+    kept = np.abs(correction - 1.0) <= SADDLE_CORRECTION_BOUND
+    prefactor = np.where(kept, prefactor * correction, prefactor)
+    leading = np.flatnonzero(~kept)
+    if leading.size:
+        i = leading[0]
+        warnings.warn(f"saddle point at q = {float(s[i])}, lam = {lam:.6g}: next-order factor "
+                      f"{correction[i]:.6g} is off 1 by more than {SADDLE_CORRECTION_BOUND}; "
+                      f"returning the leading order at {leading.size} order(s)",
+                      AsymptoticRangeWarning, stacklevel=2)
     exponent_coeff = lam * (alpha - 1.0) / alpha ** gamma
-    log_value = math.log(prefactor) + exponent_coeff * aq ** gamma
-    return SaddlePointResult(
-        value=_safe_exp(log_value),
-        log_value=log_value,
-        prefactor=prefactor,
-        exponent_coeff=exponent_coeff,
-        lam=lam,
-        x0=x0,
-        h_x0=h_x0,
-        h2_x0=h2_x0,
-        correction=correction,
-    )
+    log_value = np.log(prefactor) + exponent_coeff * aq ** gamma
+    with np.errstate(over="ignore"):
+        value = np.exp(log_value)
+    value, log_value, prefactor, x0, h_x0, h2_x0, correction = (
+        _shape_like(v, q) for v in (value, log_value, prefactor, x0, h_x0, h2_x0, correction))
+    return SaddlePointResult(value, log_value, prefactor, exponent_coeff, lam, x0, h_x0, h2_x0,
+                             correction)
 
 
-def _saddle_log_norm_moment(q: float, params: ModelParams) -> float:
-    """``ln(<t^q> / Gamma(1+q))`` of a stretched weight with I(q) from :func:`saddlepoint_iq`."""
+def _saddle_log_norm_moment(q, params: ModelParams):
+    """``ln(<t^q>/Gamma(1+q))`` by :func:`saddlepoint_iq`, and the orders kept at leading order."""
     w = params.weight
-    log_iq = saddlepoint_iq(q, w.alpha, params.beta * w.sigma).log_value
-    return q * _log_scale(params) + log_iq - w.log_norm
+    res = saddlepoint_iq(q, w.alpha, params.beta * w.sigma)
+    leading = np.abs(res.correction - 1.0) > SADDLE_CORRECTION_BOUND
+    return np.multiply(q, _log_scale(params)) + res.log_value - w.log_norm, leading
 
 
 # ---------------------------------------------------------------------------
@@ -361,15 +366,18 @@ def _saddle_log_norm_moment(q: float, params: ModelParams) -> float:
 # ---------------------------------------------------------------------------
 
 
-def log_moment_mf(q: float, p: MFParams) -> float:
-    """``ln <t^q> = ln Gamma(1+q) + p.log_norm_moment(q)``, for an MF or HMF law."""
+def log_moment_mf(q, p: MFParams):
+    """``ln <t^q> = ln Gamma(1+q) + p.log_norm_moment(q)``, for an MF or HMF law, for a scalar
+    ``q`` or elementwise for an array of orders."""
+    q = np.asarray(q, dtype=float)
     _check_order(q)
-    return float(_lgamma(1.0 + q) + p.log_norm_moment(q))
+    return _shape_like(_lgamma1p(q.ravel()) + p.log_norm_moment(q.ravel()), q)
 
 
-def moment_mf(q: float, p: MFParams) -> float:
-    """``<t^q> = exp(log_moment_mf(q, p))``, for an MF or HMF law."""
-    return _safe_exp(log_moment_mf(q, p))
+def moment_mf(q, p: MFParams):
+    """``<t^q> = exp(log_moment_mf(q, p))``, for an MF or HMF law; ``inf`` where it overflows."""
+    with np.errstate(over="ignore"):
+        return _shape_like(np.exp(log_moment_mf(np.ravel(q), p)), np.asarray(q))
 
 
 def fd_relation(sigma: float, alpha: float, beta: float) -> float:
@@ -400,7 +408,8 @@ def scales(params: ModelParams) -> Scales:
     gamma = alpha / (alpha - 1.0)
     l = math.exp(params.beta * w.mu)
     b = (alpha - 1.0) * (bs / alpha) ** gamma
-    return Scales(l=l, b=b, L=_safe_exp(b), lam=bs ** gamma)
+    with np.errstate(over="ignore"):
+        return Scales(l=l, b=b, L=float(np.exp(b)), lam=bs ** gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -426,8 +435,7 @@ def moment(q, params: ModelParams):
     closed form, or for the stretched weight with alpha != 2 the generating integral by the
     fixed tanh-sinh rule of :func:`log_iq_quadrature`; ``inf`` where it overflows."""
     q = np.asarray(q, dtype=float)
-    log_m = log_norm_moment(q.ravel(), params)
-    log_m += [_lgamma(1.0 + x) for x in q.ravel().tolist()]
+    log_m = log_norm_moment(q.ravel(), params) + _lgamma1p(q.ravel())
     with np.errstate(over="ignore"):
         return _shape_like(np.exp(log_m), q)
 

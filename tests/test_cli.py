@@ -147,6 +147,15 @@ def test_simulate_bytes_frozen(tmp_path):
     assert digest == "232f49ccabf3e90f7eff4c26e62fccccc32baa061c992847f871202cc05aa88c"
 
 
+def test_moments_series_csv_pinned(tmp_path):
+    # the series' log values on the default grid, byte for byte
+    out = tmp_path / "m.csv"
+    assert cli.run(["moments", "--model", "series", "--sigma", "1", "--alpha", "1.5",
+                    "--out", str(out)]) == 0
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == "0b60adfd7f40699afa850190d99fc396dc04dfe295af68f8bfe386f2f55cad7b"
+
+
 def test_moments_series_keeps_overflowing_orders(tmp_path):
     # <t^q> overflows a float from about q = 8.5 here; its log does not
     r = run_cli(["moments", "--model", "series", "--sigma", "2", "--alpha", "1.5",
@@ -354,6 +363,36 @@ def test_config_rejects_unknown_key(tmp_path):
     r = run_cli(["simulate", "--config", "bad.json"], tmp_path)
     assert r.returncode == 2
     assert "bogus" in r.stderr
+
+
+_CURVE_DATASET = {"datasets": [{"name": "aa", "curve": "curve.csv", "ln_tau": 1.0}]}
+
+
+@pytest.mark.parametrize("command, cfg, extra, flag", [
+    ("simulate", {"weight": "bogus", "sigma": 1, "alpha": 1.5, "n": 5, "seed": 1}, [], "--weight"),
+    ("ptd", {"weight": "delta", "points": 5.5}, [], "--points"),
+    ("fit", {"kind": "bogus"}, ["--input", "s.csv"], "--kind"),
+    ("collapse", dict(_CURVE_DATASET, quantities=[]), [], "--quantities"),
+    ("collapse", dict(_CURVE_DATASET, quantities="mono"), [], "'quantities' must be a list"),
+], ids=["simulate-weight-choice", "ptd-points-type", "fit-kind-choice", "collapse-empty-quantities",
+        "collapse-quantities-string"])
+def test_config_values_get_the_flag_checks(tmp_path, monkeypatch, capsys, command, cfg, extra, flag):
+    # a config value is checked as the flag it stands for would be: a usage error, nothing written
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv(cli.ENV_OUTDIR, raising=False)
+    (tmp_path / "s.csv").write_text("t,psi\n1,0.5\n2,0.25\n3,0.1\n")
+    (tmp_path / "curve.csv").write_text("q,log_norm_moment\n0.5,0.5\n1.0,1.0\n")
+    (tmp_path / "c.json").write_text(json.dumps(cfg))
+    assert cli.run([command, "--config", "c.json", *extra]) == 2
+    assert flag in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json", "curve.csv", "s.csv"]
+
+
+def test_config_null_keeps_the_flag_default(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "c.json").write_text(json.dumps({"weight": "delta", "mu": None, "n": 5, "seed": 1}))
+    assert cli.run(["simulate", "--config", "c.json", "--out", "e.csv"]) == 0
+    assert len((tmp_path / "e.csv").read_text().splitlines()) == 6
 
 
 def test_outdir_env_redirects_default_outputs(tmp_path):

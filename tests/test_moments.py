@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -130,7 +131,7 @@ def test_stretched_series_reference(q, alpha, sigma, tau0, beta, mu, expected):
     res = iv.moment_stretched_series(q, p)
     assert res.converged
     assert res.value == pytest.approx(expected, rel=1e-11)
-    log_norm = iv.moments._series_log_norm_moment(q, p)
+    log_norm, _ = iv.moments._series_log_norm_moment(q, p)
     assert log_norm == pytest.approx(math.log(expected) - math.lgamma(1 + q), rel=1e-11)
 
 
@@ -181,13 +182,14 @@ def test_series_converges_on_default_grid(sigma):
     # ln I(q) = ln(2/alpha) + ln sum_n T_n; at sigma = 2, q = 20 the sum takes about 16,000 terms
     alpha = 1.5
     p = _stretched(alpha, sigma, 1.0, 1.0)
+    q = iv.DEFAULT_Q_GRID
     with warnings.catch_warnings():
         warnings.simplefilter("error", SeriesTruncationWarning)
-        for q in iv.DEFAULT_Q_GRID.tolist():
-            res = iv.moment_stretched_series(q, p)
-            assert res.converged, q
-            got = res.log_value - math.lgamma(1.0 + q) + math.lgamma(1.0 / alpha) + math.log(2.0 / alpha)
-            assert got == pytest.approx(iv.log_iq_quadrature(q, alpha, sigma), rel=1e-11), q
+        res = iv.moment_stretched_series(q, p)
+    assert res.converged.all()
+    log_gamma = np.array([math.lgamma(1.0 + x) for x in q.tolist()])
+    got = res.log_value - log_gamma + math.lgamma(1.0 / alpha) + math.log(2.0 / alpha)
+    np.testing.assert_allclose(got, iv.log_iq_quadrature(q, alpha, sigma), rtol=1e-11, atol=1e-12)
 
 
 def test_series_log_norm_moment_finite_past_overflow():
@@ -195,7 +197,7 @@ def test_series_log_norm_moment_finite_past_overflow():
     p = _stretched(1.5, 2.0, 1.0, 1.0)
     res = iv.moment_stretched_series(9.0, p)
     assert res.value == math.inf and res.converged
-    got = iv.moments._series_log_norm_moment(9.0, p)
+    got, _ = iv.moments._series_log_norm_moment(9.0, p)
     assert got == pytest.approx(iv.log_norm_moment(9.0, p), rel=1e-9)
     assert res.log_value == pytest.approx(got + math.lgamma(10.0), rel=1e-15)
 
@@ -271,9 +273,8 @@ def test_saddlepoint_prefactor_positive_on_default_grid():
         warnings.simplefilter("ignore", AsymptoticRangeWarning)
         for alpha in (1.2, 1.5, 2.5, 4.0):
             for sb in (0.3, 1.0, 3.0):
-                for q in iv.DEFAULT_Q_GRID[1:]:
-                    sp = iv.saddlepoint_iq(float(q), alpha, sb)
-                    assert math.isfinite(sp.prefactor) and sp.prefactor > 0, (alpha, sb, q)
+                sp = iv.saddlepoint_iq(iv.DEFAULT_Q_GRID[1:], alpha, sb)
+                assert np.all(np.isfinite(sp.prefactor) & (sp.prefactor > 0)), (alpha, sb)
 
 
 def test_cli_saddle_notes_leading_order_points(tmp_path, capsys):
@@ -284,6 +285,66 @@ def test_cli_saddle_notes_leading_order_points(tmp_path, capsys):
     err = capsys.readouterr().err
     # lam = 3.375: the factor is out of range for q <= 0.4
     assert "note: saddle point kept leading order at 4 order(s)" in err
+
+
+_GRID_2D = np.array([[-0.5, 0.1, 0.7], [2.0, 9.5, 20.0]])
+_ROUTES = {
+    "series": lambda q: iv.moment_stretched_series(q, _stretched(1.5, 1.0, 1.3, 0.8, mu=0.2)),
+    "saddle": lambda q: iv.saddlepoint_iq(q, 1.5, 1.2),
+    "log_moment_mf": lambda q: iv.log_moment_mf(q, iv.HMFParams(alpha=1.8, c0=-0.3, b=0.6, b1=0.25)),
+    "moment_mf": lambda q: iv.moment_mf(q, iv.MFParams(alpha=1.8, c0=-0.3, b=0.6)),
+}
+
+
+def _by_field(result):
+    # a result dataclass as {field: value}, a bare value as {"": value}
+    if dataclasses.is_dataclass(result):
+        return {f.name: getattr(result, f.name) for f in dataclasses.fields(result)}
+    return {"": result}
+
+
+@pytest.mark.parametrize("route", list(_ROUTES))
+def test_moment_route_grid_equals_its_per_order_calls(route):
+    call = _ROUTES[route]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", AsymptoticRangeWarning)
+        singles = [_by_field(call(q)) for q in _GRID_2D.ravel().tolist()]
+        for grid in (_GRID_2D.ravel(), _GRID_2D):
+            for name, got in _by_field(call(grid)).items():
+                want = [single[name] for single in singles]
+                if name in ("lam", "exponent_coeff"):  # fixed by alpha and beta*sigma alone
+                    assert {got} == set(want), name
+                    continue
+                assert got.shape == grid.shape, name
+                assert got.ravel().tolist() == want, name
+    # a scalar order is a batch of one, handed back as Python scalars
+    for single in singles:
+        for name, value in single.items():
+            assert type(value) is {"terms_used": int, "converged": bool}.get(name, float), name
+
+
+def test_moment_routes_raise_at_their_first_bad_order():
+    p = _stretched(1.2, 1.0, 1.0, 1.0)  # the series needs more terms than its cap from q of about 8.2
+    with pytest.raises(ModelDomainError, match=r"at q = 9\.0 needs about"):
+        iv.moment_stretched_series(np.array([1.0, 9.0, 20.0]), p)
+    with pytest.raises(DivergentMomentError, match=r"got q = -2\.0"):
+        iv.moment_stretched_series(np.array([1.0, -2.0, 20.0]), p)
+    with pytest.raises(ModelDomainError, match="degenerates at q = 0"):
+        iv.saddlepoint_iq(np.array([1.0, 0.0, np.inf]), 1.5, 1.0)
+    with pytest.raises(ModelDomainError, match="q must be finite"):
+        iv.saddlepoint_iq(np.array([[1.0, np.nan], [0.0, 2.0]]), 1.5, 1.0)
+    with pytest.raises(DivergentMomentError, match=r"got q = -1\.0"):
+        iv.log_moment_mf(np.array([0.5, -1.0]), iv.MFParams(alpha=1.8, c0=0.0, b=0.6))
+
+
+def test_saddle_array_call_counts_its_leading_order_points():
+    # lam = 3.375: the next-order factor is out of range for q <= 0.4, as the CLI note counts
+    q = np.round(np.arange(1, 21) * 0.1, 12)
+    with pytest.warns(AsymptoticRangeWarning, match=r"q = 0\.1, .* at 4 order\(s\)") as caught:
+        sp = iv.saddlepoint_iq(q, 1.5, 1.5)
+    assert len(caught) == 1
+    leading = np.abs(sp.correction - 1.0) > iv.moments.SADDLE_CORRECTION_BOUND
+    assert np.flatnonzero(leading).tolist() == [0, 1, 2, 3]
 
 
 def test_mf_and_hmf_formulas():
