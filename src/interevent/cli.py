@@ -74,8 +74,7 @@ def _write_csv(path: str, header: list[str], rows) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow(row)
+        writer.writerows(rows)
 
 
 def _write_numeric_csv(path: str, header: list[str], columns: list[np.ndarray]) -> None:
@@ -341,9 +340,8 @@ def _cmd_moments(args) -> int:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # counted in the note below
             values, noted = route(q, _model_params(args, "--model"))
-        count = np.count_nonzero(noted)
-        if count:
-            print(f"note: {note.format(count)}", file=sys.stderr)
+        if np.any(noted):
+            print(f"note: {note.format(np.count_nonzero(noted))}", file=sys.stderr)
     else:
         params = _model_params(args, "--model")
         values = moments.model_curve(q, params).log_norm_moment
@@ -498,8 +496,7 @@ def _collapse_ready(quantity: str, spec: dict, shared: dict) -> bool:
 def _cmd_collapse(args) -> int:
     if not args.config:
         raise UsageError("collapse requires --config with a dataset table")
-    with open(args.config) as fh:
-        cfg = json.load(fh)
+    cfg = args.config_table  # loaded and checked by _apply_config_defaults
     datasets = cfg.get("datasets")
     if not datasets:
         raise UsageError("config must list at least one dataset")
@@ -586,17 +583,13 @@ def _apply_config_defaults(parser, registry, args, argv):
     # choices and a later explicit flag wins; null leaves the flag's default
     tokens = []
     for key, value in cfg.items():
-        if key not in flags or value is None:
-            continue
-        flag = flags[key].option_strings[0]
-        if flags[key].nargs == "+":
-            if not isinstance(value, list):
+        if key in flags and value is not None:
+            flag, many = flags[key].option_strings[0], flags[key].nargs == "+"
+            if many and not isinstance(value, list):
                 raise UsageError(f"config key '{key}' must be a list")
-            tokens += [flag, *map(str, value)]
-        else:
-            tokens.append(f"{flag}={value}")
+            tokens += [flag, *map(str, value)] if many else [f"{flag}={value}"]
     at = argv.index(args.command) + 1
-    return parser.parse_args(argv[:at] + tokens + argv[at:])
+    return parser.parse_args(argv[:at] + tokens + argv[at:], argparse.Namespace(config_table=cfg))
 
 
 def run(argv) -> int:

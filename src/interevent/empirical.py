@@ -173,8 +173,7 @@ def empirical_sojourn(series: EventSeries, t_grid):
     """Fraction of durations exceeding each grid time (the survival estimate)."""
     if len(series) == 0:
         raise ValueError("cannot estimate the survival function of an empty series")
-    grid = np.asarray(t_grid, dtype=float)
-    t = np.atleast_1d(grid)
+    t = np.atleast_1d(np.asarray(t_grid, dtype=float))
     if np.any(np.isnan(t)):
         raise ValueError("t_grid must not contain NaN")
     if np.any(t < 0):
@@ -187,7 +186,7 @@ def empirical_sojourn(series: EventSeries, t_grid):
     n = ordered.size
     exceed = n - np.searchsorted(ordered, t, side="right")
     psi = exceed / n
-    return _shape_like(psi, grid)
+    return _shape_like(psi, np.asarray(t_grid))
 
 
 # ---------------------------------------------------------------------------

@@ -139,8 +139,8 @@ class SaddlePointResult:
     ``h2_x0`` the rescaled exponent and its (positive) second derivative there.
     ``correction`` is the next-order Laplace factor; ``prefactor`` includes it
     when ``|correction - 1| <= SADDLE_CORRECTION_BOUND`` and is leading order
-    otherwise.  ``lam`` and ``exponent_coeff`` are floats; every other field has
-    the shape of q, and is a float for a scalar q.
+    where ``leading`` is True.  ``lam`` and ``exponent_coeff`` are floats; every
+    other field has the shape of q, and is a Python scalar for a scalar q.
     """
 
     value: float
@@ -152,6 +152,7 @@ class SaddlePointResult:
     h_x0: float
     h2_x0: float
     correction: float
+    leading: bool
 
 
 @dataclass(frozen=True)
@@ -183,10 +184,9 @@ class Scales:
 
 def _check_order(q) -> None:
     # the first order of a scalar or array q that is not finite and above -1 is named in the error
-    q = np.asarray(q, dtype=float)
-    ok = (q > -1.0) & (q < math.inf)
-    if not ok.all():
-        raise DivergentMomentError(f"moments exist only for q > -1 (got q = {float(q[~ok][0])})")
+    for x in np.asarray(q, dtype=float).ravel().tolist():
+        if not -1.0 < x < math.inf:
+            raise DivergentMomentError(f"moments exist only for q > -1 (got q = {x})")
 
 
 def _log_scale(params: ModelParams) -> float:
@@ -212,6 +212,15 @@ def iq_quadrature(q, alpha: float, beta_sigma: float):
 _SERIES_WIDTHS = 12.0
 _SERIES_FALL = 8.0
 _SERIES_MAX_TERMS = 2**16
+_LOG_FLOAT_MAX = math.log(np.finfo(float).max)  # math.exp overflows above exactly this
+
+
+def _series_budget(x: float, alpha: float) -> float:
+    # the budget n* + 12 w + 8/c at x = |q| beta sigma; at x = 0 only the term n = 0 is summed
+    c = 2.0 * (alpha - 1.0) / alpha
+    arg = (2.0 * math.log(x) - 2.0 / alpha * math.log(alpha)) / c if x > 0.0 else -math.inf
+    peak = 0.5 * math.exp(arg) if arg < 709.0 else math.inf
+    return peak + _SERIES_WIDTHS * math.sqrt(peak / c) + _SERIES_FALL / c if x > 0.0 else 0.0
 
 
 def moment_stretched_series(q, params: ModelParams) -> SeriesMomentResult:
@@ -234,47 +243,39 @@ def moment_stretched_series(q, params: ModelParams) -> SeriesMomentResult:
     if not isinstance(w, StretchedExp):
         raise UnsupportedModelError("moment_stretched_series needs a StretchedExp weight")
     if not w.alpha > 1:
-        raise DivergentMomentError(
-            f"stretched-weight moments diverge for alpha <= 1 (got {w.alpha})"
-        )
+        raise DivergentMomentError(f"stretched-weight moments diverge for alpha <= 1 (got {w.alpha})")
     q = np.asarray(q, dtype=float)
     _check_order(q)
-    alpha, s = w.alpha, q.ravel()
-    c = 2.0 * (alpha - 1.0) / alpha
+    alpha, s = w.alpha, q.ravel().tolist()
+    budgets = [_series_budget(abs(qi) * params.beta * w.sigma, alpha) for qi in s]
+    # the part of ln T_n free of q, once up to the largest budget within the cap
+    n = np.arange(int(min(max([0.0, *budgets]), _SERIES_MAX_TERMS)) + 1.0)
+    free = np.array([math.lgamma(k / alpha) - math.lgamma(k) for k in range(1, 2 * n.size, 2)])
     front = _log_scale(params), math.lgamma(1.0 / alpha)  # ln(tau0 l) and ln Gamma(1/alpha)
-    log_x, sizes, log_value, converged = [], [], [], []
-    for qi in s.tolist():
-        x = abs(qi) * params.beta * w.sigma
-        lx = math.log(x) if x > 0.0 else 0.0  # at x = 0 only the term n = 0 is summed
-        arg = (2.0 * lx - 2.0 / alpha * math.log(alpha)) / c
-        peak = 0.5 * math.exp(arg) if arg < 709.0 else math.inf
-        budget = peak + _SERIES_WIDTHS * math.sqrt(peak / c) + _SERIES_FALL / c if x > 0.0 else 0.0
+    rows = []  # value, log value, terms used and convergence of each order
+    for qi, budget in zip(s, budgets):
         if not budget <= _SERIES_MAX_TERMS:
             raise ModelDomainError(f"the stretched series at q = {qi} needs about {budget:.3g} "
                                    f"terms, more than its cap of {_SERIES_MAX_TERMS}")
-        log_x.append(lx)
-        sizes.append(int(budget) + 1)
-    # the part of ln T_n free of q, once up to the largest budget
-    n = np.arange(max(sizes))
-    free = np.array([math.lgamma(k / alpha) - math.lgamma(k) for k in range(1, 2 * n.size, 2)])
-    for qi, lx, size in zip(s.tolist(), log_x, sizes):
-        log_terms = 2.0 * lx * n[:size] + free[:size]
-        top = float(log_terms.max())
-        log_sum = top + math.log(np.exp(log_terms - top).sum())
+        x, size = abs(qi) * params.beta * w.sigma, int(budget) + 1
+        log_terms = 2.0 * (math.log(x) if x > 0.0 else 0.0) * n[:size] + free[:size]
+        top = log_terms.max()
+        log_sum = float(top + math.log(np.exp(log_terms - top).sum()))
         # ln r of the last two terms, and the tail bound T_N r / (1 - r) against 2**-52 of the sum
         last = log_terms[-2:].tolist()
         log_ratio = last[-1] - last[0] if size > 1 else -math.inf
-        converged.append(log_ratio < 0.0 and last[-1] + log_ratio
-                         - math.log1p(-math.exp(log_ratio)) - log_sum <= -52 * math.log(2.0))
-        log_value.append(_lgamma(1.0 + qi) + qi * front[0] - front[1] + log_sum)
+        ok = log_ratio < 0.0 and (last[-1] + log_ratio - math.log1p(-math.exp(log_ratio))
+                                  - log_sum <= -52 * math.log(2.0))
+        log_value = _lgamma(1.0 + qi) + qi * front[0] - front[1] + log_sum
+        rows.append((math.exp(log_value) if log_value <= _LOG_FLOAT_MAX else math.inf, log_value,
+                     size, ok))
+    value, log_value, terms, converged = zip(*rows) if rows else ((),) * 4
     if not all(converged):
         i = converged.index(False)
         warnings.warn(f"series tail bound above float64 epsilon of its sum at "
-                      f"{converged.count(False)} order(s), the first at q = {float(s[i])} after "
-                      f"{sizes[i]} terms", SeriesTruncationWarning, stacklevel=2)
-    with np.errstate(over="ignore"):
-        value = np.exp(log_value)
-    return SeriesMomentResult(*(_shape_like(v, q) for v in (value, log_value, sizes, converged)))
+                      f"{converged.count(False)} order(s), the first at q = {s[i]} after "
+                      f"{terms[i]} terms", SeriesTruncationWarning, stacklevel=2)
+    return SeriesMomentResult(*[_shape_like(v, q) for v in (value, log_value, terms, converged)])
 
 
 def _series_log_norm_moment(q, params: ModelParams):
@@ -306,22 +307,22 @@ def saddlepoint_iq(q, alpha: float, beta_sigma: float) -> SaddlePointResult:
     without bound as ``lam |q|**(alpha/(alpha-1)) -> 0``.  Where
     ``|correction - 1| > SADDLE_CORRECTION_BOUND`` (0.5) the factor is not
     applied: the leading order is returned, ``correction`` still reports the
-    factor, and one :class:`AsymptoticRangeWarning` counts those orders.  The
-    bound is below 1, so ``prefactor`` stays positive.  Raises at the first
-    order that is 0, where the expansion degenerates, or not finite.
+    factor, ``leading`` marks it, and one :class:`AsymptoticRangeWarning`
+    counts those orders.  The bound is below 1, so ``prefactor`` stays
+    positive.  Raises at the first order that is 0, where the expansion
+    degenerates, or not finite.
     """
     if not alpha > 1:
-        raise DivergentMomentError(
-            f"the generating integral converges only for alpha > 1 (got {alpha})"
-        )
+        raise DivergentMomentError(f"the generating integral converges only for alpha > 1 "
+                                   f"(got {alpha})")
     if not (beta_sigma > 0 and math.isfinite(beta_sigma)):
         raise ModelDomainError("beta_sigma must be positive")
     q = np.asarray(q, dtype=float)
     s = q.ravel()
-    bad = s[~(np.isfinite(s) & (s != 0.0))]
-    if bad.size:
-        raise ModelDomainError("saddle point degenerates at q = 0" if bad[0] == 0.0 else
-                               "q must be finite")
+    for x in s.tolist():
+        if x == 0.0 or not math.isfinite(x):
+            raise ModelDomainError("saddle point degenerates at q = 0" if x == 0.0 else
+                                   "q must be finite")
     gamma = alpha / (alpha - 1.0)
     lam = beta_sigma ** gamma
     aq = np.abs(s)
@@ -332,33 +333,30 @@ def saddlepoint_iq(q, alpha: float, beta_sigma: float) -> SaddlePointResult:
     h2_x0 = alpha * (alpha - 1.0) * r ** ((alpha - 2.0) / (alpha - 1.0))
     prefactor = lam ** (1.0 / alpha) * np.sqrt(2.0 * math.pi / (lam * h2_x0))
     k = (alpha - 2.0) * (2.0 * alpha - 1.0) / (24.0 * alpha * (alpha - 1.0))
-    with np.errstate(divide="ignore"):  # lam |x0|**alpha is 0 only on underflow: +-inf there
-        correction = 1.0 + k / (lam * r_gamma) if k else np.ones(s.shape)
-    kept = np.abs(correction - 1.0) <= SADDLE_CORRECTION_BOUND
-    prefactor = np.where(kept, prefactor * correction, prefactor)
-    leading = np.flatnonzero(~kept)
-    if leading.size:
-        i = leading[0]
-        warnings.warn(f"saddle point at q = {float(s[i])}, lam = {lam:.6g}: next-order factor "
-                      f"{correction[i]:.6g} is off 1 by more than {SADDLE_CORRECTION_BOUND}; "
-                      f"returning the leading order at {leading.size} order(s)",
-                      AsymptoticRangeWarning, stacklevel=2)
     exponent_coeff = lam * (alpha - 1.0) / alpha ** gamma
-    log_value = np.log(prefactor) + exponent_coeff * aq ** gamma
-    with np.errstate(over="ignore"):
+    # lam |x0|**alpha is 0 only on underflow, and the correction +-inf there
+    with np.errstate(divide="ignore", over="ignore"):
+        correction = 1.0 + k / (lam * r_gamma) if k else np.ones(s.shape)
+        leading = np.abs(correction - 1.0) > SADDLE_CORRECTION_BOUND
+        prefactor = np.where(leading, prefactor, prefactor * correction)
+        log_value = np.log(prefactor) + exponent_coeff * aq ** gamma
         value = np.exp(log_value)
-    value, log_value, prefactor, x0, h_x0, h2_x0, correction = (
-        _shape_like(v, q) for v in (value, log_value, prefactor, x0, h_x0, h2_x0, correction))
-    return SaddlePointResult(value, log_value, prefactor, exponent_coeff, lam, x0, h_x0, h2_x0,
-                             correction)
+    at = np.flatnonzero(leading)
+    if at.size:
+        warnings.warn(f"saddle point at q = {float(s[at[0]])}, lam = {lam:.6g}: next-order factor "
+                      f"{correction[at[0]]:.6g} is off 1 by more than {SADDLE_CORRECTION_BOUND}; "
+                      f"returning the leading order at {at.size} order(s)",
+                      AsymptoticRangeWarning, stacklevel=2)
+    fields = value, log_value, prefactor, x0, h_x0, h2_x0, correction, leading
+    shaped = [_shape_like(v, q) for v in fields]
+    return SaddlePointResult(*shaped[:3], exponent_coeff, lam, *shaped[3:])
 
 
 def _saddle_log_norm_moment(q, params: ModelParams):
     """``ln(<t^q>/Gamma(1+q))`` by :func:`saddlepoint_iq`, and the orders kept at leading order."""
     w = params.weight
     res = saddlepoint_iq(q, w.alpha, params.beta * w.sigma)
-    leading = np.abs(res.correction - 1.0) > SADDLE_CORRECTION_BOUND
-    return np.multiply(q, _log_scale(params)) + res.log_value - w.log_norm, leading
+    return np.multiply(q, _log_scale(params)) + res.log_value - w.log_norm, res.leading
 
 
 # ---------------------------------------------------------------------------

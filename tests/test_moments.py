@@ -189,7 +189,7 @@ def test_series_converges_on_default_grid(sigma):
     assert res.converged.all()
     log_gamma = np.array([math.lgamma(1.0 + x) for x in q.tolist()])
     got = res.log_value - log_gamma + math.lgamma(1.0 / alpha) + math.log(2.0 / alpha)
-    np.testing.assert_allclose(got, iv.log_iq_quadrature(q, alpha, sigma), rtol=1e-11, atol=1e-12)
+    assert got == pytest.approx(iv.log_iq_quadrature(q, alpha, sigma), rel=1e-11)
 
 
 def test_series_log_norm_moment_finite_past_overflow():
@@ -253,6 +253,7 @@ def test_saddlepoint_next_order_factor_applied():
     assert sp.correction == pytest.approx(1.0 - 1.0 / 18.0, rel=1e-13)
     assert sp.prefactor == pytest.approx(sp.correction * _leading_order_prefactor(0.5, 1.5, sp.lam), rel=1e-13)
     assert sp.value == pytest.approx(sp.prefactor * math.exp(sp.exponent_coeff * 0.5 ** 3.0), rel=1e-12)
+    assert sp.leading is False
 
     for q in (-2.5, 0.3, 1.7):
         assert iv.saddlepoint_iq(q, 2.0, 0.9).correction == 1.0
@@ -263,6 +264,7 @@ def test_saddlepoint_guard_keeps_leading_order():
     with pytest.warns(AsymptoticRangeWarning, match="leading order"):
         sp = iv.saddlepoint_iq(0.3, 1.5, 0.3)
     assert sp.correction == pytest.approx(1.0 - 1.0 / (18.0 * 0.027 * 0.2 ** 3), rel=1e-12)
+    assert sp.leading is True
     lead = _leading_order_prefactor(0.3, 1.5, sp.lam)
     assert sp.prefactor == pytest.approx(lead, rel=1e-13)
     assert sp.value == pytest.approx(lead * math.exp(sp.exponent_coeff * 0.3 ** 3.0), rel=1e-12)
@@ -320,7 +322,15 @@ def test_moment_route_grid_equals_its_per_order_calls(route):
     # a scalar order is a batch of one, handed back as Python scalars
     for single in singles:
         for name, value in single.items():
-            assert type(value) is {"terms_used": int, "converged": bool}.get(name, float), name
+            assert type(value) is {"terms_used": int, "converged": bool, "leading": bool}.get(
+                name, float), name
+
+
+@pytest.mark.parametrize("route", list(_ROUTES))
+def test_moment_route_takes_an_empty_grid(route):
+    for name, got in _by_field(_ROUTES[route](np.empty((0, 3)))).items():
+        if name not in ("lam", "exponent_coeff"):
+            assert got.shape == (0, 3), name
 
 
 def test_moment_routes_raise_at_their_first_bad_order():
@@ -343,8 +353,8 @@ def test_saddle_array_call_counts_its_leading_order_points():
     with pytest.warns(AsymptoticRangeWarning, match=r"q = 0\.1, .* at 4 order\(s\)") as caught:
         sp = iv.saddlepoint_iq(q, 1.5, 1.5)
     assert len(caught) == 1
-    leading = np.abs(sp.correction - 1.0) > iv.moments.SADDLE_CORRECTION_BOUND
-    assert np.flatnonzero(leading).tolist() == [0, 1, 2, 3]
+    assert np.flatnonzero(sp.leading).tolist() == [0, 1, 2, 3]
+    assert (sp.leading == (np.abs(sp.correction - 1.0) > iv.moments.SADDLE_CORRECTION_BOUND)).all()
 
 
 def test_mf_and_hmf_formulas():
