@@ -668,13 +668,16 @@ def _peak_nodes(alpha: float, shift, c, bs: float):
     with np.errstate(divide="ignore"):
         log_c = np.log(c)  # -inf at c = 0, where the c term vanishes
 
-    def slopes(y, ya, lc, sh):
-        # G' and G'' at y, where |y|**alpha = ya
-        d1, d2 = 1.0 - alpha * ya - sh * y, -alpha * alpha * ya - sh * y
+    def slopes(y, ya, lc, sh, second=True):
+        # G' and, if second, G'' at y, where |y|**alpha = ya
+        d1 = 1.0 - alpha * ya - sh * y
         if any_c:
             bye = bs * y * np.exp(np.minimum(lc - bs * y, 700.0))
-            d1, d2 = d1 + bye, d2 + bye * (1.0 - bs * y)
-        return d1, d2
+            d1 = d1 + bye
+        if not second:
+            return d1
+        d2 = -alpha * alpha * ya - sh * y
+        return d1, (d2 + bye * (1.0 - bs * y) if any_c else d2)
 
     # capped exponents keep walks far past the peak finite; the products there may still
     # overflow to inf or meet 0 * inf, which the searches read as a crossing or a bisection
@@ -703,7 +706,7 @@ def _peak_nodes(alpha: float, shift, c, bs: float):
             d = wc - a0 * np.expm1(aw) - sh * y0 * em1
             if any_c:
                 d = d - np.where(has_c, _c_rise(le0, -bs * y0 * em1), 0.0)
-            return d, slopes(y, ya, lc, sh)[0]
+            return d, slopes(y, ya, lc, sh, second=False)
 
         g2r = g2[r]
         d = np.where(g2r < 0.0, np.sqrt(2.0 * _LOG_CUT / np.abs(g2r)), 1.0)

@@ -11,6 +11,7 @@ whose exponent turns monofractal at large order.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -133,7 +134,8 @@ class SaddlePointResult:
     """Saddle-point approximation of the generating integral I(q).
 
     ``value = prefactor * exp(exponent_coeff * |q|**(alpha/(alpha-1)))``, and
-    ``log_value`` is its log, finite where ``value`` overflows.
+    ``log_value`` is its log, finite where ``value`` overflows (an order whose log
+    or powers leave the float range raises, :func:`saddlepoint_iq`).
     ``lam`` is the dimensionless largeness parameter (beta*sigma)**(alpha/(alpha-1));
     ``x0`` the saddle location in the rescaled depth variable; ``h_x0`` and
     ``h2_x0`` the rescaled exponent and its (positive) second derivative there.
@@ -223,6 +225,16 @@ def _series_budget(x: float, alpha: float) -> float:
     return peak + _SERIES_WIDTHS * math.sqrt(peak / c) + _SERIES_FALL / c if x > 0.0 else 0.0
 
 
+@functools.lru_cache(maxsize=32)
+def _series_free(alpha: float, size: int) -> np.ndarray:
+    # ln Gamma((2n+1)/alpha) - ln Gamma(2n+1) for n < size, the part of ln T_n free of q;
+    # read-only, as every caller shares it.  Sizes are powers of two up to 2**16 (512 KiB a
+    # table), so 32 tables hold the 17 sizes of one alpha and most of another
+    free = np.array([math.lgamma(k / alpha) - math.lgamma(k) for k in range(1, 2 * size, 2)])
+    free.flags.writeable = False
+    return free
+
+
 def moment_stretched_series(q, params: ModelParams) -> SeriesMomentResult:
     """Even-order series for the stretched-weight moment, elementwise on a scalar or array ``q``.
 
@@ -232,11 +244,15 @@ def moment_stretched_series(q, params: ModelParams) -> SeriesMomentResult:
     ``n* = (x^2 alpha^(-2/alpha))^(1/c) / 2``, in a peak of width ``w = sqrt(n*/c)``
     (``ln T_n`` has second difference about ``-c/n``).  Terms 0 to
     ``N = n* + 12 w + 8/c`` are built as one array of logs and summed by one
-    shifted exp-sum.  Past the peak the term ratio r falls, so the tail is at
-    most ``T_N r/(1-r)``; ``converged`` says that is below float64 epsilon of
-    the sum, and one :class:`SeriesTruncationWarning` counts the orders where
-    it is not.  The first order with a budget above ``2**16`` terms (x of about
-    65 at alpha = 1.5, 8 at 1.2) raises :class:`ModelDomainError`;
+    shifted exp-sum.  Their q-free part ``ln Gamma((2n+1)/alpha) - ln (2n)!`` is
+    sliced from a table cached per alpha (:func:`_series_free`), whose length is
+    the call's largest budget rounded up to a power of two, so a grid call and
+    single-order calls give the same bits.  Past the peak the term ratio r
+    falls, so the tail is at most ``T_N r/(1-r)``; ``converged`` says that is
+    below float64 epsilon of the sum, and one :class:`SeriesTruncationWarning`
+    counts the orders where it is not.  The first order with a budget above
+    ``2**16`` terms (x of about 65 at alpha = 1.5, 8 at 1.2) raises
+    :class:`ModelDomainError` before any table is built;
     :func:`log_norm_moment` has those orders.
     """
     w = params.weight
@@ -248,15 +264,16 @@ def moment_stretched_series(q, params: ModelParams) -> SeriesMomentResult:
     _check_order(q)
     alpha, s = w.alpha, q.ravel().tolist()
     budgets = [_series_budget(abs(qi) * params.beta * w.sigma, alpha) for qi in s]
-    # the part of ln T_n free of q, once up to the largest budget within the cap
-    n = np.arange(int(min(max([0.0, *budgets]), _SERIES_MAX_TERMS)) + 1.0)
-    free = np.array([math.lgamma(k / alpha) - math.lgamma(k) for k in range(1, 2 * n.size, 2)])
-    front = _log_scale(params), math.lgamma(1.0 / alpha)  # ln(tau0 l) and ln Gamma(1/alpha)
-    rows = []  # value, log value, terms used and convergence of each order
     for qi, budget in zip(s, budgets):
         if not budget <= _SERIES_MAX_TERMS:
             raise ModelDomainError(f"the stretched series at q = {qi} needs about {budget:.3g} "
                                    f"terms, more than its cap of {_SERIES_MAX_TERMS}")
+    # the q-free part of ln T_n, from the cached table of the next power of two within the cap
+    n = np.arange(int(max([0.0, *budgets])) + 1.0)
+    free = _series_free(alpha, min(1 << (n.size - 1).bit_length(), _SERIES_MAX_TERMS + 1))
+    front = _log_scale(params), math.lgamma(1.0 / alpha)  # ln(tau0 l) and ln Gamma(1/alpha)
+    rows = []  # value, log value, terms used and convergence of each order
+    for qi, budget in zip(s, budgets):
         x, size = abs(qi) * params.beta * w.sigma, int(budget) + 1
         log_terms = 2.0 * (math.log(x) if x > 0.0 else 0.0) * n[:size] + free[:size]
         top = log_terms.max()
@@ -310,7 +327,10 @@ def saddlepoint_iq(q, alpha: float, beta_sigma: float) -> SaddlePointResult:
     factor, ``leading`` marks it, and one :class:`AsymptoticRangeWarning`
     counts those orders.  The bound is below 1, so ``prefactor`` stays
     positive.  Raises at the first order that is 0, where the expansion
-    degenerates, or not finite.
+    degenerates, or not finite, and then at the first order where ln I(q) or a
+    power in it leaves the float range.  At ``beta_sigma = 1`` that is from
+    ``|q|`` of about 5.6e102 at alpha = 1.5 and 1127 at alpha = 1.01, and below
+    ``|q|`` of about 7.8e-4 at alpha = 1.01, where ``h2_x0`` overflows.
     """
     if not alpha > 1:
         raise DivergentMomentError(f"the generating integral converges only for alpha > 1 "
@@ -326,21 +346,26 @@ def saddlepoint_iq(q, alpha: float, beta_sigma: float) -> SaddlePointResult:
     gamma = alpha / (alpha - 1.0)
     lam = beta_sigma ** gamma
     aq = np.abs(s)
-    r = aq / alpha  # |x0|**(alpha - 1)
-    x0 = np.copysign(r ** (1.0 / (alpha - 1.0)), s)
-    r_gamma = r ** gamma  # |x0|**alpha
-    h_x0 = -(alpha - 1.0) * r_gamma
-    h2_x0 = alpha * (alpha - 1.0) * r ** ((alpha - 2.0) / (alpha - 1.0))
-    prefactor = lam ** (1.0 / alpha) * np.sqrt(2.0 * math.pi / (lam * h2_x0))
     k = (alpha - 2.0) * (2.0 * alpha - 1.0) / (24.0 * alpha * (alpha - 1.0))
     exponent_coeff = lam * (alpha - 1.0) / alpha ** gamma
-    # lam |x0|**alpha is 0 only on underflow, and the correction +-inf there
-    with np.errstate(divide="ignore", over="ignore"):
+    # a power that overflows leaves ln I(q) infinite, and raises below; lam |x0|**alpha is 0
+    # only on underflow, and the correction +-inf there
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        r = aq / alpha  # |x0|**(alpha - 1)
+        x0 = np.copysign(r ** (1.0 / (alpha - 1.0)), s)
+        r_gamma = r ** gamma  # |x0|**alpha
+        h_x0 = -(alpha - 1.0) * r_gamma
+        h2_x0 = alpha * (alpha - 1.0) * r ** ((alpha - 2.0) / (alpha - 1.0))
+        prefactor = lam ** (1.0 / alpha) * np.sqrt(2.0 * math.pi / (lam * h2_x0))
         correction = 1.0 + k / (lam * r_gamma) if k else np.ones(s.shape)
         leading = np.abs(correction - 1.0) > SADDLE_CORRECTION_BOUND
         prefactor = np.where(leading, prefactor, prefactor * correction)
         log_value = np.log(prefactor) + exponent_coeff * aq ** gamma
         value = np.exp(log_value)
+    finite = np.isfinite(log_value)
+    if not finite.all():
+        raise ModelDomainError(f"the saddle point at q = {float(s[finite.argmin()])}, "
+                               f"lam = {lam:.6g} leaves the float range")
     at = np.flatnonzero(leading)
     if at.size:
         warnings.warn(f"saddle point at q = {float(s[at[0]])}, lam = {lam:.6g}: next-order factor "

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import warnings
 
 import numpy as np
@@ -177,6 +178,42 @@ def test_series_raises_past_its_term_cap():
         iv.moments._series_log_norm_moment(20.0, p)
 
 
+def _series_fields(res):
+    return [np.ravel(getattr(res, f)).tolist() for f in ("value", "log_value", "terms_used", "converged")]
+
+
+@pytest.mark.parametrize("alpha", [1.2, 1.5, 2.5])
+def test_series_gives_the_same_bits_from_a_cold_or_warm_read_only_table(alpha):
+    # the orders need 1 to 31,496 terms (alpha = 1.2 at q = 9), so they read several table sizes
+    p = _stretched(alpha, 1.0, 1.3, 0.8, mu=0.2)
+    q = [x for x in (0.0, 0.3, -0.5, 1.0, 2.5, 5.0, 9.0, 20.0)
+         if iv.moments._series_budget(x * 0.8, alpha) <= iv.moments._SERIES_MAX_TERMS]
+    iv.moments._series_free.cache_clear()
+    cold = [_series_fields(iv.moment_stretched_series(x, p)) for x in q]
+    assert iv.moments._series_free.cache_info().currsize >= 5
+    grid = _series_fields(iv.moment_stretched_series(np.array(q), p))
+    warm = [_series_fields(iv.moment_stretched_series(x, p)) for x in q]
+    assert warm == cold
+    assert grid == [sum(by_field, []) for by_field in zip(*cold)]
+    # every caller shares a table, so none may write to it
+    with pytest.raises(ValueError, match="read-only"):
+        iv.moments._series_free(alpha, 8)[0] = 0.0
+
+
+def test_series_cap_builds_no_table_past_it(monkeypatch):
+    built = []
+    table = iv.moments._series_free
+    monkeypatch.setattr(iv.moments, "_series_free", lambda a, size: built.append(size) or table(a, size))
+    p = _stretched(1.2, 1.0, 1.0, 1.0)
+    # q = 8.2 needs about 66,000 terms: the call raises before it builds any table
+    with pytest.raises(ModelDomainError, match=r"q = 8\.2 needs about"):
+        iv.moment_stretched_series(np.array([1.0, 8.2]), p)
+    assert built == []
+    # q = 8 needs 57,470 terms, within the cap of 2**16 + 1: one table, of the next power of 2
+    assert iv.moment_stretched_series(8.0, p).terms_used == 57470
+    assert built == [2**16]
+
+
 @pytest.mark.parametrize("sigma", [0.9, 1.1, 2.0])
 def test_series_converges_on_default_grid(sigma):
     # ln I(q) = ln(2/alpha) + ln sum_n T_n; at sigma = 2, q = 20 the sum takes about 16,000 terms
@@ -345,6 +382,16 @@ def test_moment_routes_raise_at_their_first_bad_order():
         iv.saddlepoint_iq(np.array([[1.0, np.nan], [0.0, 2.0]]), 1.5, 1.0)
     with pytest.raises(DivergentMomentError, match=r"got q = -1\.0"):
         iv.log_moment_mf(np.array([0.5, -1.0]), iv.MFParams(alpha=1.8, c0=0.0, b=0.6))
+
+
+@pytest.mark.parametrize("q, below, alpha", [(2000.0, 1000.0, 1.01), (1e103, 1e102, 1.5)])
+def test_saddle_raises_where_its_powers_leave_the_float_range(q, below, alpha):
+    # a power in ln I(q) overflows a float at q, and raises rather than warn; at `below` none does
+    with pytest.raises(ModelDomainError, match=re.escape(f"q = {q}, lam = 1 leaves the float range")):
+        iv.saddlepoint_iq(q, alpha, 1.0)
+    with pytest.raises(ModelDomainError, match=re.escape(f"q = {q},")):
+        iv.saddlepoint_iq(np.array([below, q, 2.0 * q]), alpha, 1.0)
+    assert math.isfinite(iv.saddlepoint_iq(below, alpha, 1.0).log_value)
 
 
 def test_saddle_array_call_counts_its_leading_order_points():
