@@ -328,9 +328,10 @@ def saddlepoint_iq(q, alpha: float, beta_sigma: float) -> SaddlePointResult:
     counts those orders.  The bound is below 1, so ``prefactor`` stays
     positive.  Raises at the first order that is 0, where the expansion
     degenerates, or not finite, and then at the first order where ln I(q) or a
-    power in it leaves the float range.  At ``beta_sigma = 1`` that is from
-    ``|q|`` of about 5.6e102 at alpha = 1.5 and 1127 at alpha = 1.01, and below
-    ``|q|`` of about 7.8e-4 at alpha = 1.01, where ``h2_x0`` overflows.
+    returned power (``x0``, ``h_x0``, ``h2_x0``) leaves the float range.  At
+    ``beta_sigma = 1`` that is from ``|q|`` of about 8.5e102 at alpha = 1.5 and
+    1139 at alpha = 1.01, where ``h_x0`` overflows, and below ``|q|`` of about
+    7.8e-4 at alpha = 1.01, where ``h2_x0`` overflows.
     """
     if not alpha > 1:
         raise DivergentMomentError(f"the generating integral converges only for alpha > 1 "
@@ -360,9 +361,13 @@ def saddlepoint_iq(q, alpha: float, beta_sigma: float) -> SaddlePointResult:
         correction = 1.0 + k / (lam * r_gamma) if k else np.ones(s.shape)
         leading = np.abs(correction - 1.0) > SADDLE_CORRECTION_BOUND
         prefactor = np.where(leading, prefactor, prefactor * correction)
-        log_value = np.log(prefactor) + exponent_coeff * aq ** gamma
+        lead = exponent_coeff * aq ** gamma
+        # aq**gamma overflows before the product does; there lam (alpha-1) |x0|**alpha is the same
+        over = np.isinf(lead)
+        lead[over] = lam * (alpha - 1.0) * r_gamma[over]
+        log_value = np.log(prefactor) + lead
         value = np.exp(log_value)
-    finite = np.isfinite(log_value)
+    finite = np.isfinite([log_value, x0, h_x0, h2_x0]).all(axis=0)
     if not finite.all():
         raise ModelDomainError(f"the saddle point at q = {float(s[finite.argmin()])}, "
                                f"lam = {lam:.6g} leaves the float range")

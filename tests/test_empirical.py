@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import interevent as iv
 from interevent import empirical
@@ -133,6 +135,67 @@ def test_qmoments_negative_orders_exact_on_extreme_magnitudes():
         assert got == pytest.approx(expected, rel=1e-13)
         ratio = mean_power(2 * q) / mean_power(q) ** 2
         assert se == pytest.approx(math.sqrt(float(ratio - 1) / len(exps)), rel=1e-12)
+
+
+def test_ladder_exact_on_powers_of_two(monkeypatch):
+    # every t^p below is a power of two, over orders k/8 that run past the refresh count on
+    # both shifts and skip k = 100 once; the Fraction reference is exact, and the kernel's
+    # terms are off only by the rounding of p (ln t - s) and of the ladder's multiplies
+    exps = (-664, -496, -328, -160, -8, 0, 8, 160, 328, 496, 664)
+    log_t = np.log([2.0 ** e for e in exps])
+    orders = np.array([k / 8 for k in range(-16, 321) if k != 100])
+    calls = []
+    real_exp = np.exp
+
+    def counting_exp(x, *args, **kwargs):
+        calls.append(x.size)
+        return real_exp(x, *args, **kwargs)
+
+    monkeypatch.setattr(empirical.np, "exp", counting_exp)
+    got = empirical._log_power_means(log_t, orders)
+    monkeypatch.undo()
+    # negatives: a fresh term and one step; from 0: a fresh term at k = 0, 32, 64, 96, 101
+    # (off the ladder), 133, ..., 293 and one step
+    assert len(calls) == 14 and set(calls) == {len(exps)}
+
+    for p, g in zip(orders.tolist(), got):
+        k = round(8 * p)
+        mean = Fraction(sum(Fraction(2) ** (k * e // 8) for e in exps), len(exps))
+        assert g == pytest.approx(_log_fraction(mean), rel=1e-13), p
+
+
+_EPS = float(np.finfo(float).eps)
+
+
+@st.composite
+def _sample_and_orders(draw):
+    n = draw(st.integers(1, 200))
+    sigma = draw(st.floats(0.1, 12.0))
+    seed = draw(st.integers(0, 2**32 - 1))
+    log_t = np.log(np.random.default_rng(seed).lognormal(0.0, sigma, n))
+    if draw(st.booleans()):
+        start = draw(st.floats(-2.0, 20.0))
+        gap = draw(st.floats(1e-3, 2.0))
+        orders = start + gap * np.arange(draw(st.integers(1, 120)))
+    else:
+        orders = np.array(draw(st.lists(st.floats(-2.0, 40.0), min_size=1, max_size=120)))
+    return log_t, np.unique(orders)
+
+
+@given(_sample_and_orders())
+@settings(max_examples=150, deadline=None)
+def test_ladder_matches_fsum_of_fresh_exps(case):
+    # the ladder may add (8 |p| span + K + 4) eps to the mean's relative error; the second
+    # term is the rounding of assembling p s + ln S - ln N, which the reference repeats
+    log_t, orders = case
+    n, hi, lo = log_t.size, log_t.max(), log_t.min()
+    span = hi - lo
+    got = empirical._log_power_means(log_t.copy(), orders)
+    for p, g in zip(orders.tolist(), got):
+        s = lo if p < 0.0 else hi
+        ref = p * s + math.log(math.fsum(np.exp(p * (log_t - s)).tolist())) - math.log(n)
+        bound = (8.0 * abs(p) * span + empirical._LADDER_REFRESH + 4.0) * _EPS
+        assert abs(g - ref) <= bound + _EPS * (abs(ref) + math.log(n)), (p, g, ref)
 
 
 def test_qmoments_dedupe_overlapping_orders(monkeypatch):

@@ -2,6 +2,7 @@ import dataclasses
 import math
 import re
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -392,6 +393,22 @@ def test_saddle_raises_where_its_powers_leave_the_float_range(q, below, alpha):
     with pytest.raises(ModelDomainError, match=re.escape(f"q = {q},")):
         iv.saddlepoint_iq(np.array([below, q, 2.0 * q]), alpha, 1.0)
     assert math.isfinite(iv.saddlepoint_iq(below, alpha, 1.0).log_value)
+
+
+def test_saddle_returns_where_only_the_leading_power_overflows():
+    # |q|**gamma overflows from about 5.6e102 (alpha 1.5) and 1127 (alpha 1.01), before ln I(q)
+    # and every returned power do; from 8.5e102 and 1139 h_x0 overflows, and the order raises
+    # (test above).  The orders where the power does not overflow keep their bits.
+    for q, alpha in ((7e102, 1.5), (1130.0, 1.01)):
+        sp = iv.saddlepoint_iq(np.array([2.0, q]), alpha, 1.0)
+        assert all(math.isfinite(v[1]) for v in (sp.log_value, sp.x0, sp.h_x0, sp.h2_x0))
+        # lam = 1: ln I = (alpha - 1) |x0|**alpha + ln prefactor = -h_x0 + ln prefactor
+        assert sp.log_value[1] == -sp.h_x0[1] + math.log(sp.prefactor[1])
+        assert sp.log_value[0] == iv.saddlepoint_iq(2.0, alpha, 1.0).log_value
+    # gamma = 3: the exponent (alpha - 1)/alpha**3 q**3 in exact arithmetic
+    exponent = Fraction(1, 2) / Fraction(27, 8) * Fraction(7e102) ** 3
+    sp = iv.saddlepoint_iq(7e102, 1.5, 1.0)
+    assert sp.log_value - math.log(sp.prefactor) == pytest.approx(float(exponent), rel=1e-15)
 
 
 def test_saddle_array_call_counts_its_leading_order_points():
