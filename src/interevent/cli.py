@@ -406,9 +406,11 @@ _FIT_DEFAULT_RANGES = {"mono": (10.0, 20.0), "mf": (0.0, 3.5), "hmf": (0.0, 20.0
 
 
 def _fit_result_doc(result) -> dict:
+    # strict JSON has no NaN or Infinity, so a non-finite estimate or stderr is written as null
     doc = {
         "params": {
-            name: {"estimate": est, "stderr": se} for name, (est, se) in result.params.items()
+            name: {k: v if math.isfinite(v) else None for k, v in (("estimate", est), ("stderr", se))}
+            for name, (est, se) in result.params.items()
         },
         "q_domain": [result.q_domain[0], result.q_domain[1]],
         "residual_norm": result.residual_norm,

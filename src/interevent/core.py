@@ -759,16 +759,21 @@ def _peak_nodes(alpha: float, shift, c, bs: float):
     return g_max + top, y, weights, point
 
 
-def _log_peak_quad(alpha: float, shift, c, bs: float) -> np.ndarray:
-    """``ln int exp(g(y)) dy`` at each point, for :func:`_peak_nodes`' log-integrand ``g``,
-    in blocks of ``_BLOCK`` points."""
+def _log_peak_quad(alpha: float, shift, c, bs: float, f=None):
+    """``ln int exp(g(y)) dy`` at each point, for :func:`_peak_nodes`' log-integrand ``g``, in blocks
+    of ``_BLOCK`` points.  Given ``f(y, c)``, functions of the nodes ``y`` and their rows' points'
+    ``c``, also the means of each under ``exp(g)`` on the same nodes, one row per function."""
     shift, c = np.broadcast_arrays(np.atleast_1d(np.asarray(shift, dtype=float)),
                                    np.atleast_1d(np.asarray(c, dtype=float)))
-    out = np.empty(c.shape)
+    out, means = np.empty(c.shape), []
     for i in range(0, c.size, _BLOCK):
-        g_max, _y, w, point = _peak_nodes(alpha, shift[i:i + _BLOCK], c[i:i + _BLOCK], bs)
-        out[i:i + _BLOCK] = g_max + np.log(np.bincount(point, w.sum(axis=1), g_max.size))
-    return out
+        g_max, y, w, point = _peak_nodes(alpha, shift[i:i + _BLOCK], c[i:i + _BLOCK], bs)
+        total = np.bincount(point, w.sum(axis=1), g_max.size)
+        out[i:i + _BLOCK] = g_max + np.log(total)
+        if f is not None:
+            means.append([np.bincount(point, (w * v).sum(axis=1), g_max.size) / total
+                          for v in f(y, c[i + point])])
+    return out if f is None else (out, np.concatenate(means, axis=1))
 
 
 def log_iq_quadrature(q, alpha: float, beta_sigma: float):

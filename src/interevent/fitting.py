@@ -1,14 +1,14 @@
 """Parameter estimation on q-moment curves and survival functions.
 
 Each fitted law is a frozen dataclass whose fields are its parameters in fit
-order, carrying its values, its analytic ``jacobian`` and the
-``bounds`` its fit searches: ``MFParams`` and
+order, carrying ``linearize(x)``, its values and analytic Jacobian from one set
+of intermediates, and the ``bounds`` its fit searches: ``MFParams`` and
 ``HMFParams`` give the normalized log curve ``y(q) = ln(<t^q>/Gamma(1+q))``;
 :class:`QExponential`, :class:`Weibull` and :class:`StretchedSojourn` give
 ``ln Psi(t)`` and their start ``initial(t, y)``.  Every iterative fit runs
-through :func:`_nls`, which builds each law once per trial point and reuses it
-for the Jacobian, and :func:`least_squares`, a projected Levenberg-Marquardt
-method in numpy stopping at relative step 1e-10 or 500 evaluations.
+through :func:`_nls`, which linearizes the law once per trial point, and
+:func:`least_squares`, a projected Levenberg-Marquardt method in numpy
+stopping at relative step 1e-10 or 500 evaluations.
 Moment-curve residuals are weighted by inverse squared standard errors when
 the curve carries them; survival residuals are unweighted.
 """
@@ -20,8 +20,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .core import _BLOCK, FitResult, ModelDomainError, ModelParams, QMomentCurve, StretchedExp, _peak_nodes
-from .densities import sojourn as _sojourn
+from .core import FitResult, ModelDomainError, ModelParams, QMomentCurve, StretchedExp, _log_peak_quad
+from .densities import sojourn as _sojourn  # noqa: F401  kept for bench/workloads.py, which patches this name
 from .moments import HMFParams, MFParams
 
 __all__ = [
@@ -40,8 +40,18 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
+class _SurvivalLaw:
+    """``log_survival(t)`` and ``jacobian(t)``, the halves of a law's ``linearize(t)``."""
+
+    def log_survival(self, t):
+        return self.linearize(t)[0]
+
+    def jacobian(self, t):
+        return self.linearize(t)[1]
+
+
 @dataclass(frozen=True)
-class QExponential:
+class QExponential(_SurvivalLaw):
     """Survival ``[1 + m (q_ts - 1) t]**(-1/(q_ts - 1))`` with ``q_ts > 1``."""
 
     m: float
@@ -55,16 +65,11 @@ class QExponential:
         if not self.q_ts > 1:
             raise ModelDomainError("q_ts must exceed 1")
 
-    def log_survival(self, t):
-        k = self.q_ts - 1.0
-        return -np.log1p(self.m * k * np.asarray(t, dtype=float)) / k
-
-    def jacobian(self, t):
-        k = self.q_ts - 1.0
+    def linearize(self, t):
+        k, t = self.q_ts - 1.0, np.asarray(t, dtype=float)
         u = self.m * k * t
-        dm = -t / (1.0 + u)
-        dq = (np.log1p(u) - u / (1.0 + u)) / k ** 2
-        return np.column_stack([dm, dq])
+        log1p = np.log1p(u)
+        return -log1p / k, np.column_stack([-t / (1.0 + u), (log1p - u / (1.0 + u)) / k ** 2])
 
     @staticmethod
     def initial(t, y):
@@ -76,7 +81,7 @@ class QExponential:
 
 
 @dataclass(frozen=True)
-class Weibull:
+class Weibull(_SurvivalLaw):
     """Survival ``exp(-a t**c)``."""
 
     a: float
@@ -88,12 +93,11 @@ class Weibull:
         if not (self.a > 0 and self.c > 0):
             raise ModelDomainError("a and c must be positive")
 
-    def log_survival(self, t):
-        return -self.a * np.asarray(t, dtype=float) ** self.c
-
-    def jacobian(self, t):
+    def linearize(self, t):
+        t = np.asarray(t, dtype=float)
         tc = t ** self.c
-        return np.column_stack([-tc, -self.a * tc * np.log(t, out=np.zeros(t.shape), where=t > 0)])
+        log_t = np.log(t, out=np.zeros(t.shape), where=t > 0)
+        return -self.a * tc, np.column_stack([-tc, -self.a * tc * log_t])
 
     @staticmethod
     def initial(t, y):
@@ -106,7 +110,7 @@ class Weibull:
 
 
 @dataclass(frozen=True)
-class StretchedSojourn:
+class StretchedSojourn(_SurvivalLaw):
     """The mixed model's own (numerically integrated) survival function, named
     by the moment-law parameters of its stretched weight (see :attr:`params`)."""
 
@@ -128,27 +132,28 @@ class StretchedSojourn:
         weight = StretchedExp(mu=0.0, sigma=bs, alpha=alpha)
         return ModelParams(weight=weight, tau0=math.exp(self.c0), beta=1.0)
 
-    def log_survival(self, t):
-        return np.log(_sojourn(t, self.params))
+    def linearize(self, t):
+        """``ln Psi`` (by the steps of :func:`.densities.sojourn`) and its Jacobian on one node set
+        of :func:`_log_peak_quad` at ``c = [0, t/tau0]``.  With ``E_c`` the mean on the nodes at
+        ``c`` and ``bs = beta sigma``: ``d/dc0 = E_c[c e^(-bs y)]``, ``d/dln bs = bs E_c[c y e^(-bs y)]``,
+        and at fixed ``bs`` ``d/dalpha = E_0[|y|^alpha ln|y|] - E_c[|y|^alpha ln|y|]``, chained
+        through ``bs(alpha, b)``."""
+        t = np.asarray(t, dtype=float)
+        if not np.all(np.isfinite(t) & (t >= 0.0)):
+            raise ModelDomainError("t must be finite and nonnegative")
+        alpha, weight = self.alpha, self.params.weight
+        bs = weight.sigma
 
-    def jacobian(self, t):
-        """With ``E_c`` the mean on :func:`_peak_nodes` at ``c = t/tau0`` and ``bs = beta sigma``:
-        ``d/dc0 = E_c[c e^(-bs y)]``, ``d/dln bs = bs E_c[c y e^(-bs y)]``, and at fixed ``bs``
-        ``d/dalpha = E_0[|y|^alpha ln|y|] - E_c[|y|^alpha ln|y|]``, chained through ``bs(alpha, b)``.
-        The ``c = 0`` node set rides in the first block with every ``t``."""
-        alpha, bs, tau0 = self.alpha, self.params.weight.sigma, math.exp(self.c0)
-        c = np.concatenate([[0.0], np.asarray(t, dtype=float) / tau0])
-        m = np.empty((3, c.size))
-        for i in range(0, c.size, _BLOCK):
-            cb = c[i:i + _BLOCK]
-            _g_max, y, w, point = _peak_nodes(alpha, 0.0, cb, bs)
-            e, ay = cb[point, None] * np.exp(-bs * y), np.abs(y)
-            total = np.bincount(point, w.sum(axis=1), cb.size)
-            for k, f in enumerate((ay ** alpha * np.log(ay), bs * e * y, e)):
-                m[k, i:i + _BLOCK] = np.bincount(point, (w * f).sum(axis=1), cb.size) / total
+        def f(y, c):
+            e, ay = c[:, None] * np.exp(-bs * y), np.abs(y)
+            return ay ** alpha * np.log(ay), bs * e * y, e
+
+        log_i, m = _log_peak_quad(alpha, 0.0, np.concatenate([[0.0], t / math.exp(self.c0)]), bs, f)
+        psi = np.clip(np.where(t > 0.0, np.exp(log_i[1:] - weight.log_norm), 1.0), 0.0, 1.0)
         d_alpha, d_log_bs = m[0, 0] - m[0, 1:], m[1, 1:]
-        return np.column_stack([d_alpha + d_log_bs * math.log(self.b / (alpha - 1.0)) / alpha ** 2,
-                                d_log_bs * (alpha - 1.0) / (alpha * self.b), m[2, 1:]])
+        jac = np.column_stack([d_alpha + d_log_bs * math.log(self.b / (alpha - 1.0)) / alpha ** 2,
+                               d_log_bs * (alpha - 1.0) / (alpha * self.b), m[2, 1:]])
+        return np.log(psi), jac
 
     @staticmethod
     def initial(t, y):
@@ -212,70 +217,63 @@ def least_squares(fun, x0, jac, bounds, max_nfev=500) -> LeastSquaresResult:
     more than rounding is accepted and ``lam`` shrinks tenfold; otherwise
     (non-finite residuals or an overflowing sum of squares count as infinite
     cost) ``lam`` grows tenfold.  ``jac(x)`` is the Jacobian of ``fun`` at
-    ``x``, and is only called with the array ``fun`` was last called with.
+    ``x``, and is only called with the array ``fun`` was last called with.  Past the
+    products with ``J`` and the solve, a step works on Python floats (2-4 parameters).
     """
-    lo, hi = (np.asarray(b, dtype=float) for b in bounds)
-    box = list(zip(lo.tolist(), hi.tolist()))
-    x = np.minimum(np.maximum(np.asarray(x0, dtype=float), lo), hi)
+    box = list(zip(*(np.asarray(b, dtype=float).tolist() for b in bounds)))
+    xs = [min(max(xi, a), b) for xi, (a, b) in zip(np.asarray(x0, dtype=float).tolist(), box)]
+    x = np.array(xs)
     f = fun(x)
     if not np.all(np.isfinite(f)):
         raise ValueError("residuals are not finite at the initial point")
-    cost = 0.5 * float(f @ f)
+    cost, x_norm = 0.5 * float(f @ f), math.hypot(*xs)
     J = jac(x)
-    nfev, njev, lam, status = 1, 1, 1.0, 0
-    while nfev < max_nfev:
-        g = J.T @ f
-        # on 2-4 parameters a numpy call costs more than its arithmetic: test them as floats
-        free = [not (xi <= a and gi > 0 or xi >= b and gi < 0)
-                for xi, gi, (a, b) in zip(x.tolist(), g.tolist(), box)]
-        free = slice(None) if all(free) else np.array(free)
-        A = (J.T @ J)[free][:, free]
-        d = A.diagonal()
-        A.flat[::d.size + 1] = d + lam * np.where(d > 0, d, 1.0)
-        step = np.zeros(x.shape)
-        step[free] = np.linalg.solve(A, -g[free])
-        x_new = np.minimum(np.maximum(x + step, lo), hi)
+    nfev, njev, lam, small = 1, 1, 1.0, False
+    while nfev < max_nfev and not small:
+        g, A = J.T @ f, J.T @ J
+        free = [not (xi <= a and gi > 0 or xi >= b and gi < 0) for xi, gi, (a, b) in zip(xs, g.tolist(), box)]
+        if not all(free):
+            A, g = A[free][:, free], g[free]
+        A.flat[::A.shape[0] + 1] = [d + lam * (d if d > 0 else 1.0) for d in A.diagonal().tolist()]
+        solved = iter(np.linalg.solve(A, -g).tolist())
+        xs_new = [min(max(xi + (next(solved) if fr else 0.0), a), b) for xi, fr, (a, b) in zip(xs, free, box)]
+        x_new = np.array(xs_new)
         f_new = fun(x_new)
         nfev += 1
         with np.errstate(over="ignore"):
             ss = float(f_new @ f_new)
         cost_new = 0.5 * ss if math.isfinite(ss) else math.inf
-        dx = x_new - x
-        small = math.sqrt(dx.dot(dx)) <= 1e-10 * (1e-10 + math.sqrt(x.dot(x)))
+        small = math.dist(xs_new, xs) <= 1e-10 * (1e-10 + x_norm)
         if cost - cost_new >= _ROUNDING_RISE * cost:
-            x, f, cost = x_new, f_new, cost_new
-            J = jac(x)
-            njev += 1
-            lam = max(lam / 10.0, 1e-15)
+            x, xs, f, cost, x_norm = x_new, xs_new, f_new, cost_new, math.hypot(*xs_new)
+            J, njev, lam = jac(x), njev + 1, max(lam / 10.0, 1e-15)
         else:
             lam *= 10.0
-        if small:
-            status = 3
-            break
-    return LeastSquaresResult(x=x, cost=cost, jac=J, nfev=nfev, njev=njev, status=status)
+    return LeastSquaresResult(x=x, cost=cost, jac=J, nfev=nfev, njev=njev, status=3 if small else 0)
 
 
-def _nls(law, values, x, y, w, theta0, domain, weighted) -> FitResult:
-    """Least squares of ``sqrt(w) (values(law(*theta), x) - y)`` within ``law.bounds``,
-    naming the parameters after ``law``'s fields.  Unless ``weighted`` (``w``
-    are inverse variances) the covariance is scaled by the residual variance.
-    An estimate within ``1e-6 max(1, |bound|)`` of a finite bound is flagged
-    ``<field>_at_lower_boundary`` or ``<field>_at_upper_boundary``."""
+def _nls(law, x, y, w, theta0, domain, weighted) -> FitResult:
+    """Least squares of ``sqrt(w) (v - y)`` within ``law.bounds``, where ``v, J =
+    law(*theta).linearize(x)``: the residual keeps each trial's ``J`` for the solver's
+    ``jac``, and the estimates are named after ``law``'s fields.  Unless ``weighted``
+    (``w`` are inverse variances) the covariance is scaled by the residual variance.
+    Flags: ``<field>_at_lower_boundary`` or ``_at_upper_boundary`` for an estimate within
+    ``1e-6 max(1, |bound|)`` of a finite bound, ``stderr_undefined_zero_dof`` for NaN
+    stderrs (unweighted, no residual dof), and ``jacobian_rank_deficient`` where the SVD
+    drops a direction from the covariance."""
     sw = np.sqrt(w)
-    last = [None, None]  # residual's last point and its law, on Python floats; jac reuses the law
+    last = [None]  # the Jacobian at the residual's last trial point
 
     def residual(theta):
-        last[:] = theta, law(*theta.tolist())
-        return sw * (values(last[1], x) - y)
+        v, last[0] = law(*theta.tolist()).linearize(x)
+        return sw * (v - y)
 
-    def jac(theta):
-        return sw[:, None] * (last[1] if theta is last[0] else law(*theta.tolist())).jacobian(x)
-
-    res = least_squares(residual, theta0, jac=jac, bounds=law.bounds)
+    res = least_squares(residual, theta0, jac=lambda theta: sw[:, None] * last[0], bounds=law.bounds)
     rss = float(2.0 * res.cost)
     # diag(pinv(J^T J)) from one SVD of J, zeroing s_i^2 <= 1e-15 s_max^2 as pinv does
     _, sv, vt = np.linalg.svd(res.jac, full_matrices=False)
-    var = np.divide(1.0, sv**2, out=np.zeros_like(sv), where=sv**2 > 1e-15 * sv[0] ** 2) @ vt**2
+    kept = sv**2 > 1e-15 * sv[0] ** 2
+    var = np.divide(1.0, sv**2, out=np.zeros_like(sv), where=kept) @ vt**2
     dof = len(x) - res.jac.shape[1]
     if not weighted:
         var = var * (rss / dof if dof > 0 else np.nan)
@@ -285,6 +283,8 @@ def _nls(law, values, x, y, w, theta0, domain, weighted) -> FitResult:
         for side, bound in (("lower", lo), ("upper", hi)):
             if math.isfinite(bound) and abs(e - bound) <= 1e-6 * max(1.0, abs(bound)):
                 flags.append(f"{f.name}_at_{side}_boundary")
+    flags += ["stderr_undefined_zero_dof"] * (not weighted and dof <= 0)
+    flags += ["jacobian_rank_deficient"] * (not kept.all())
     return FitResult(
         params={f.name: (float(e), float(se)) for f, e, se in zip(fields(law), res.x, stderr)},
         q_domain=domain,
@@ -350,7 +350,7 @@ def fit_mf(curve: QMomentCurve, q_range=(0.0, 3.5)) -> FitResult:
     """Weighted fit of the MF law ``y = q c0 + b |q|**(alpha/(alpha-1))``."""
     q, y, w, weighted, domain = _window_points(curve, q_range, min_points=6)
     theta0 = _power_law_init(q, y, w)
-    return _nls(MFParams, MFParams.log_norm_moment, q, y, w, theta0, domain, weighted)
+    return _nls(MFParams, q, y, w, theta0, domain, weighted)
 
 
 def fit_hmf(curve: QMomentCurve, q_range=(0.0, 20.0)) -> FitResult:
@@ -375,7 +375,7 @@ def fit_hmf(curve: QMomentCurve, q_range=(0.0, 20.0)) -> FitResult:
     basis = np.column_stack([q, phi0]) * sw[:, None]
     coef, *_ = np.linalg.lstsq(basis, y * sw, rcond=None)
     theta0 = (alpha0, float(coef[0]), float(max(coef[1], 1e-3)), b1_0)
-    return _nls(HMFParams, HMFParams.log_norm_moment, q, y, w, theta0, domain, weighted)
+    return _nls(HMFParams, q, y, w, theta0, domain, weighted)
 
 
 # ---------------------------------------------------------------------------
@@ -411,5 +411,5 @@ def fit_sojourn(t_grid, psi_values, model_class) -> FitResult:
     if len(t) < len(fields(model_class)):
         raise ValueError("fewer points than parameters")
     y = np.log(psi)
-    return _nls(model_class, model_class.log_survival, t, y, np.ones_like(t),
-                model_class.initial(t, y), (float(t[0]), float(t[-1])), False)
+    return _nls(model_class, t, y, np.ones_like(t), model_class.initial(t, y),
+                (float(t[0]), float(t[-1])), False)

@@ -90,13 +90,19 @@ class MFParams:
 
     def log_norm_moment(self, q):
         """``ln(<t^q>/Gamma(1+q)) = q c0 + b exponent(q)``, elementwise in ``q``."""
-        return q * self.c0 + self.b * self.exponent(q)
+        return self._law(q, self.exponent(q))
 
-    def jacobian(self, q):
-        """Derivatives of :meth:`log_norm_moment` in (alpha, c0, b), one column each."""
+    def _law(self, q, p):
+        return q * self.c0 + self.b * p
+
+    def linearize(self, q):
+        """``(log_norm_moment(q), jacobian(q))``, a column per field in order, on one :meth:`exponent`."""
         p = self.exponent(q)
         dalpha = self.b * p * np.log(np.abs(q)) * (-1.0 / (self.alpha - 1.0) ** 2)
-        return np.column_stack([dalpha, q, p])
+        return self._law(q, p), np.column_stack([dalpha, q, p])
+
+    def jacobian(self, q):
+        return self.linearize(q)[1]
 
 
 @dataclass(frozen=True)
@@ -115,18 +121,20 @@ class HMFParams(MFParams):
 
     def exponent(self, q):
         """``phi(q) = (1/b1)(1 - exp(-b1 |q|**(1/(alpha-1)))) |q|``."""
-        aq = np.abs(q)
-        return -np.expm1(-self.b1 * aq ** (1.0 / (self.alpha - 1.0))) * aq / self.b1
+        return self._phi(q)[0]
 
-    def jacobian(self, q):
-        """Derivatives of :meth:`log_norm_moment` in (alpha, c0, b, b1), one column each."""
-        alpha, b, b1 = self.alpha, self.b, self.b1
+    def _phi(self, q):  # phi, with the |q|, s = |q|**(1/(alpha-1)) and expm1(-b1 s) of its derivatives
         aq = np.abs(q)
-        s = aq ** (1.0 / (alpha - 1.0))
-        e = np.exp(-b1 * s)
-        dalpha = b * e * aq * (s * np.log(aq) * (-1.0 / (alpha - 1.0) ** 2))
-        db1 = b * aq * (e * s * b1 + np.expm1(-b1 * s)) / b1 ** 2
-        return np.column_stack([dalpha, q, self.exponent(q), db1])
+        s = aq ** (1.0 / (self.alpha - 1.0))
+        m1 = np.expm1(-self.b1 * s)
+        return -m1 * aq / self.b1, aq, s, m1
+
+    def linearize(self, q):
+        phi, aq, s, m1 = self._phi(q)
+        e = np.exp(-self.b1 * s)
+        dalpha = self.b * e * aq * (s * np.log(aq) * (-1.0 / (self.alpha - 1.0) ** 2))
+        db1 = self.b * aq * (e * s * self.b1 + m1) / self.b1 ** 2
+        return self._law(q, phi), np.column_stack([dalpha, q, phi, db1])
 
 
 @dataclass(frozen=True)

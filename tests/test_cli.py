@@ -570,6 +570,23 @@ def test_sojourn_fit_rejects_order_window(tmp_path, kind, flags):
     assert r.stderr == f"usage error: --qmin/--qmax set a moment-order window; --kind {kind} fits every t row\n"
 
 
+def _reject_constant(name):
+    raise ValueError(f"not strict JSON: {name}")
+
+
+@pytest.mark.parametrize("out", [None, "fit.json"])
+def test_fit_without_residual_dof_writes_strict_json(tmp_path, out):
+    # two rows for two parameters: no residual variance, so the stderrs are undefined
+    (tmp_path / "soj.csv").write_text("t,psi\n1.0,0.5\n2.0,0.2\n")
+    r = run_cli(["fit", "--kind", "sojourn-weibull", "--input", "soj.csv", *(["--out", out] if out else [])],
+                tmp_path)
+    assert r.returncode == 0, r.stderr
+    doc = json.loads((tmp_path / out).read_text() if out else r.stdout, parse_constant=_reject_constant)
+    assert [p["stderr"] for p in doc["params"].values()] == [None, None]
+    assert all(math.isfinite(p["estimate"]) for p in doc["params"].values())
+    assert doc["flags"] == ["stderr_undefined_zero_dof"]
+
+
 def test_help_exits_zero(tmp_path):
     r = run_cli(["--help"], tmp_path)
     assert r.returncode == 0

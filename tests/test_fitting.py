@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import interevent as iv
-from interevent import fitting
+from interevent import core, fitting
 from interevent.core import _BLOCK
 
 
@@ -240,6 +240,67 @@ def test_stretched_jacobian_row_does_not_depend_on_its_batch():
     pick = np.random.default_rng(1).choice(t.size, 17, replace=False)
     np.testing.assert_allclose(law.jacobian(t[pick]), whole[pick], rtol=1e-14, atol=0.0)
     np.testing.assert_allclose(law.jacobian(t[[_BLOCK]]), whole[[_BLOCK]], rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("law, method, theta, x", [
+    (iv.MFParams, "log_norm_moment", (1.85, -1.5, 0.9), ORDERS),
+    (iv.MFParams, "log_norm_moment", (3.0, 0.4, 0.05), ORDERS),
+    (iv.HMFParams, "log_norm_moment", (1.78, 0.1, 1.07, 0.2), ORDERS),
+    (iv.HMFParams, "log_norm_moment", (2.21, -9.5, 11.7, 0.71), ORDERS),
+    (iv.QExponential, "log_survival", (0.7, 1.4), TIMES),
+    (iv.QExponential, "log_survival", (2.5, 1.05), TIMES),
+    (iv.Weibull, "log_survival", (1.53, 0.459), TIMES),
+    (iv.Weibull, "log_survival", (0.2, 1.7), TIMES),
+    (iv.StretchedSojourn, "log_survival", (1.2, 0.3, 0.0), TIMES),
+    (iv.StretchedSojourn, "log_survival", (1.5, 0.25, 0.4), TIMES),
+    (iv.StretchedSojourn, "log_survival", (3.0, 0.8, -0.5), TIMES),
+])
+def test_linearize_equals_the_value_and_jacobian_methods_bit_for_bit(law, method, theta, x):
+    model = law(*theta)
+    values, jac = model.linearize(x)
+    assert np.array_equal(values.view(np.int64), getattr(model, method)(x).view(np.int64))
+    assert np.array_equal(jac.view(np.int64), model.jacobian(x).view(np.int64))
+    if law is iv.StretchedSojourn:
+        # ln Psi takes the steps of densities.sojourn on its own node set
+        assert np.array_equal(values.view(np.int64), np.log(iv.sojourn(x, model.params)).view(np.int64))
+
+
+def test_stretched_fit_takes_one_node_set_per_evaluation(monkeypatch):
+    # the benchmark's 40-point survival fit: one quadrature call gives ln Psi and its Jacobian
+    calls = []
+    peak_nodes = core._peak_nodes
+
+    def counting(*args):
+        calls.append(args)
+        return peak_nodes(*args)
+
+    def forbidden(*args):
+        raise AssertionError("the fit evaluated densities.sojourn")
+
+    t = np.geomspace(0.05, 20.0, 40)
+    psi = iv.sojourn(t, iv.ModelParams(weight=iv.StretchedExp(mu=0.0, sigma=1.0, alpha=1.5)))
+    monkeypatch.setattr(core, "_peak_nodes", counting)
+    monkeypatch.setattr(fitting, "_sojourn", forbidden)
+    fit = iv.fit_sojourn(t, psi, iv.StretchedSojourn)
+    assert fit.converged
+    assert len(calls) == fit.nfev
+
+
+def test_fit_flags_a_rank_deficient_jacobian():
+    # six times within 5e-9 of each other: the t**c column is nearly the a column
+    t = 1.0 + np.arange(6) * 1e-9
+    fit = iv.fit_sojourn(t, np.exp(-0.7 * t ** 1.3), iv.Weibull)
+    assert fit.jac_cond > 3.2e7
+    assert fit.flags == ("jacobian_rank_deficient",)
+    t = np.geomspace(0.1, 10.0, 20)
+    assert iv.fit_sojourn(t, np.exp(-0.7 * t ** 1.3), iv.Weibull).flags == ()
+
+
+def test_fit_flags_undefined_stderr_without_residual_dof():
+    t = np.array([1.0, 2.0])
+    fit = iv.fit_sojourn(t, np.array([0.5, 0.2]), iv.Weibull)
+    assert fit.flags == ("stderr_undefined_zero_dof",)
+    assert all(math.isnan(fit.stderr(name)) for name in ("a", "c"))
 
 
 def test_fit_window_excludes_zero_order():
