@@ -5,7 +5,8 @@ order, carrying ``linearize(x)``, its values and analytic Jacobian from one set
 of intermediates, and the ``bounds`` its fit searches: ``MFParams`` and
 ``HMFParams`` give the normalized log curve ``y(q) = ln(<t^q>/Gamma(1+q))``;
 :class:`QExponential`, :class:`Weibull` and :class:`StretchedSojourn` give
-``ln Psi(t)`` and their start ``initial(t, y)``.  Every iterative fit runs
+``ln Psi(t)`` and their start ``initial(t, y)``; the moment laws start from
+:func:`_linear_start`.  Every iterative fit runs
 through :func:`_nls`, which linearizes the law once per trial point, and
 :func:`least_squares`, a projected Levenberg-Marquardt method in numpy
 stopping at relative step 1e-10 or 500 evaluations.
@@ -268,7 +269,8 @@ def _nls(law, x, y, w, theta0, domain, weighted) -> FitResult:
         v, last[0] = law(*theta.tolist()).linearize(x)
         return sw * (v - y)
 
-    res = least_squares(residual, theta0, jac=lambda theta: sw[:, None] * last[0], bounds=law.bounds)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing trial is rejected, silently
+        res = least_squares(residual, theta0, jac=lambda theta: sw[:, None] * last[0], bounds=law.bounds)
     rss = float(2.0 * res.cost)
     # diag(pinv(J^T J)) from one SVD of J, zeroing s_i^2 <= 1e-15 s_max^2 as pinv does
     _, sv, vt = np.linalg.svd(res.jac, full_matrices=False)
@@ -297,31 +299,13 @@ def _nls(law, x, y, w, theta0, domain, weighted) -> FitResult:
     )
 
 
-def _power_law_init(q: np.ndarray, y: np.ndarray, w: np.ndarray):
-    """Initial (alpha, c0, b): first pass with alpha = 2, then alpha from the
-    log-log slope of curve(q)/q minus the first-pass intercept at small q."""
+def _linear_start(law, q, y, w, alpha0, *rest):
+    """``(alpha0, c0, b, *rest)``: the shape held at ``(alpha0, *rest)`` and ``(c0, b)``, which
+    enter the law linearly, by weighted least squares on ``[q, exponent(q)]``, ``b`` floored at 1e-3."""
     sw = np.sqrt(w)
-    basis = np.column_stack([q, q * np.abs(q)])
-    coef, *_ = np.linalg.lstsq(basis * sw[:, None], y * sw, rcond=None)
-    c0_first, b_first = float(coef[0]), float(coef[1])
-
-    g = y / q
-    r = g - c0_first
-    order = np.argsort(q)
-    small = order[: max(3, len(q) // 2)]
-    valid = small[(r[small] > 0) & (q[small] > 0)]
-    alpha0, b0 = 2.0, max(b_first, 1e-3)
-    if valid.size >= 2:
-        lx, ly = np.log(q[valid]), np.log(r[valid])
-        slope, intercept = np.polyfit(lx, ly, 1)
-        slope = float(np.clip(slope, 0.12, 25.0))
-        alpha0 = float(np.clip(1.0 + 1.0 / slope, 1.05, 9.0))
-        b0 = float(np.clip(math.exp(intercept), 1e-6, 1e6))
-    if q.min() <= 1.0 <= q.max():
-        c00 = float(np.interp(1.0, q, y)) - b0
-    else:
-        c00 = c0_first
-    return alpha0, c00, b0
+    basis = np.column_stack([q, law(alpha0, 0.0, 1.0, *rest).exponent(q)]) * sw[:, None]
+    (c0, b), *_ = np.linalg.lstsq(basis, y * sw, rcond=None)
+    return (alpha0, float(c0), max(float(b), 1e-3), *rest)
 
 
 # ---------------------------------------------------------------------------
@@ -347,14 +331,15 @@ def fit_monofractal(curve: QMomentCurve, q_range=(10.0, 20.0)) -> FitResult:
 
 
 def fit_mf(curve: QMomentCurve, q_range=(0.0, 3.5)) -> FitResult:
-    """Weighted fit of the MF law ``y = q c0 + b |q|**(alpha/(alpha-1))``."""
+    """Weighted fit of the MF law ``y = q c0 + b |q|**(alpha/(alpha-1))``, started at
+    ``alpha = 2`` with ``(c0, b)`` solved linearly on ``[q, q|q|]``."""
     q, y, w, weighted, domain = _window_points(curve, q_range, min_points=6)
-    theta0 = _power_law_init(q, y, w)
-    return _nls(MFParams, q, y, w, theta0, domain, weighted)
+    return _nls(MFParams, q, y, w, _linear_start(MFParams, q, y, w, 2.0), domain, weighted)
 
 
 def fit_hmf(curve: QMomentCurve, q_range=(0.0, 20.0)) -> FitResult:
-    """Weighted fit of the HMF law ``y = q c0 + (b/b1)(1 - exp(-b1 |q|**(1/(alpha-1)))) |q|``."""
+    """Weighted fit of the HMF law ``y = q c0 + (b/b1)(1 - exp(-b1 |q|**(1/(alpha-1)))) |q|``,
+    started at ``(alpha, b1) = (2, 0.2)`` with ``(c0, b)`` solved linearly on ``[q, exponent(q)]``."""
     q, y, w, weighted, domain = _window_points(curve, q_range, min_points=8)
 
     # a purely linear curve has b = 0 and leaves (alpha, b1) meaningless
@@ -367,15 +352,7 @@ def fit_hmf(curve: QMomentCurve, q_range=(0.0, 20.0)) -> FitResult:
             "has b = 0 and (alpha, b1) are unidentifiable"
         )
 
-    alpha0, c00, b0 = _power_law_init(q, y, w)
-    b1_0 = 0.2
-    # refine (c0, b) linearly with the shape (alpha0, b1_0) frozen
-    sw = np.sqrt(w)
-    phi0 = HMFParams(alpha0, c00, b0, b1_0).exponent(q)
-    basis = np.column_stack([q, phi0]) * sw[:, None]
-    coef, *_ = np.linalg.lstsq(basis, y * sw, rcond=None)
-    theta0 = (alpha0, float(coef[0]), float(max(coef[1], 1e-3)), b1_0)
-    return _nls(HMFParams, q, y, w, theta0, domain, weighted)
+    return _nls(HMFParams, q, y, w, _linear_start(HMFParams, q, y, w, 2.0, 0.2), domain, weighted)
 
 
 # ---------------------------------------------------------------------------

@@ -131,9 +131,9 @@ class HMFParams(MFParams):
 
     def linearize(self, q):
         phi, aq, s, m1 = self._phi(q)
-        e = np.exp(-self.b1 * s)
-        dalpha = self.b * e * aq * (s * np.log(aq) * (-1.0 / (self.alpha - 1.0) ** 2))
-        db1 = self.b * aq * (e * s * self.b1 + m1) / self.b1 ** 2
+        es = np.exp(-self.b1 * s) * np.minimum(s, np.finfo(float).max)  # 0, not 0*inf, where s overflows
+        dalpha = self.b * aq * (es * np.log(aq) * (-1.0 / (self.alpha - 1.0) ** 2))
+        db1 = self.b * aq * (es * self.b1 + m1) / self.b1 ** 2
         return self._law(q, phi), np.column_stack([dalpha, q, phi, db1])
 
 

@@ -345,6 +345,19 @@ def test_pipeline_simulate_estimate_fit(tmp_path):
     assert doc["params"]["ln_tau"]["estimate"] == pytest.approx(1.5, abs=0.05)
 
 
+def test_hmf_fit_that_reaches_the_alpha_bound_exits_cleanly(tmp_path):
+    # the fit's first step puts alpha on its bound, where the law's powers overflow
+    r = run_cli(["simulate", "--weight", "stretched", "--sigma", "0.5", "--alpha", "2.5",
+                 "--n", "20000", "--seed", "0", "--out", "ev.csv"], tmp_path)
+    assert r.returncode == 0, r.stderr
+    r = run_cli(["estimate", "--input", "ev.csv", "--out-moments", "mom.csv"], tmp_path)
+    assert r.returncode == 0, r.stderr
+    r = run_cli(["fit", "--kind", "hmf", "--input", "mom.csv", "--out", "fit.json"], tmp_path)
+    assert (r.returncode, r.stderr) == (0, "")
+    doc = json.loads((tmp_path / "fit.json").read_text())
+    assert doc["flags"] == ["alpha_at_lower_boundary", "jacobian_rank_deficient"]
+
+
 def test_config_supplies_defaults_and_flags_override(tmp_path):
     cfg = {"weight": "delta", "n": 25, "seed": 3, "out": "from_config.csv"}
     (tmp_path / "sim.json").write_text(json.dumps(cfg))

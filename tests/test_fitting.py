@@ -48,21 +48,30 @@ def test_monofractal_on_hmf_curve_regression():
     assert est == pytest.approx(plateau, rel=5e-3)
 
 
-def test_mf_fit_roundtrip_with_noise():
-    truth = iv.MFParams(alpha=1.85, c0=-1.5, b=0.9)
-    q = np.round(np.arange(0, 36) * 0.1, 12)
-    clean = iv.mf_curve(q, truth)
-    rng = np.random.default_rng(3)
-    vals = clean.log_norm_moment + rng.normal(0.0, 1e-4, q.shape)
+def _roundtrip_curve(truth, q_max, sd, seed):
+    """``truth``'s curve on ``[0, q_max]`` at step 0.1, with seeded noise of standard error
+    ``sd`` that the curve carries, or exact and unweighted where ``sd`` is 0."""
+    q = np.round(np.arange(0, int(round(10 * q_max)) + 1) * 0.1, 12)
+    vals = iv.mf_curve(q, truth).log_norm_moment + np.random.default_rng(seed).normal(0.0, sd, q.shape)
     vals[0] = 0.0
-    noisy = iv.QMomentCurve(q_grid=q, log_norm_moment=vals, stderr=np.full(q.shape, 1e-4))
-    fit = iv.fit_mf(noisy, (0.0, 3.5))
-    assert fit.converged
-    assert fit.estimate("alpha") == pytest.approx(1.85, abs=0.02)
-    assert fit.estimate("c0") == pytest.approx(-1.5, abs=0.02)
-    assert fit.estimate("b") == pytest.approx(0.9, abs=0.02)
-    # reported uncertainty should cover the truth within a few sigma
-    assert abs(fit.estimate("alpha") - 1.85) < 5 * fit.stderr("alpha")
+    return iv.QMomentCurve(q_grid=q, log_norm_moment=vals, stderr=np.full(q.shape, sd) if sd else None)
+
+
+# the exact curves lie far from the moment fits' start at alpha = 2
+@pytest.mark.parametrize("truth, q_max, sd, tol", [
+    (iv.MFParams(alpha=1.85, c0=-1.5, b=0.9), 3.5, 1e-4, 0.02),
+    (iv.MFParams(alpha=1.2, c0=0.0, b=0.3), 1.0, 0.0, 1e-6),
+    (iv.MFParams(alpha=3.0, c0=-1.0, b=0.3), 3.5, 0.0, 1e-6),
+    (iv.MFParams(alpha=5.0, c0=1.0, b=0.3), 3.5, 0.0, 1e-6),
+], ids=["noisy", "exact-alpha1.2", "exact-alpha3", "exact-alpha5"])
+def test_mf_fit_roundtrip(truth, q_max, sd, tol):
+    fit = iv.fit_mf(_roundtrip_curve(truth, q_max, sd, seed=3), (0.0, q_max))
+    assert fit.converged and not fit.flags
+    for f in fields(truth):
+        assert fit.estimate(f.name) == pytest.approx(getattr(truth, f.name), abs=tol), f.name
+    if sd:
+        # reported uncertainty should cover the truth within a few sigma
+        assert abs(fit.estimate("alpha") - truth.alpha) < 5 * fit.stderr("alpha")
 
 
 def test_fit_reports_optimizer_diagnostics():
@@ -98,18 +107,32 @@ def test_hmf_fit_rejects_purely_linear_curve():
         iv.fit_hmf(curve, (0.0, 20.0))
 
 
-def test_hmf_fit_with_noise():
-    truth = iv.HMFParams(alpha=1.78, c0=0.1, b=1.07, b1=0.20)
-    q = np.round(np.arange(0, 201) * 0.1, 12)
-    clean = iv.mf_curve(q, truth)
-    rng = np.random.default_rng(8)
-    vals = clean.log_norm_moment + rng.normal(0.0, 1e-3, q.shape)
-    vals[0] = 0.0
-    noisy = iv.QMomentCurve(q_grid=q, log_norm_moment=vals, stderr=np.full(q.shape, 1e-3))
-    fit = iv.fit_hmf(noisy, (0.0, 20.0))
-    assert fit.converged
-    for name, val in (("alpha", 1.78), ("c0", 0.1), ("b", 1.07), ("b1", 0.20)):
-        assert fit.estimate(name) == pytest.approx(val, rel=0.05), name
+@pytest.mark.parametrize("truth, sd, rel", [
+    (iv.HMFParams(alpha=1.78, c0=0.1, b=1.07, b1=0.20), 1e-3, 0.05),
+    (iv.HMFParams(alpha=1.2, c0=0.0, b=0.3, b1=0.20), 0.0, 1e-6),
+    (iv.HMFParams(alpha=3.0, c0=-1.0, b=1.0, b1=0.20), 0.0, 1e-6),
+], ids=["noisy", "exact-alpha1.2", "exact-alpha3"])
+def test_hmf_fit_roundtrip(truth, sd, rel):
+    fit = iv.fit_hmf(_roundtrip_curve(truth, 20.0, sd, seed=8), (0.0, 20.0))
+    assert fit.converged and not fit.flags
+    for f in fields(truth):
+        assert fit.estimate(f.name) == pytest.approx(getattr(truth, f.name), rel=rel, abs=1e-9), f.name
+
+
+def test_hmf_fit_ends_on_the_alpha_bound_without_warnings():
+    # the first step of this fit puts alpha on its bound, where |q|**(1/(alpha-1)) overflows;
+    # the Jacobian stays finite there, so the fit neither warns nor leaves the law's domain
+    params = iv.ModelParams(weight=iv.StretchedExp(mu=0.0, sigma=0.5, alpha=2.5))
+    series = iv.generate_series(iv.SimConfig(params=params, n_events=20_000, seed=0))
+    curve = iv.empirical_qmoments(series, np.round(np.arange(201) * 0.1, 12))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fit = iv.fit_hmf(curve, (0.0, 20.0))
+    assert fit.flags == ("alpha_at_lower_boundary", "jacobian_rank_deficient")
+    assert fit.estimate("alpha") == iv.HMFParams.bounds[0][0]
+    with np.errstate(over="ignore"):
+        _v, jac = iv.HMFParams(*(fit.estimate(f.name) for f in fields(iv.HMFParams))).linearize(curve.q_grid[1:])
+    assert np.all(np.isfinite(jac))
 
 
 def test_qexp_survival_shape():
