@@ -9,10 +9,10 @@ the weight differs between models, so each family's class carries the formulas
 the other modules call.
 
 Every layer hands a family a whole grid: ``log_mgf`` takes an array of
-arguments and ``ptd_kernel``/``sojourn_kernel`` return maps over an array of
-times.  The closed forms are numpy on that array.  The stretched family's psi,
-Psi and ln I(q) are one integral, :func:`_peak_nodes`, which takes arrays of
-points: its peak and cut searches run on every point in lockstep, and one
+arguments and ``mixture`` an array of times, psi at ``k = 1`` and Psi at
+``k = 0``.  The closed forms are numpy on that array.  The stretched family's
+psi, Psi and ln I(q) are one integral, :func:`_peak_nodes`, which takes arrays
+of points: its peak and cut searches run on every point in lockstep, and one
 tanh-sinh rule is summed over all their panels, ``_BLOCK`` points at a time.
 A single point is a batch of one, and :func:`_shape_like` hands it back as a scalar.
 
@@ -92,10 +92,11 @@ class AsymptoticRangeWarning(UserWarning):
 # ---------------------------------------------------------------------------
 # A family is one class listed in WEIGHT_FAMILIES, with the methods every layer
 # calls: log_mgf(s) = ln E[exp(s eps)] on a 1-d array of s (DivergentMomentError
-# where infinite), sample(rng, size), and ptd_kernel / sojourn_kernel(tau0, beta),
-# which return the maps t -> psi(t) and t -> Psi(t) on a 1-d array of times.  Each
-# is numpy on the whole array, with every branch evaluated on its own mask only;
-# the stretched family integrates the grid at once.  Each family fixes its accuracy.
+# where infinite), sample(rng, size), and mixture(x, tau0, beta, k), the integral
+# E[tau(eps)**(-k) exp(-x/tau(eps))] on a 1-d array of times x >= 0: psi(x) at k = 1,
+# Psi(x) at k = 0, each at x = 0 its limit.  Each is numpy on the whole array, with
+# every branch evaluated on its own mask only; the stretched family integrates the
+# grid at once.  Each family fixes its accuracy.
 
 
 @dataclass(frozen=True)
@@ -116,13 +117,9 @@ class Delta:
             return self.mu
         return np.full(size, self.mu, dtype=float)
 
-    def ptd_kernel(self, tau0: float, beta: float):
+    def mixture(self, x: np.ndarray, tau0: float, beta: float, k: int) -> np.ndarray:
         tau_mu = tau0 * math.exp(beta * self.mu)
-        return lambda x: np.exp(-x / tau_mu) / tau_mu
-
-    def sojourn_kernel(self, tau0: float, beta: float):
-        tau_mu = tau0 * math.exp(beta * self.mu)
-        return lambda x: np.exp(-x / tau_mu)
+        return np.exp(-x / tau_mu) / tau_mu ** k
 
 
 # 1/(2k+1)! for k = 9, ..., 1: sinh(x)/x - 1 = x^2 polyval(_SINHC_SERIES, x^2) to 1e-19 below 1
@@ -151,40 +148,28 @@ class Uniform:
     def sample(self, rng: np.random.Generator, size: int | None = None):
         return rng.uniform(-self.half_width, self.half_width, size)
 
-    def ptd_kernel(self, tau0: float, beta: float):
+    def mixture(self, x: np.ndarray, tau0: float, beta: float, k: int) -> np.ndarray:
+        # two closed forms: psi an exp difference over x, Psi an E1 difference
         db = beta * self.half_width
         tau_plus = tau0 * math.exp(db)
         tau_minus = tau0 * math.exp(-db)
-        rate_gap = 1.0 / tau_minus - 1.0 / tau_plus
-
-        def near(x: np.ndarray) -> np.ndarray:
+        if k:
+            rate_gap = 1.0 / tau_minus - 1.0 / tau_plus
             # two-term series of -expm1(-u)/x below u = x rate_gap = 1e-8; avoids 0/0 at the origin
-            return np.exp(-x / tau_plus) * rate_gap * (1.0 - 0.5 * (x * rate_gap)) / (2.0 * db)
+            return np.piecewise(x, [x * rate_gap < 1e-8], [
+                lambda x: np.exp(-x / tau_plus) * rate_gap * (1.0 - 0.5 * (x * rate_gap)) / (2.0 * db),
+                lambda x: np.exp(-x / tau_plus) * -np.expm1(-x * rate_gap) / (2.0 * db * x)])
+        out = np.ones(x.shape)
+        pos = x > 0.0
+        if db < 1e-3:
+            # below db = 1e-3 the E1 difference cancels; integrate exp(-x/tau(eps)) on tanh-sinh nodes
+            rates = np.exp(-db * _TS_NODES) / tau0
+            out[pos] = (np.exp(np.multiply.outer(-x[pos], rates)) * _TS_WEIGHTS).sum(1) / 2.0
+        else:
+            from scipy.special import exp1
 
-        def far(x: np.ndarray) -> np.ndarray:
-            return np.exp(-x / tau_plus) * -np.expm1(-x * rate_gap) / (2.0 * db * x)
-
-        return lambda x: np.piecewise(x, [x * rate_gap < 1e-8], [near, far])
-
-    def sojourn_kernel(self, tau0: float, beta: float):
-        db = beta * self.half_width
-        tau_plus = tau0 * math.exp(db)
-        tau_minus = tau0 * math.exp(-db)
-        # below db = 1e-3 the E1 difference cancels; integrate exp(-x/tau(eps)) on tanh-sinh nodes
-        rates = np.exp(-db * _TS_NODES) / tau0
-
-        def kernel(x: np.ndarray) -> np.ndarray:
-            out = np.ones(x.shape)
-            pos = x > 0.0
-            if db < 1e-3:
-                out[pos] = (np.exp(np.multiply.outer(-x[pos], rates)) * _TS_WEIGHTS).sum(1) / 2.0
-            else:
-                from scipy.special import exp1
-
-                out[pos] = (exp1(x[pos] / tau_plus) - exp1(x[pos] / tau_minus)) / (2.0 * db)
-            return out
-
-        return kernel
+            out[pos] = (exp1(x[pos] / tau_plus) - exp1(x[pos] / tau_minus)) / (2.0 * db)
+        return out
 
 
 @dataclass(frozen=True)
@@ -208,27 +193,18 @@ class Laplace:
     def sample(self, rng: np.random.Generator, size: int | None = None):
         return rng.laplace(0.0, self.sigma, size)
 
-    def ptd_kernel(self, tau0: float, beta: float):
+    def mixture(self, x: np.ndarray, tau0: float, beta: float, k: int) -> np.ndarray:
+        # (S_lower(k + 1/sb, z) + S_upper(k - 1/sb, z)) / (2 sb tau0**k) at z = x/tau0; at x = 0,
+        # psi's limit 1/(tau0 (1 - sb^2)), infinite from sb = 1, and Psi's 1
         sb = beta * self.sigma
-        return self._gamma_pair(tau0, sb, 1, 1.0 / (tau0 * (1.0 - sb * sb)) if sb < 1 else math.inf)
-
-    def sojourn_kernel(self, tau0: float, beta: float):
-        return self._gamma_pair(tau0, beta * self.sigma, 0, 1.0)
-
-    @staticmethod
-    def _gamma_pair(tau0: float, sb: float, k: int, at_zero: float):
-        # x -> (S_lower(k + 1/sb, z) + S_upper(k - 1/sb, z)) / (2 sb tau0**k) at z = x/tau0, and
-        # at_zero at x = 0: psi for k = 1, Psi for k = 0
-        def kernel(x: np.ndarray) -> np.ndarray:
-            out = np.full(x.shape, at_zero)
-            pos = x > 0.0
-            z = x[pos] / tau0
-            val = scaled_lower_incomplete_gamma(k + 1.0 / sb, z)
-            val += scaled_upper_incomplete_gamma(k - 1.0 / sb, z)
-            out[pos] = val / (2.0 * sb * tau0 ** k)
-            return out
-
-        return kernel
+        at_zero = (1.0 / (tau0 * (1.0 - sb * sb)) if sb < 1 else math.inf) if k else 1.0
+        out = np.full(x.shape, at_zero)
+        pos = x > 0.0
+        z = x[pos] / tau0
+        val = scaled_lower_incomplete_gamma(k + 1.0 / sb, z)
+        val += scaled_upper_incomplete_gamma(k - 1.0 / sb, z)
+        out[pos] = val / (2.0 * sb * tau0 ** k)
+        return out
 
 
 @dataclass(frozen=True)
@@ -276,33 +252,19 @@ class StretchedExp:
         eps = self.mu + self.sigma * sign * g ** (1.0 / self.alpha)
         return float(eps) if size is None else eps
 
-    def ptd_kernel(self, tau0: float, beta: float):
-        alpha = self.alpha
+    def mixture(self, x: np.ndarray, tau0: float, beta: float, k: int) -> np.ndarray:
+        # in y = (eps - mu)/sigma, tau**(-k) is the shift k bs y and the factor scale**(-k); Psi takes
+        # no log of the scale, which may overflow.  At c = 0 psi is inf where it diverges and is
+        # integrated elsewhere; Psi is 1 at x = 0 and integrated at every x > 0, c = 0 included
         bs = beta * self.sigma
         scale = tau0 * math.exp(beta * self.mu)
-        log_pref = -self.log_norm - math.log(scale)
-        diverges_at_0 = alpha < 1.0 or (alpha == 1.0 and bs >= 1.0)
-
-        def kernel(x: np.ndarray) -> np.ndarray:
-            c = x / scale
-            out = np.full(c.shape, math.inf)
-            finite = (c > 0.0) | (not diverges_at_0)
-            out[finite] = np.exp(_log_peak_quad(alpha, bs, c[finite], bs) + log_pref)
-            return out
-
-        return kernel
-
-    def sojourn_kernel(self, tau0: float, beta: float):
-        bs = beta * self.sigma
-        scale = tau0 * math.exp(beta * self.mu)
-        log_norm = self.log_norm
-
-        def kernel(x: np.ndarray) -> np.ndarray:
-            out = np.ones(x.shape)
-            out[x > 0.0] = np.exp(_log_peak_quad(self.alpha, 0.0, x[x > 0.0] / scale, bs) - log_norm)
-            return out
-
-        return kernel
+        log_pref = -self.log_norm - (math.log(scale) if k else 0.0)
+        diverges_at_0 = self.alpha < 1.0 or (self.alpha == 1.0 and bs >= 1.0)
+        c = x / scale
+        out = np.full(c.shape, math.inf if k else 1.0)
+        finite = (c > 0.0) | (not diverges_at_0) if k else x > 0.0
+        out[finite] = np.exp(_log_peak_quad(self.alpha, k * bs, c[finite], bs) + log_pref)
+        return out
 
 
 Weight = Union[Delta, Uniform, Laplace, StretchedExp]
@@ -377,20 +339,15 @@ class QMomentCurve:
         at_zero = q == 0.0
         if np.any(at_zero) and np.any(np.abs(v[at_zero]) > 1e-12):
             raise ValueError("normalized log moment must vanish at q = 0")
-        if self.stderr is not None:
-            se = np.atleast_1d(np.asarray(self.stderr, dtype=float))
-            object.__setattr__(self, "stderr", se)
-            if se.shape != q.shape:
-                raise ValueError("stderr must match the q grid")
-            if not np.all(se >= 0):
-                raise ValueError("stderr must be nonnegative and not NaN")
-        if self.n_eff is not None:
-            ne = np.atleast_1d(np.asarray(self.n_eff, dtype=float))
-            object.__setattr__(self, "n_eff", ne)
-            if ne.shape != q.shape:
-                raise ValueError("n_eff must match the q grid")
-            if not np.all(ne >= 0):
-                raise ValueError("n_eff must be nonnegative and not NaN")
+        for name in ("stderr", "n_eff"):
+            if getattr(self, name) is None:
+                continue
+            col = np.atleast_1d(np.asarray(getattr(self, name), dtype=float))
+            object.__setattr__(self, name, col)
+            if col.shape != q.shape:
+                raise ValueError(f"{name} must match the q grid")
+            if not np.all(col >= 0):
+                raise ValueError(f"{name} must be nonnegative and not NaN")
 
     def __len__(self) -> int:
         return int(self.q_grid.size)

@@ -4,12 +4,13 @@ For a weight density ``rho(eps)`` the unconditional waiting-time density is
 
     psi(t) = int rho(eps) * exp(-t / tau(eps)) / tau(eps) deps,
 
-with ``tau(eps) = tau0 * exp(beta * eps)``.  Each weight class in :mod:`.core`
-supplies this integral as a map over an array of times, and :func:`ptd` and
-:func:`sojourn` pass it the whole raveled grid in one call: closed forms in
-numpy for Delta, Uniform and Laplace weights, and for the
-stretched-exponential weight a fixed tanh-sinh rule on each side of the
-weight's centre, whose peak and cut searches run on the whole grid at once.
+with ``tau(eps) = tau0 * exp(beta * eps)``, and the survival function
+``Psi(t)`` is the same integral without the factor ``1/tau(eps)``.  Each weight
+class in :mod:`.core` supplies both as one method, ``mixture(x, tau0, beta, k)``
+at ``k = 1`` and ``k = 0``, and :func:`ptd` and :func:`sojourn` pass it the whole
+raveled grid in one call: closed forms in numpy for Delta, Uniform and Laplace
+weights, and for the stretched-exponential weight a fixed tanh-sinh rule on each
+side of the weight's centre, whose peak and cut searches run on the whole grid at once.
 """
 
 from __future__ import annotations
@@ -61,7 +62,7 @@ class PhaseLabel:
 
 
 def _map_times(kernel, t):
-    # the whole raveled grid goes to the family's array map in one call; past the float range, inf
+    # the whole raveled grid goes to the family's mixture in one call; past the float range, inf
     arr = np.asarray(t, dtype=float)
     if np.any(~np.isfinite(arr)) or np.any(arr < 0):
         raise ModelDomainError("t must be finite and nonnegative")
@@ -80,7 +81,7 @@ def ptd(t, params: ModelParams):
     by one fixed tanh-sinh rule, within 1e-13 relative of 30-digit references
     at the pinned points; the other families are closed forms.
     """
-    return _map_times(params.weight.ptd_kernel(params.tau0, params.beta), t)
+    return _map_times(lambda x: params.weight.mixture(x, params.tau0, params.beta, 1), t)
 
 
 def ptd_tail(t, params: ModelParams):
@@ -110,9 +111,9 @@ def ptd_tail(t, params: ModelParams):
 
 def sojourn(t, params: ModelParams):
     """Survival probability ``Psi(t) = P(waiting time > t)``, in [0, 1], to :func:`ptd`'s accuracy."""
-    kernel = params.weight.sojourn_kernel(params.tau0, params.beta)
     # cancellation in the E1/quadrature branches can overshoot by ~1e-13
-    return _map_times(lambda x: np.clip(kernel(x), 0.0, 1.0), t)
+    return _map_times(
+        lambda x: np.clip(params.weight.mixture(x, params.tau0, params.beta, 0), 0.0, 1.0), t)
 
 
 def characteristic_time(params: ModelParams) -> float:

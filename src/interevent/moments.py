@@ -337,8 +337,8 @@ def saddlepoint_iq(q, alpha: float, beta_sigma: float) -> SaddlePointResult:
     positive.  Raises at the first order that is 0, where the expansion
     degenerates, or not finite, and then at the first order where ln I(q) or a
     returned power (``x0``, ``h_x0``, ``h2_x0``) leaves the float range.  At
-    ``beta_sigma = 1`` that is from ``|q|`` of about 8.5e102 at alpha = 1.5 and
-    1139 at alpha = 1.01, where ``h_x0`` overflows, and below ``|q|`` of about
+    ``beta_sigma = 1`` that is from ``|q|`` of about 1.07e103 at alpha = 1.5 and
+    1192 at alpha = 1.01, where ln I(q) overflows, and below ``|q|`` of about
     7.8e-4 at alpha = 1.01, where ``h2_x0`` overflows.
     """
     if not alpha > 1:
@@ -364,6 +364,9 @@ def saddlepoint_iq(q, alpha: float, beta_sigma: float) -> SaddlePointResult:
         x0 = np.copysign(r ** (1.0 / (alpha - 1.0)), s)
         r_gamma = r ** gamma  # |x0|**alpha
         h_x0 = -(alpha - 1.0) * r_gamma
+        # r**gamma can overflow where (alpha - 1) r**gamma does not: take that product in logs
+        big = np.isinf(r_gamma)
+        h_x0[big] = -np.exp(math.log(alpha - 1.0) + gamma * np.log(r[big]))
         h2_x0 = alpha * (alpha - 1.0) * r ** ((alpha - 2.0) / (alpha - 1.0))
         prefactor = lam ** (1.0 / alpha) * np.sqrt(2.0 * math.pi / (lam * h2_x0))
         correction = 1.0 + k / (lam * r_gamma) if k else np.ones(s.shape)
@@ -373,6 +376,7 @@ def saddlepoint_iq(q, alpha: float, beta_sigma: float) -> SaddlePointResult:
         # aq**gamma overflows before the product does; there lam (alpha-1) |x0|**alpha is the same
         over = np.isinf(lead)
         lead[over] = lam * (alpha - 1.0) * r_gamma[over]
+        lead[big] = -lam * h_x0[big]
         log_value = np.log(prefactor) + lead
         value = np.exp(log_value)
     finite = np.isfinite([log_value, x0, h_x0, h2_x0]).all(axis=0)

@@ -57,8 +57,10 @@ def test_family_methods_take_no_tolerance(family):
         return list(inspect.signature(getattr(family, name)).parameters)
 
     assert params("log_mgf") == ["self", "s"]
-    assert params("ptd_kernel") == ["self", "tau0", "beta"]
-    assert params("sojourn_kernel") == ["self", "tau0", "beta"]
+    assert params("mixture") == ["self", "x", "tau0", "beta", "k"]
+    # and the protocol is all a family offers
+    public = {n for n, v in vars(family).items() if callable(v) and not n.startswith("_")}
+    assert public == {"log_mgf", "sample", "mixture"}
 
 
 @pytest.mark.parametrize(
@@ -94,6 +96,17 @@ ONE_PATH = [
 @pytest.mark.parametrize("weight", ONE_PATH, ids=repr)
 def test_kernels_on_a_grid_equal_their_batches_of_one(weight):
     t = np.array([0.0, 5e-324, 1e-9, 0.3, 1.7, 6.0, 50.0, 700.0])
-    for kernel in (weight.ptd_kernel(1.3, 0.9), weight.sojourn_kernel(1.3, 0.9)):
-        whole = kernel(t)
-        assert whole.tobytes() == np.concatenate([kernel(t[i:i + 1]) for i in range(t.size)]).tobytes()
+    for k in (1, 0):
+        whole = weight.mixture(t, 1.3, 0.9, k)
+        ones = [weight.mixture(t[i:i + 1], 1.3, 0.9, k) for i in range(t.size)]
+        assert whole.tobytes() == np.concatenate(ones).tobytes()
+
+
+@pytest.mark.parametrize("weight", ONE_PATH, ids=repr)
+def test_density_is_minus_the_slope_of_the_survival_function(weight):
+    # psi and Psi are the k = 1 and k = 0 cases of one mixture integral, so psi = -dPsi/dt
+    p = iv.ModelParams(weight=weight, tau0=1.3, beta=0.9)
+    for t in (0.3, 1.7, 6.0, 50.0):
+        h = 1e-4 * t
+        slope = (iv.sojourn(t - h, p) - iv.sojourn(t + h, p)) / (2.0 * h)
+        assert iv.ptd(t, p) == pytest.approx(slope, rel=1e-5)

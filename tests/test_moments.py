@@ -385,7 +385,7 @@ def test_moment_routes_raise_at_their_first_bad_order():
         iv.log_moment_mf(np.array([0.5, -1.0]), iv.MFParams(alpha=1.8, c0=0.0, b=0.6))
 
 
-@pytest.mark.parametrize("q, below, alpha", [(2000.0, 1000.0, 1.01), (1e103, 1e102, 1.5)])
+@pytest.mark.parametrize("q, below, alpha", [(2000.0, 1000.0, 1.01), (2e103, 1e102, 1.5)])
 def test_saddle_raises_where_its_powers_leave_the_float_range(q, below, alpha):
     # a power in ln I(q) overflows a float at q, and raises rather than warn; at `below` none does
     with pytest.raises(ModelDomainError, match=re.escape(f"q = {q}, lam = 1 leaves the float range")):
@@ -397,8 +397,8 @@ def test_saddle_raises_where_its_powers_leave_the_float_range(q, below, alpha):
 
 def test_saddle_returns_where_only_the_leading_power_overflows():
     # |q|**gamma overflows from about 5.6e102 (alpha 1.5) and 1127 (alpha 1.01), before ln I(q)
-    # and every returned power do; from 8.5e102 and 1139 h_x0 overflows, and the order raises
-    # (test above).  The orders where the power does not overflow keep their bits.
+    # and every returned power do; ln I(q) overflows, and the order raises, from about 1.07e103
+    # and 1192 (test above).  The orders where the power does not overflow keep their bits.
     for q, alpha in ((7e102, 1.5), (1130.0, 1.01)):
         sp = iv.saddlepoint_iq(np.array([2.0, q]), alpha, 1.0)
         assert all(math.isfinite(v[1]) for v in (sp.log_value, sp.x0, sp.h_x0, sp.h2_x0))
@@ -409,6 +409,18 @@ def test_saddle_returns_where_only_the_leading_power_overflows():
     exponent = Fraction(1, 2) / Fraction(27, 8) * Fraction(7e102) ** 3
     sp = iv.saddlepoint_iq(7e102, 1.5, 1.0)
     assert sp.log_value - math.log(sp.prefactor) == pytest.approx(float(exponent), rel=1e-15)
+
+
+@pytest.mark.parametrize("alpha, band", [(1.5, [8.6e102, 9.5e102, 1e103, 1.06e103]),
+                                          (1.01, [1139.0, 1150.0, 1191.0])])
+def test_saddle_returns_where_only_r_to_the_gamma_overflows(alpha, band):
+    # |x0|**alpha = r**gamma overflows from 8.5e102 (alpha 1.5) and 1139 (alpha 1.01), while
+    # h_x0 = -(alpha - 1) |x0|**alpha and ln I(q) are floats until 1.07e103 and 1192
+    sp = iv.saddlepoint_iq(np.array(band), alpha, 1.0)
+    assert np.isfinite(sp.log_value).all() and np.isfinite(sp.h_x0).all()
+    # lam = 1: ln I = (alpha - 1) |x0|**alpha + ln prefactor = -h_x0 + ln prefactor
+    assert (sp.log_value == -sp.h_x0 + np.log(sp.prefactor)).all()
+    assert (sp.correction == 1.0).all()
 
 
 def test_saddle_array_call_counts_its_leading_order_points():
