@@ -224,13 +224,14 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
     registry: dict[str, argparse.ArgumentParser] = {}
 
-    def command(name: str, **kw) -> argparse.ArgumentParser:
+    def command(name: str, handler, **kw) -> argparse.ArgumentParser:
         p = sub.add_parser(name, **kw)
         p.add_argument("--config", help="JSON file supplying defaults for this command's flags")
+        p.set_defaults(handler=handler)
         registry[name] = p
         return p
 
-    p = command("ptd", help="tabulate the waiting-time density and survival function")
+    p = command("ptd", _cmd_ptd, help="tabulate the waiting-time density and survival function")
     _add_weight_flags(p)
     p.add_argument("--tmin", type=float, default=0.01)
     p.add_argument("--tmax", type=float, default=100.0)
@@ -238,7 +239,7 @@ def _build_parser():
     p.add_argument("--spacing", choices=["log", "linear"], default="log")
     p.add_argument("--out")
 
-    p = command("moments", help="tabulate an analytic normalized log-moment curve")
+    p = command("moments", _cmd_moments, help="tabulate an analytic normalized log-moment curve")
     _add_weight_flags(
         p, "--model", ("delta", "uniform", "laplace", "series", "gaussian", "saddle", "mf", "hmf")
     )
@@ -250,13 +251,13 @@ def _build_parser():
     p.add_argument("--qstep", type=float, default=0.1)
     p.add_argument("--out")
 
-    p = command("simulate", help="generate an event-duration CSV")
+    p = command("simulate", _cmd_simulate, help="generate an event-duration CSV")
     _add_weight_flags(p)
     p.add_argument("--n", type=int)
     p.add_argument("--seed", type=int)
     p.add_argument("--out")
 
-    p = command("estimate", help="empirical q-moments and survival function from event data")
+    p = command("estimate", _cmd_estimate, help="empirical q-moments and survival function from event data")
     p.add_argument("--input")
     p.add_argument("--gap-cutoff", type=float, dest="gap_cutoff")
     p.add_argument("--min-duration", type=float, dest="min_duration", default=0.0)
@@ -267,7 +268,7 @@ def _build_parser():
     p.add_argument("--out-moments", dest="out_moments")
     p.add_argument("--out-sojourn", dest="out_sojourn")
 
-    p = command("fit", help="fit a moment law or a survival model")
+    p = command("fit", _cmd_fit, help="fit a moment law or a survival model")
     p.add_argument(
         "--kind",
         choices=["mono", "mf", "hmf", "sojourn-qexp", "sojourn-weibull"],
@@ -277,7 +278,7 @@ def _build_parser():
     p.add_argument("--qmax", type=float)
     p.add_argument("--out")
 
-    p = command("collapse", help="data-collapse diagnostic tables for multiple datasets")
+    p = command("collapse", _cmd_collapse, help="data-collapse diagnostic tables for multiple datasets")
     p.add_argument("--out-prefix", dest="out_prefix", default="collapse")
     p.add_argument(
         "--quantities",
@@ -549,16 +550,6 @@ def _cmd_collapse(args) -> int:
     return 0
 
 
-_DISPATCH = {
-    "ptd": _cmd_ptd,
-    "moments": _cmd_moments,
-    "simulate": _cmd_simulate,
-    "estimate": _cmd_estimate,
-    "fit": _cmd_fit,
-    "collapse": _cmd_collapse,
-}
-
-
 # ---------------------------------------------------------------------------
 # Entry points
 # ---------------------------------------------------------------------------
@@ -610,7 +601,7 @@ def run(argv) -> int:
         path = getattr(args, "input", None)
         if path is not None and not os.path.isfile(path):
             raise UsageError(f"input file does not exist: {path}")
-        return _DISPATCH[args.command](args)
+        return args.handler(args)
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 2

@@ -194,15 +194,15 @@ class Laplace:
         return rng.laplace(0.0, self.sigma, size)
 
     def mixture(self, x: np.ndarray, tau0: float, beta: float, k: int) -> np.ndarray:
-        # (S_lower(k + 1/sb, z) + S_upper(k - 1/sb, z)) / (2 sb tau0**k) at z = x/tau0; at x = 0,
-        # psi's limit 1/(tau0 (1 - sb^2)), infinite from sb = 1, and Psi's 1
+        # (S_lower(k + 1/sb, z) + S_upper(k - 1/sb, z)) / (2 sb tau0**k) at z = x/tau0; at z = 0 (x = 0,
+        # or x/tau0 underflowing), psi's limit 1/(tau0 (1 - sb^2)), infinite from sb = 1, and Psi's 1
         sb = beta * self.sigma
         at_zero = (1.0 / (tau0 * (1.0 - sb * sb)) if sb < 1 else math.inf) if k else 1.0
         out = np.full(x.shape, at_zero)
-        pos = x > 0.0
-        z = x[pos] / tau0
-        val = scaled_lower_incomplete_gamma(k + 1.0 / sb, z)
-        val += scaled_upper_incomplete_gamma(k - 1.0 / sb, z)
+        z = x / tau0
+        pos = z > 0.0
+        val = scaled_lower_incomplete_gamma(k + 1.0 / sb, z[pos])
+        val += scaled_upper_incomplete_gamma(k - 1.0 / sb, z[pos])
         out[pos] = val / (2.0 * sb * tau0 ** k)
         return out
 
@@ -254,15 +254,15 @@ class StretchedExp:
 
     def mixture(self, x: np.ndarray, tau0: float, beta: float, k: int) -> np.ndarray:
         # in y = (eps - mu)/sigma, tau**(-k) is the shift k bs y and the factor scale**(-k); Psi takes
-        # no log of the scale, which may overflow.  At c = 0 psi is inf where it diverges and is
-        # integrated elsewhere; Psi is 1 at x = 0 and integrated at every x > 0, c = 0 included
+        # no log of the scale, which may overflow.  At c = 0 (x = 0, or x / scale underflowing)
+        # psi is inf where it diverges and is integrated elsewhere, and Psi is 1
         bs = beta * self.sigma
         scale = tau0 * math.exp(beta * self.mu)
         log_pref = -self.log_norm - (math.log(scale) if k else 0.0)
         diverges_at_0 = self.alpha < 1.0 or (self.alpha == 1.0 and bs >= 1.0)
         c = x / scale
         out = np.full(c.shape, math.inf if k else 1.0)
-        finite = (c > 0.0) | (not diverges_at_0) if k else x > 0.0
+        finite = (c > 0.0) | bool(k and not diverges_at_0)
         out[finite] = np.exp(_log_peak_quad(self.alpha, k * bs, c[finite], bs) + log_pref)
         return out
 

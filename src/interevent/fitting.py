@@ -8,8 +8,9 @@ of intermediates, and the ``bounds`` its fit searches: ``MFParams`` and
 ``ln Psi(t)`` and their start ``initial(t, y)``; the moment laws start from
 :func:`_linear_start`.  Every iterative fit runs
 through :func:`_nls`, which linearizes the law once per trial point, and
-:func:`least_squares`, a projected Levenberg-Marquardt method in numpy
-stopping at relative step 1e-10 or 500 evaluations.
+:func:`least_squares`, a projected Levenberg-Marquardt method in numpy taking
+each trial's residuals and Jacobian from one call, stopping at relative step
+1e-10 or ``_MAX_NFEV`` (500) evaluations.
 Moment-curve residuals are weighted by inverse squared standard errors when
 the curve carries them; survival residuals are unweighted.
 """
@@ -191,14 +192,16 @@ def _window_points(curve: QMomentCurve, q_range, min_points: int):
 
 # a trial is accepted while its cost rises by no more than 16 eps of the cost (rounding)
 _ROUNDING_RISE = -16.0 * np.finfo(float).eps
+_MAX_NFEV = 500
 
 
 @dataclass(frozen=True)
 class LeastSquaresResult:
     """Where :func:`least_squares` stopped: the estimate ``x``, half the sum of
-    squared residuals ``cost``, the Jacobian ``jac`` at ``x``, the residual
-    evaluations ``nfev`` and Jacobian evaluations ``njev`` it made, and
-    ``status`` 3 (relative step at most 1e-10) or 0 (``max_nfev`` used up)."""
+    squared residuals ``cost``, the Jacobian ``jac`` at ``x``, the evaluations
+    ``nfev`` it made, the Jacobians ``njev`` its steps used (the start's and
+    each accepted trial's), and ``status`` 3 (relative step at most 1e-10) or
+    0 (``_MAX_NFEV`` evaluations used up)."""
 
     x: np.ndarray
     cost: float
@@ -208,7 +211,7 @@ class LeastSquaresResult:
     status: int
 
 
-def least_squares(fun, x0, jac, bounds, max_nfev=500) -> LeastSquaresResult:
+def least_squares(fun, x0, bounds) -> LeastSquaresResult:
     """Minimize ``0.5 |fun(x)|^2`` within the box ``bounds = (lo, hi)`` by
     projected Levenberg-Marquardt (Marquardt 1963; Moré 1978).
 
@@ -217,20 +220,19 @@ def least_squares(fun, x0, jac, bounds, max_nfev=500) -> LeastSquaresResult:
     point, and clips ``x + p`` to the box.  A trial whose cost rises by no
     more than rounding is accepted and ``lam`` shrinks tenfold; otherwise
     (non-finite residuals or an overflowing sum of squares count as infinite
-    cost) ``lam`` grows tenfold.  ``jac(x)`` is the Jacobian of ``fun`` at
-    ``x``, and is only called with the array ``fun`` was last called with.  Past the
+    cost) ``lam`` grows tenfold.  ``fun(x)`` returns the residuals ``f`` and
+    their Jacobian ``J`` at ``x``; a rejected trial's ``J`` goes unused.  Past the
     products with ``J`` and the solve, a step works on Python floats (2-4 parameters).
     """
     box = list(zip(*(np.asarray(b, dtype=float).tolist() for b in bounds)))
     xs = [min(max(xi, a), b) for xi, (a, b) in zip(np.asarray(x0, dtype=float).tolist(), box)]
     x = np.array(xs)
-    f = fun(x)
+    f, J = fun(x)
     if not np.all(np.isfinite(f)):
         raise ValueError("residuals are not finite at the initial point")
     cost, x_norm = 0.5 * float(f @ f), math.hypot(*xs)
-    J = jac(x)
     nfev, njev, lam, small = 1, 1, 1.0, False
-    while nfev < max_nfev and not small:
+    while nfev < _MAX_NFEV and not small:
         g, A = J.T @ f, J.T @ J
         free = [not (xi <= a and gi > 0 or xi >= b and gi < 0) for xi, gi, (a, b) in zip(xs, g.tolist(), box)]
         if not all(free):
@@ -239,38 +241,37 @@ def least_squares(fun, x0, jac, bounds, max_nfev=500) -> LeastSquaresResult:
         solved = iter(np.linalg.solve(A, -g).tolist())
         xs_new = [min(max(xi + (next(solved) if fr else 0.0), a), b) for xi, fr, (a, b) in zip(xs, free, box)]
         x_new = np.array(xs_new)
-        f_new = fun(x_new)
+        f_new, J_new = fun(x_new)
         nfev += 1
         with np.errstate(over="ignore"):
             ss = float(f_new @ f_new)
         cost_new = 0.5 * ss if math.isfinite(ss) else math.inf
         small = math.dist(xs_new, xs) <= 1e-10 * (1e-10 + x_norm)
         if cost - cost_new >= _ROUNDING_RISE * cost:
-            x, xs, f, cost, x_norm = x_new, xs_new, f_new, cost_new, math.hypot(*xs_new)
-            J, njev, lam = jac(x), njev + 1, max(lam / 10.0, 1e-15)
+            x, xs, f, J, cost, x_norm = x_new, xs_new, f_new, J_new, cost_new, math.hypot(*xs_new)
+            njev, lam = njev + 1, max(lam / 10.0, 1e-15)
         else:
             lam *= 10.0
-    return LeastSquaresResult(x=x, cost=cost, jac=J, nfev=nfev, njev=njev, status=3 if small else 0)
+    return LeastSquaresResult(x, cost, J, nfev, njev, 3 if small else 0)
 
 
 def _nls(law, x, y, w, theta0, domain, weighted) -> FitResult:
     """Least squares of ``sqrt(w) (v - y)`` within ``law.bounds``, where ``v, J =
-    law(*theta).linearize(x)``: the residual keeps each trial's ``J`` for the solver's
-    ``jac``, and the estimates are named after ``law``'s fields.  Unless ``weighted``
+    law(*theta).linearize(x)``, the residual's Jacobian being ``sqrt(w) J``; the
+    estimates are named after ``law``'s fields.  Unless ``weighted``
     (``w`` are inverse variances) the covariance is scaled by the residual variance.
     Flags: ``<field>_at_lower_boundary`` or ``_at_upper_boundary`` for an estimate within
     ``1e-6 max(1, |bound|)`` of a finite bound, ``stderr_undefined_zero_dof`` for NaN
     stderrs (unweighted, no residual dof), and ``jacobian_rank_deficient`` where the SVD
     drops a direction from the covariance."""
     sw = np.sqrt(w)
-    last = [None]  # the Jacobian at the residual's last trial point
 
     def residual(theta):
-        v, last[0] = law(*theta.tolist()).linearize(x)
-        return sw * (v - y)
+        v, J = law(*theta.tolist()).linearize(x)
+        return sw * (v - y), sw[:, None] * J
 
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowing trial is rejected, silently
-        res = least_squares(residual, theta0, jac=lambda theta: sw[:, None] * last[0], bounds=law.bounds)
+        res = least_squares(residual, theta0, law.bounds)
     rss = float(2.0 * res.cost)
     # diag(pinv(J^T J)) from one SVD of J, zeroing s_i^2 <= 1e-15 s_max^2 as pinv does
     _, sv, vt = np.linalg.svd(res.jac, full_matrices=False)

@@ -260,6 +260,18 @@ def test_laplace_at_a_subnormal_time(t):
         assert iv.sojourn(t, _laplace(sb)) == pytest.approx(1.0, rel=1e-14), sb
 
 
+@pytest.mark.parametrize("weight", [iv.Laplace(sigma=0.6), iv.StretchedExp(mu=0.0, sigma=1.0, alpha=1.5)],
+                         ids=repr)
+def test_a_time_whose_ratio_to_tau0_underflows_takes_the_t0_limit(weight):
+    # 5e-324 / 3 is 0.0: such a time is t = 0 to the mixture, psi at its limit and Psi exactly 1
+    p = iv.ModelParams(weight=weight, tau0=3.0)
+    t = np.array([0.0, 5e-324])
+    assert np.array_equal(iv.ptd(t, p), np.full(2, iv.ptd(0.0, p)))
+    assert np.array_equal(iv.sojourn(t, p), [1.0, 1.0])
+    if isinstance(weight, iv.Laplace):
+        assert iv.ptd(5e-324, p) == 1.0 / (3.0 * (1.0 - 0.6**2))
+
+
 def test_uniform_narrow_width_fallback_is_continuous():
     # the quadrature fallback below half_width*beta = 1e-3 must join smoothly
     t = np.array([0.3, 1.7, 6.0])

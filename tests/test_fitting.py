@@ -491,22 +491,16 @@ def test_fits_stationary_on_fifty_seeded_series():
 
 def test_solver_ends_on_the_bound_when_the_minimum_lies_outside():
     def residual(x):
-        return np.array([x[0] - 3.0, 2.0 * (x[1] + 1.0)])
+        return np.array([x[0] - 3.0, 2.0 * (x[1] + 1.0)]), np.diag([1.0, 2.0])
 
-    res = fitting.least_squares(residual, np.array([0.5, 0.5]), jac=lambda x: np.diag([1.0, 2.0]),
-                                bounds=([0.0, 0.0], [1.0, 1.0]))
+    res = fitting.least_squares(residual, np.array([0.5, 0.5]), ([0.0, 0.0], [1.0, 1.0]))
     assert res.status > 0
     assert list(res.x) == [1.0, 0.0]
     assert res.cost == pytest.approx(0.5 * (4.0 + 4.0), rel=1e-12)
 
 
 def test_fit_out_of_evaluations_is_not_converged(monkeypatch):
-    solver = fitting.least_squares
-
-    def two_evaluations(*args, **kwargs):
-        return solver(*args, **{**kwargs, "max_nfev": 2})
-
-    monkeypatch.setattr(fitting, "least_squares", two_evaluations)
+    monkeypatch.setattr(fitting, "_MAX_NFEV", 2)
     curve, t, psi = _seeded_series(7)
     for fit in (iv.fit_hmf(curve, (0.0, 20.0)), iv.fit_sojourn(t, psi, iv.Weibull)):
         assert fit.status == 0
@@ -522,22 +516,20 @@ def test_solver_rejects_a_non_finite_trial_step():
         with np.errstate(invalid="ignore", divide="ignore"):
             r = np.log(x)
         seen.append(bool(np.all(np.isfinite(r))))
-        return r
+        return r, np.array([[1.0 / x[0]]])
 
-    res = fitting.least_squares(residual, np.array([20.0]), jac=lambda x: np.array([[1.0 / x[0]]]),
-                                bounds=([-np.inf], [np.inf]))
+    res = fitting.least_squares(residual, np.array([20.0]), ([-np.inf], [np.inf]))
     assert not all(seen)
     assert res.status > 0
-    assert np.all(np.isfinite(residual(res.x)))
+    assert np.all(np.isfinite(residual(res.x)[0]))
     assert res.x[0] == pytest.approx(1.0, abs=1e-9)
 
 
 def test_solver_holds_one_parameter_on_its_bound_while_the_other_converges():
     def residual(x):
-        return np.array([x[0] - 3.0, x[1] - 0.5])
+        return np.array([x[0] - 3.0, x[1] - 0.5]), np.eye(2)
 
-    res = fitting.least_squares(residual, np.array([0.2, 0.2]), jac=lambda x: np.eye(2),
-                                bounds=([0.0, 0.0], [1.0, 1.0]))
+    res = fitting.least_squares(residual, np.array([0.2, 0.2]), ([0.0, 0.0], [1.0, 1.0]))
     assert res.status == 3
     assert res.x[0] == 1.0
     assert res.x[1] == pytest.approx(0.5, abs=1e-12)
@@ -546,49 +538,43 @@ def test_solver_holds_one_parameter_on_its_bound_while_the_other_converges():
 def test_solver_rejects_a_trial_whose_sum_of_squares_overflows():
     # tanh(x - 1) plus a residual 1e200 (x - 5) past x = 5: from x = -3 the first
     # trials land past 5, where the residuals are finite (up to x = 5 + 1.7e108)
-    # but their sum of squares overflows
+    # but their sum of squares overflows; sech^2 is 1 - tanh^2, as 1/cosh^2 overflows past x = 710
     calls = []
 
-    def residual(x):
-        calls.append(("fun", x[0]))
-        return np.array([math.tanh(x[0] - 1.0), 1e200 * max(x[0] - 5.0, 0.0)])
-
     def jac(x):
-        calls.append(("jac", x[0]))
-        return np.array([[1.0 / math.cosh(x[0] - 1.0) ** 2], [1e200 if x[0] > 5.0 else 0.0]])
+        return np.array([[1.0 - math.tanh(x[0] - 1.0) ** 2], [1e200 if x[0] > 5.0 else 0.0]])
+
+    def residual(x):
+        calls.append(x[0])
+        return np.array([math.tanh(x[0] - 1.0), 1e200 * max(x[0] - 5.0, 0.0)]), jac(x)
 
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        res = fitting.least_squares(residual, np.array([-3.0]), jac=jac, bounds=([-np.inf], [np.inf]))
-    overflowing = [x for kind, x in calls if kind == "fun" and x > 5.0]
+        res = fitting.least_squares(residual, np.array([-3.0]), ([-np.inf], [np.inf]))
+    overflowing = [x for x in calls if x > 5.0]
     assert overflowing and max(overflowing) < 1e100
-    assert not any(kind == "jac" and x > 5.0 for kind, x in calls)
+    assert np.array_equal(res.jac, jac(res.x))
     assert res.status == 3
     assert res.x[0] == pytest.approx(1.0, abs=1e-9)
 
 
-def test_solver_asks_for_the_jacobian_at_the_array_it_last_evaluated(monkeypatch):
-    # fitting._nls reuses the law its residual built when jac gets that same array
-    solver, calls = fitting.least_squares, []
+def test_fit_stderrs_come_from_the_jacobian_at_the_estimate(monkeypatch):
+    # seed 5's MF fit rejects trials, its last one included; its covariance must come from
+    # the law linearized at the estimate, not from a rejected trial.  The stderrs are taken
+    # by _nls's own SVD formula, so they agree to the bit
+    solver, runs = fitting.least_squares, []
 
-    def recording(fun, x0, jac, bounds, **kwargs):
-        def fun_seen(x):
-            calls.append(("fun", x))
-            return fun(x)
-
-        def jac_seen(x):
-            calls.append(("jac", x))
-            return jac(x)
-
-        return solver(fun_seen, x0, jac_seen, bounds, **kwargs)
+    def recording(fun, x0, bounds):
+        trials = []
+        runs.append((trials, solver(lambda x: trials.append(x) or fun(x), x0, bounds)))
+        return runs[-1][1]
 
     monkeypatch.setattr(fitting, "least_squares", recording)
-    curve, t, psi = _seeded_series(7)
-    nfev = iv.fit_mf(curve, (0.0, 3.5)).nfev + iv.fit_sojourn(t, psi, iv.Weibull).nfev
-    # rejected trials: from x = 20 the first steps land at x < 0, where ln x is NaN
-    with np.errstate(invalid="ignore", divide="ignore"):
-        nfev += fitting.least_squares(np.log, np.array([20.0]), lambda x: np.array([[1.0 / x[0]]]),
-                                      ([-np.inf], [np.inf])).nfev
-    jac_at = [i for i, (kind, _x) in enumerate(calls) if kind == "jac"]
-    assert len(calls) - len(jac_at) == nfev > len(jac_at)
-    assert all(calls[i - 1][0] == "fun" and calls[i][1] is calls[i - 1][1] for i in jac_at)
+    curve, _t, _psi = _seeded_series(5)
+    fit = iv.fit_mf(curve, (0.0, 3.5))
+    (trials, res), = runs
+    assert res.nfev > res.njev and not np.array_equal(trials[-1], res.x)
+    q, _y, w, *_ = fitting._window_points(curve, (0.0, 3.5), 6)
+    _, jac = iv.MFParams(*(fit.estimate(f.name) for f in fields(iv.MFParams))).linearize(q)
+    _, sv, vt = np.linalg.svd(np.sqrt(w)[:, None] * jac, full_matrices=False)
+    assert [se for _e, se in fit.params.values()] == np.sqrt(1.0 / sv**2 @ vt**2).tolist()
