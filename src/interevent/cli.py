@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import inspect
 import json
 import math
 import os
@@ -269,10 +270,7 @@ def _build_parser():
     p.add_argument("--out-sojourn", dest="out_sojourn")
 
     p = command("fit", _cmd_fit, help="fit a moment law or a survival model")
-    p.add_argument(
-        "--kind",
-        choices=["mono", "mf", "hmf", "sojourn-qexp", "sojourn-weibull"],
-    )
+    p.add_argument("--kind", choices=list(_FIT_KINDS))
     p.add_argument("--input")
     p.add_argument("--qmin", type=float)
     p.add_argument("--qmax", type=float)
@@ -403,7 +401,14 @@ def _cmd_estimate(args) -> int:
     return 0
 
 
-_FIT_DEFAULT_RANGES = {"mono": (10.0, 20.0), "mf": (0.0, 3.5), "hmf": (0.0, 20.0)}
+# kind -> the moment fit it runs, whose own q_range default is the window, or the survival law it fits
+_FIT_KINDS = {
+    "mono": fitting.fit_monofractal,
+    "mf": fitting.fit_mf,
+    "hmf": fitting.fit_hmf,
+    "sojourn-qexp": fitting.QExponential,
+    "sojourn-weibull": fitting.Weibull,
+}
 
 
 def _fit_result_doc(result) -> dict:
@@ -425,21 +430,8 @@ def _fit_result_doc(result) -> dict:
 def _cmd_fit(args) -> int:
     _require(args, "--kind", "--input")
     out = args.out and _out_path(args.out, "")
-    kind = args.kind
-    if kind in _FIT_DEFAULT_RANGES:
-        curve = _read_curve(args.input)
-        lo, hi = _FIT_DEFAULT_RANGES[kind]
-        q_range = (
-            args.qmin if args.qmin is not None else lo,
-            args.qmax if args.qmax is not None else hi,
-        )
-        fit_fn = {
-            "mono": fitting.fit_monofractal,
-            "mf": fitting.fit_mf,
-            "hmf": fitting.fit_hmf,
-        }[kind]
-        result = fit_fn(curve, q_range)
-    else:
+    kind, fit = args.kind, _FIT_KINDS[args.kind]
+    if isinstance(fit, type):  # a survival law
         if args.qmin is not None or args.qmax is not None:
             raise UsageError(f"--qmin/--qmax set a moment-order window; --kind {kind} fits every t row")
         cols = _read_columns(args.input, ["t", "psi"], finite=["t", "psi"])
@@ -451,8 +443,14 @@ def _cmd_fit(args) -> int:
                 file=sys.stderr,
             )
             t, psi = t[keep], psi[keep]
-        model = fitting.QExponential if kind == "sojourn-qexp" else fitting.Weibull
-        result = fitting.fit_sojourn(t, psi, model)
+        result = fitting.fit_sojourn(t, psi, fit)
+    else:
+        curve = _read_curve(args.input)
+        lo, hi = inspect.signature(fit).parameters["q_range"].default
+        lo, hi = (lo if args.qmin is None else args.qmin, hi if args.qmax is None else args.qmax)
+        if not lo < hi:
+            raise UsageError(f"--qmin/--qmax must give an increasing window, got [{lo}, {hi}]")
+        result = fit(curve, (lo, hi))
 
     text = json.dumps(_fit_result_doc(result), indent=2) + "\n"
     if out:

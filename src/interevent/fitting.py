@@ -1,18 +1,19 @@
 """Parameter estimation on q-moment curves and survival functions.
 
 Each fitted law is a frozen dataclass whose fields are its parameters in fit
-order, carrying ``linearize(x)``, its values and analytic Jacobian from one set
-of intermediates, and the ``bounds`` its fit searches: ``MFParams`` and
+order, carrying three members: ``bounds``, the box its fit searches;
+``initial(x, y, w)``, its start from the data; and ``linearize(x)``, its values
+and analytic Jacobian from one set of intermediates.  ``MFParams`` and
 ``HMFParams`` give the normalized log curve ``y(q) = ln(<t^q>/Gamma(1+q))``;
 :class:`QExponential`, :class:`Weibull` and :class:`StretchedSojourn` give
-``ln Psi(t)`` and their start ``initial(t, y)``; the moment laws start from
-:func:`_linear_start`.  Every iterative fit runs
-through :func:`_nls`, which linearizes the law once per trial point, and
+``ln Psi(t)``.  Every iterative fit runs through :func:`_nls`, which starts at
+``law.initial`` and linearizes the law once per trial point, and
 :func:`least_squares`, a projected Levenberg-Marquardt method in numpy taking
 each trial's residuals and Jacobian from one call, stopping at relative step
 1e-10 or ``_MAX_NFEV`` (500) evaluations.
-Moment-curve residuals are weighted by inverse squared standard errors when
-the curve carries them; survival residuals are unweighted.
+The MF and HMF residuals are weighted by inverse squared standard errors when
+the curve carries them; the monofractal regression and the survival residuals
+are unweighted.
 """
 
 from __future__ import annotations
@@ -43,13 +44,10 @@ __all__ = [
 
 
 class _SurvivalLaw:
-    """``log_survival(t)`` and ``jacobian(t)``, the halves of a law's ``linearize(t)``."""
+    """``log_survival(t)``, the values half of a law's ``linearize(t)``."""
 
     def log_survival(self, t):
         return self.linearize(t)[0]
-
-    def jacobian(self, t):
-        return self.linearize(t)[1]
 
 
 @dataclass(frozen=True)
@@ -74,7 +72,7 @@ class QExponential(_SurvivalLaw):
         return -log1p / k, np.column_stack([-t / (1.0 + u), (log1p - u / (1.0 + u)) / k ** 2])
 
     @staticmethod
-    def initial(t, y):
+    def initial(t, y, w):
         """``m`` from the slope of ``ln Psi`` up to its first point below ``y[0]``
         (an empirical survival can tie over its first points), and ``q_ts = 1.5``."""
         moved = np.flatnonzero(y < y[0])
@@ -102,7 +100,7 @@ class Weibull(_SurvivalLaw):
         return -self.a * tc, np.column_stack([-tc, -self.a * tc * log_t])
 
     @staticmethod
-    def initial(t, y):
+    def initial(t, y, w):
         """``(a, c)`` from a line through ``ln(-ln Psi)`` against ``ln t``."""
         init_mask = (y < 0) & (t > 0)
         if int(init_mask.sum()) < 2:
@@ -158,7 +156,7 @@ class StretchedSojourn(_SurvivalLaw):
         return np.log(psi), jac
 
     @staticmethod
-    def initial(t, y):
+    def initial(t, y, w):
         """Shape 1.8, curvature 0.3, and ``c0`` at the time where the data
         crosses 1/e.  The numeric survival needs ``t > 0``."""
         if np.any(t <= 0):
@@ -255,9 +253,9 @@ def least_squares(fun, x0, bounds) -> LeastSquaresResult:
     return LeastSquaresResult(x, cost, J, nfev, njev, 3 if small else 0)
 
 
-def _nls(law, x, y, w, theta0, domain, weighted) -> FitResult:
-    """Least squares of ``sqrt(w) (v - y)`` within ``law.bounds``, where ``v, J =
-    law(*theta).linearize(x)``, the residual's Jacobian being ``sqrt(w) J``; the
+def _nls(law, x, y, w, weighted, domain) -> FitResult:
+    """Least squares of ``sqrt(w) (v - y)`` within ``law.bounds`` from ``law.initial(x, y, w)``,
+    where ``v, J = law(*theta).linearize(x)``, the residual's Jacobian being ``sqrt(w) J``; the
     estimates are named after ``law``'s fields.  Unless ``weighted``
     (``w`` are inverse variances) the covariance is scaled by the residual variance.
     Flags: ``<field>_at_lower_boundary`` or ``_at_upper_boundary`` for an estimate within
@@ -271,7 +269,7 @@ def _nls(law, x, y, w, theta0, domain, weighted) -> FitResult:
         return sw * (v - y), sw[:, None] * J
 
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowing trial is rejected, silently
-        res = least_squares(residual, theta0, law.bounds)
+        res = least_squares(residual, law.initial(x, y, w), law.bounds)
     rss = float(2.0 * res.cost)
     # diag(pinv(J^T J)) from one SVD of J, zeroing s_i^2 <= 1e-15 s_max^2 as pinv does
     _, sv, vt = np.linalg.svd(res.jac, full_matrices=False)
@@ -300,22 +298,14 @@ def _nls(law, x, y, w, theta0, domain, weighted) -> FitResult:
     )
 
 
-def _linear_start(law, q, y, w, alpha0, *rest):
-    """``(alpha0, c0, b, *rest)``: the shape held at ``(alpha0, *rest)`` and ``(c0, b)``, which
-    enter the law linearly, by weighted least squares on ``[q, exponent(q)]``, ``b`` floored at 1e-3."""
-    sw = np.sqrt(w)
-    basis = np.column_stack([q, law(alpha0, 0.0, 1.0, *rest).exponent(q)]) * sw[:, None]
-    (c0, b), *_ = np.linalg.lstsq(basis, y * sw, rcond=None)
-    return (alpha0, float(c0), max(float(b), 1e-3), *rest)
-
-
 # ---------------------------------------------------------------------------
 # Moment-curve fits
 # ---------------------------------------------------------------------------
 
 
 def fit_monofractal(curve: QMomentCurve, q_range=(10.0, 20.0)) -> FitResult:
-    """Through-origin regression ``ln tau = sum(q y) / sum(q^2)`` on the window."""
+    """Through-origin regression ``ln tau = sum(q y) / sum(q^2)`` on the window, unweighted
+    (the curve's stderrs go unused)."""
     q, y, _w, _weighted, domain = _window_points(curve, q_range, min_points=2)
     sq2 = float(np.dot(q, q))
     ln_tau = float(np.dot(q, y)) / sq2
@@ -333,14 +323,14 @@ def fit_monofractal(curve: QMomentCurve, q_range=(10.0, 20.0)) -> FitResult:
 
 def fit_mf(curve: QMomentCurve, q_range=(0.0, 3.5)) -> FitResult:
     """Weighted fit of the MF law ``y = q c0 + b |q|**(alpha/(alpha-1))``, started at
-    ``alpha = 2`` with ``(c0, b)`` solved linearly on ``[q, q|q|]``."""
-    q, y, w, weighted, domain = _window_points(curve, q_range, min_points=6)
-    return _nls(MFParams, q, y, w, _linear_start(MFParams, q, y, w, 2.0), domain, weighted)
+    ``alpha = 2`` with ``(c0, b)`` solved linearly on ``[q, q|q|]`` (:meth:`MFParams.initial`)."""
+    return _nls(MFParams, *_window_points(curve, q_range, min_points=6))
 
 
 def fit_hmf(curve: QMomentCurve, q_range=(0.0, 20.0)) -> FitResult:
     """Weighted fit of the HMF law ``y = q c0 + (b/b1)(1 - exp(-b1 |q|**(1/(alpha-1)))) |q|``,
-    started at ``(alpha, b1) = (2, 0.2)`` with ``(c0, b)`` solved linearly on ``[q, exponent(q)]``."""
+    started at ``(alpha, b1) = (2, 0.2)`` with ``(c0, b)`` solved linearly on ``[q, exponent(q)]``
+    (:meth:`HMFParams.initial`)."""
     q, y, w, weighted, domain = _window_points(curve, q_range, min_points=8)
 
     # a purely linear curve has b = 0 and leaves (alpha, b1) meaningless
@@ -353,7 +343,7 @@ def fit_hmf(curve: QMomentCurve, q_range=(0.0, 20.0)) -> FitResult:
             "has b = 0 and (alpha, b1) are unidentifiable"
         )
 
-    return _nls(HMFParams, q, y, w, _linear_start(HMFParams, q, y, w, 2.0, 0.2), domain, weighted)
+    return _nls(HMFParams, q, y, w, weighted, domain)
 
 
 # ---------------------------------------------------------------------------
@@ -388,6 +378,4 @@ def fit_sojourn(t_grid, psi_values, model_class) -> FitResult:
         raise TypeError(f"unknown survival model class: {model_class!r}")
     if len(t) < len(fields(model_class)):
         raise ValueError("fewer points than parameters")
-    y = np.log(psi)
-    return _nls(model_class, t, y, np.ones_like(t), model_class.initial(t, y),
-                (float(t[0]), float(t[-1])), False)
+    return _nls(model_class, t, np.log(psi), np.ones_like(t), False, (float(t[0]), float(t[-1])))

@@ -67,7 +67,8 @@ class MFParams:
 
     ``c0`` plays the role of ln(tau0) + mu*beta; ``b`` is the coefficient of
     the curvature term :meth:`exponent`.  The fields are the fitted
-    parameters in order, and ``bounds`` is the box the fit searches.
+    parameters in order, ``bounds`` is the box the fit searches and
+    :meth:`initial` its start.
     """
 
     alpha: float
@@ -75,6 +76,7 @@ class MFParams:
     b: float
 
     bounds = ((1.000001, -np.inf, 1e-12), (50.0, np.inf, np.inf))
+    _START_SHAPE = (2.0,)  # the start's alpha, then its fields past b
 
     def __post_init__(self):
         if not (self.alpha > 1 and math.isfinite(self.alpha)):
@@ -96,13 +98,20 @@ class MFParams:
         return q * self.c0 + self.b * p
 
     def linearize(self, q):
-        """``(log_norm_moment(q), jacobian(q))``, a column per field in order, on one :meth:`exponent`."""
+        """``log_norm_moment(q)`` and its Jacobian, a column per field in order, on one :meth:`exponent`."""
         p = self.exponent(q)
         dalpha = self.b * p * np.log(np.abs(q)) * (-1.0 / (self.alpha - 1.0) ** 2)
         return self._law(q, p), np.column_stack([dalpha, q, p])
 
-    def jacobian(self, q):
-        return self.linearize(q)[1]
+    @classmethod
+    def initial(cls, q, y, w):
+        """``(alpha, c0, b, ...)``: the shape held at ``_START_SHAPE`` and ``(c0, b)``, which enter
+        the law linearly, by least squares on ``[q, exponent(q)]`` weighted by ``w``, ``b`` floored at 1e-3."""
+        alpha0, *rest = cls._START_SHAPE
+        sw = np.sqrt(w)
+        basis = np.column_stack([q, cls(alpha0, 0.0, 1.0, *rest).exponent(q)]) * sw[:, None]
+        (c0, b), *_ = np.linalg.lstsq(basis, y * sw, rcond=None)
+        return (alpha0, float(c0), max(float(b), 1e-3), *rest)
 
 
 @dataclass(frozen=True)
@@ -113,6 +122,7 @@ class HMFParams(MFParams):
     b1: float
 
     bounds = ((1.000001, -np.inf, 1e-12, 1e-12), (50.0, np.inf, np.inf, np.inf))
+    _START_SHAPE = (2.0, 0.2)
 
     def __post_init__(self):
         super().__post_init__()

@@ -10,7 +10,7 @@ import sys
 import numpy as np
 import pytest
 
-from interevent import cli
+from interevent import cli, fitting, moments
 
 CMD = [sys.executable, "-m", "interevent"]
 
@@ -581,6 +581,39 @@ def test_sojourn_fit_rejects_order_window(tmp_path, kind, flags):
     assert r.returncode == 2
     assert r.stdout == ""
     assert r.stderr == f"usage error: --qmin/--qmax set a moment-order window; --kind {kind} fits every t row\n"
+
+
+@pytest.mark.parametrize("args", [
+    ["--kind", "mf", "--qmin", "3", "--qmax", "2"],
+    ["--kind", "mf", "--qmin", "nan"],
+    ["--kind", "mono", "--qmin", "25"],  # above the default qmax 20
+], ids=["reversed", "nan", "above-default-qmax"])
+def test_fit_window_that_is_not_increasing_is_usage_error(tmp_path, args):
+    _write_curve(tmp_path / "mom.csv", 1.0)
+    r = run_cli(["fit", *args, "--input", "mom.csv"], tmp_path)
+    assert r.returncode == 2
+    assert r.stdout == ""
+    lines = r.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("usage error: ")
+
+
+@pytest.mark.parametrize("kind, qmin", [("mono", None), ("mf", None), ("hmf", None),
+                                        ("mono", 12.0), ("mf", 0.5), ("hmf", 1.0)])
+def test_fit_window_defaults_are_the_library_defaults(tmp_path, kind, qmin):
+    # the grid runs past every default window, so a fit's domain is its window
+    q = np.round(np.arange(-5, 251) * 0.1, 12)
+    values = moments.HMFParams(alpha=1.78, c0=0.1, b=1.07, b1=0.2).log_norm_moment(q)
+    rows = "".join(f"{a!r},{v!r}\n" for a, v in zip(q.tolist(), values.tolist()))
+    (tmp_path / "mom.csv").write_text("q,log_norm_moment\n" + rows)
+    r = run_cli(["fit", "--kind", kind, "--input", "mom.csv", *(["--qmin", qmin] if qmin is not None else [])],
+                tmp_path)
+    assert r.returncode == 0, r.stderr
+    fit = {"mono": fitting.fit_monofractal, "mf": fitting.fit_mf, "hmf": fitting.fit_hmf}[kind]
+    curve = cli._read_curve(str(tmp_path / "mom.csv"))
+    expected = fit(curve)  # at the library's default q_range
+    if qmin is not None:
+        expected = fit(curve, (qmin, expected.q_domain[1]))
+    assert json.loads(r.stdout) == json.loads(json.dumps(cli._fit_result_doc(expected)))
 
 
 def _reject_constant(name):

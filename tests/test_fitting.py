@@ -1,6 +1,6 @@
 import math
 import warnings
-from dataclasses import fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 import pytest
@@ -238,7 +238,7 @@ TIMES = np.array([0.0, 1e-4, 1e-2, 0.1, 0.5, 1.0, 10.0, 100.0])
     (iv.StretchedSojourn, "log_survival", (3.0, 0.8, -0.5), TIMES),
 ])
 def test_analytic_jacobian_matches_central_differences(law, method, theta, x):
-    analytic = law(*theta).jacobian(x)
+    analytic = law(*theta).linearize(x)[1]
     assert analytic.shape == (x.size, len(theta))
     numeric = _central_differences(law, getattr(law, method), theta, x)
     np.testing.assert_allclose(analytic, numeric, rtol=1e-6, atol=1e-9)
@@ -249,7 +249,7 @@ def test_weibull_jacobian_at_zero_and_subnormal_times():
     t = np.array([0.0, 1e-310, 1e-200, 1.0])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        jac = iv.Weibull(a, c).jacobian(t)
+        jac = iv.Weibull(a, c).linearize(t)[1]
     expected_dc = [0.0] + [-a * v ** c * math.log(v) for v in t[1:]]
     np.testing.assert_allclose(jac[:, 0], -t ** c, rtol=1e-15, atol=0.0)
     np.testing.assert_allclose(jac[:, 1], expected_dc, rtol=1e-14, atol=0.0)
@@ -259,10 +259,10 @@ def test_stretched_jacobian_row_does_not_depend_on_its_batch():
     # the rows of a grid over three quadrature blocks against the same rows asked for alone
     law = iv.StretchedSojourn(1.5, 0.25, 0.4)
     t = np.geomspace(1e-3, 1e3, 2 * _BLOCK + 9)
-    whole = law.jacobian(t)
+    whole = law.linearize(t)[1]
     pick = np.random.default_rng(1).choice(t.size, 17, replace=False)
-    np.testing.assert_allclose(law.jacobian(t[pick]), whole[pick], rtol=1e-14, atol=0.0)
-    np.testing.assert_allclose(law.jacobian(t[[_BLOCK]]), whole[[_BLOCK]], rtol=1e-14, atol=0.0)
+    np.testing.assert_allclose(law.linearize(t[pick])[1], whole[pick], rtol=1e-14, atol=0.0)
+    np.testing.assert_allclose(law.linearize(t[[_BLOCK]])[1], whole[[_BLOCK]], rtol=1e-14, atol=0.0)
 
 
 @pytest.mark.parametrize("law, method, theta, x", [
@@ -278,14 +278,57 @@ def test_stretched_jacobian_row_does_not_depend_on_its_batch():
     (iv.StretchedSojourn, "log_survival", (1.5, 0.25, 0.4), TIMES),
     (iv.StretchedSojourn, "log_survival", (3.0, 0.8, -0.5), TIMES),
 ])
-def test_linearize_equals_the_value_and_jacobian_methods_bit_for_bit(law, method, theta, x):
+def test_linearize_equals_the_value_method_bit_for_bit(law, method, theta, x):
     model = law(*theta)
-    values, jac = model.linearize(x)
+    values = model.linearize(x)[0]
     assert np.array_equal(values.view(np.int64), getattr(model, method)(x).view(np.int64))
-    assert np.array_equal(jac.view(np.int64), model.jacobian(x).view(np.int64))
     if law is iv.StretchedSojourn:
         # ln Psi takes the steps of densities.sojourn on its own node set
         assert np.array_equal(values.view(np.int64), np.log(iv.sojourn(x, model.params)).view(np.int64))
+
+
+# each fitted law with a point inside its bounds, and a grid of its x on which to fit it
+FITTED_LAWS = {
+    iv.MFParams: ((1.85, -1.5, 0.9), np.round(np.arange(1, 36) * 0.1, 12)),
+    iv.HMFParams: ((1.78, 0.1, 1.07, 0.2), np.round(np.arange(1, 201) * 0.1, 12)),
+    iv.QExponential: ((0.7, 1.4), np.geomspace(0.05, 20.0, 30)),
+    iv.Weibull: ((1.53, 0.459), np.geomspace(0.05, 20.0, 30)),
+    iv.StretchedSojourn: ((1.5, 0.25, 0.4), np.geomspace(0.05, 20.0, 30)),
+}
+
+
+@pytest.mark.parametrize("law", FITTED_LAWS, ids=lambda law: law.__name__)
+def test_fitted_law_contract(law):
+    theta, x = FITTED_LAWS[law]
+    values, jac = law(*theta).linearize(x)
+    assert values.shape == x.shape
+    assert jac.shape == (x.size, len(fields(law)))
+    # on the law's own exact curve the start lies inside the box its fit searches
+    start = law.initial(x, values, np.ones_like(x))
+    assert len(start) == len(fields(law))
+    assert all(lo <= v <= hi for v, lo, hi in zip(start, *law.bounds)), start
+
+
+def test_a_new_law_is_one_class_with_bounds_initial_and_linearize():
+    @dataclass(frozen=True)
+    class Line:
+        slope: float
+        intercept: float
+
+        bounds = ((0.0, -np.inf), (np.inf, np.inf))
+
+        @staticmethod
+        def initial(x, y, w):
+            return (1.0, 0.0)
+
+        def linearize(self, x):
+            return self.slope * x + self.intercept, np.column_stack([x, np.ones_like(x)])
+
+    x = np.linspace(0.0, 1.0, 5)
+    fit = fitting._nls(Line, x, 2.0 * x - 1.0, np.ones_like(x), False, (0.0, 1.0))
+    assert fit.converged and list(fit.params) == ["slope", "intercept"]
+    assert fit.estimate("slope") == pytest.approx(2.0, abs=1e-9)
+    assert fit.estimate("intercept") == pytest.approx(-1.0, abs=1e-9)
 
 
 def test_stretched_fit_takes_one_node_set_per_evaluation(monkeypatch):
@@ -425,7 +468,7 @@ def test_qexp_start_skips_tied_survival_points():
     _curve, t, psi = _seeded_series(8)
     y = np.log(psi)
     assert y[1] == y[0]
-    m0, _q0 = iv.QExponential.initial(t, y)
+    m0, _q0 = iv.QExponential.initial(t, y, np.ones_like(t))
     m = iv.fit_sojourn(t, psi, iv.QExponential).estimate("m")
     assert m / 10.0 < m0 < 10.0 * m
 
@@ -444,7 +487,7 @@ def _gauss_newton_move(law, values, x, y, w, fit, steps=3):
     moved = theta.copy()
     for _ in range(steps):
         r = sw * (values(law(*moved), x) - y)
-        jac = sw[:, None] * law(*moved).jacobian(x)
+        jac = sw[:, None] * law(*moved).linearize(x)[1]
         step, *_ = np.linalg.lstsq(jac[:, free], -r, rcond=None)
         moved[free] += step
     return float(np.max(np.abs(moved - theta) / np.maximum(np.abs(theta), 1e-3)))
