@@ -7,141 +7,60 @@ survival function, computes fractional moments analytically or by saddle-point
 and series approximations, simulates event streams, estimates moment curves
 from data, and fits the moment laws and survival models used for data
 collapse across datasets.
+
+Submodules load on first use: ``import interevent`` loads only ``core`` (and
+numpy), and a public name such as ``interevent.fit_mf`` or a submodule such
+as ``interevent.fitting`` imports its module when first looked up.
 """
 
-from .core import (
-    AsymptoticRangeWarning,
-    Delta,
-    DivergentMomentError,
-    EventSeries,
-    FitResult,
-    IngestError,
-    Laplace,
-    ModelDomainError,
-    ModelParams,
-    NoFiniteMeanError,
-    QMomentCurve,
-    SeriesTruncationWarning,
-    StretchedExp,
-    Uniform,
-    UnsupportedModelError,
-)
-from .densities import (
-    Phase,
-    PhaseLabel,
-    characteristic_time,
-    phase,
-    ptd,
-    ptd_tail,
-    sojourn,
-)
-from .empirical import (
-    DEFAULT_Q_GRID,
-    IngestOptions,
-    empirical_qmoments,
-    empirical_sojourn,
-    hmf_collapse,
-    ingest,
-    mf_collapse,
-    mono_collapse,
-    rescaled_log_moment,
-    scale_q,
-    transformed_moment,
-)
-from .fitting import (
-    QExponential,
-    StretchedSojourn,
-    Weibull,
-    fit_hmf,
-    fit_mf,
-    fit_monofractal,
-    fit_sojourn,
-)
-from .moments import (
-    HMFParams,
-    MFParams,
-    SaddlePointResult,
-    Scales,
-    SeriesMomentResult,
-    fd_relation,
-    iq_quadrature,
-    log_iq_quadrature,
-    log_moment_mf,
-    log_norm_moment,
-    mf_curve,
-    model_curve,
-    moment,
-    moment_mf,
-    moment_stretched_series,
-    monofractal_curve,
-    saddlepoint_iq,
-    scales,
-)
-from .simulate import SimConfig, generate_series, sample_interevent
+import importlib
+
+from . import core
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AsymptoticRangeWarning",
-    "DEFAULT_Q_GRID",
-    "Delta",
-    "DivergentMomentError",
-    "EventSeries",
-    "FitResult",
-    "HMFParams",
-    "IngestError",
-    "IngestOptions",
-    "Laplace",
-    "MFParams",
-    "ModelDomainError",
-    "ModelParams",
-    "NoFiniteMeanError",
-    "Phase",
-    "PhaseLabel",
-    "QExponential",
-    "QMomentCurve",
-    "SaddlePointResult",
-    "Scales",
-    "SeriesMomentResult",
-    "SeriesTruncationWarning",
-    "SimConfig",
-    "StretchedExp",
-    "StretchedSojourn",
-    "Uniform",
-    "UnsupportedModelError",
-    "Weibull",
-    "characteristic_time",
-    "empirical_qmoments",
-    "empirical_sojourn",
-    "fd_relation",
-    "fit_hmf",
-    "fit_mf",
-    "fit_monofractal",
-    "fit_sojourn",
-    "generate_series",
-    "hmf_collapse",
-    "ingest",
-    "iq_quadrature",
-    "log_iq_quadrature",
-    "log_moment_mf",
-    "log_norm_moment",
-    "mf_collapse",
-    "mf_curve",
-    "model_curve",
-    "moment",
-    "moment_mf",
-    "moment_stretched_series",
-    "mono_collapse",
-    "monofractal_curve",
-    "phase",
-    "ptd",
-    "ptd_tail",
-    "rescaled_log_moment",
-    "saddlepoint_iq",
-    "sample_interevent",
-    "scale_q",
-    "scales",
-    "sojourn",
-    "transformed_moment",
-    "__version__",
-]
+# submodule -> the public names it defines; ``core`` is imported above, every
+# other submodule by the first lookup of one of its names or of itself.  The
+# command-line module ``cli`` exports nothing here.
+_EXPORTS = {
+    "core": (
+        "AsymptoticRangeWarning", "Delta", "DivergentMomentError", "EventSeries", "FitResult",
+        "IngestError", "Laplace", "ModelDomainError", "ModelParams", "NoFiniteMeanError",
+        "QMomentCurve", "SeriesTruncationWarning", "StretchedExp", "Uniform",
+        "UnsupportedModelError",
+    ),
+    "densities": ("Phase", "PhaseLabel", "characteristic_time", "phase", "ptd", "ptd_tail", "sojourn"),
+    "empirical": (
+        "DEFAULT_Q_GRID", "IngestOptions", "empirical_qmoments", "empirical_sojourn",
+        "hmf_collapse", "ingest", "mf_collapse", "mono_collapse", "rescaled_log_moment",
+        "scale_q", "transformed_moment",
+    ),
+    "fitting": (
+        "QExponential", "StretchedSojourn", "Weibull", "fit_hmf", "fit_mf", "fit_monofractal",
+        "fit_sojourn",
+    ),
+    "moments": (
+        "HMFParams", "MFParams", "SaddlePointResult", "Scales", "SeriesMomentResult",
+        "fd_relation", "iq_quadrature", "log_iq_quadrature", "log_moment_mf", "log_norm_moment",
+        "mf_curve", "model_curve", "moment", "moment_mf", "moment_stretched_series",
+        "monofractal_curve", "saddlepoint_iq", "scales",
+    ),
+    "simulate": ("SimConfig", "generate_series", "sample_interevent"),
+    "cli": (),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = [*sorted(_HOME), "__version__"]
+
+
+def __getattr__(name: str):
+    # not cached here: a public name is always its home module's current attribute
+    module = name if name in _EXPORTS else _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    loaded = importlib.import_module(f".{module}", __name__)
+    return loaded if module == name else getattr(loaded, name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_EXPORTS, *_HOME})

@@ -22,6 +22,9 @@ A JSON config file passed with ``--config`` supplies defaults for any long
 flag of the invoked command (explicit flags win).  For ``collapse`` the same
 file also carries the dataset table.  When ``--out``-style flags are omitted,
 files land in ``$INTEREVENT_OUTDIR`` (default: current directory).
+
+Each command imports the submodules it runs when it runs, so a command's
+start-up loads only what it needs.
 """
 
 from __future__ import annotations
@@ -38,11 +41,13 @@ from dataclasses import fields
 
 import numpy as np
 
-from . import densities, empirical, fitting, moments
 from .core import Delta, Laplace, ModelParams, QMomentCurve, StretchedExp, Uniform
 from .simulate import SimConfig, generate_series
 
 __all__ = ["run", "main", "entry"]
+
+# the package, whose public names import their submodule when first looked up
+_lib = sys.modules[__package__]
 
 ENV_OUTDIR = "INTEREVENT_OUTDIR"
 
@@ -103,12 +108,19 @@ def _write_numeric_csv(path: str, header: list[str], columns: list[np.ndarray]) 
             fh.write("\r\n".join(lines))
 
 
+def _undecodable(path: str, e: UnicodeDecodeError) -> UsageError:
+    # the exception's own text quotes the whole block it was decoding
+    return UsageError(f"{path}: not valid {e.encoding} text ({e.reason})")
+
+
 def _read_header(path: str) -> list[str]:
     with open(path, newline="") as fh:
         try:
             first = next(csv.reader(fh))
         except StopIteration:
             raise UsageError(f"empty input file: {path}")
+        except UnicodeDecodeError as e:
+            raise _undecodable(path, e)
     return [cell.strip() for cell in first]
 
 
@@ -117,8 +129,9 @@ def _read_columns(
 ) -> dict[str, np.ndarray]:
     """The ``expected`` columns of a numeric CSV, and those of ``optional`` it has.
 
-    A file without data rows, or with a non-finite value in a column named in
-    ``finite``, is a usage error.
+    A file without data rows, with a row whose field count is not the
+    header's, or with a non-finite value in a column named in ``finite``, is a
+    usage error.
     """
     header = _read_header(path)
     for name in expected:
@@ -126,18 +139,21 @@ def _read_columns(
             raise UsageError(
                 f"{path}: expected column '{name}', found header {header}"
             )
-    usable = [h for h in header if h in (*expected, *optional)]
-    idx = [header.index(h) for h in usable]
     try:
         with warnings.catch_warnings():
             # reported below as a usage error rather than printed
             warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-            data = np.loadtxt(path, delimiter=",", skiprows=1, usecols=idx, ndmin=2)
+            # every field is read, so that a row wider than the header is an error, not cut
+            data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    except UnicodeDecodeError as e:
+        raise _undecodable(path, e)
     except ValueError as e:
         raise UsageError(f"{path}: malformed numeric data ({e})")
     if not len(data):
         raise UsageError(f"{path}: no data rows")
-    cols = {h: data[:, k] for k, h in enumerate(usable)}
+    if data.shape[1] != len(header):
+        raise UsageError(f"{path}: data rows have {data.shape[1]} field(s), the header {len(header)}")
+    cols = {h: data[:, header.index(h)] for h in header if h in (*expected, *optional)}
     for name in finite:
         if name in cols and not np.all(np.isfinite(cols[name])):
             raise UsageError(f"{path}: column '{name}' has a non-finite value")
@@ -294,6 +310,8 @@ def _build_parser():
 
 
 def _cmd_ptd(args) -> int:
+    from . import densities
+
     params = _model_params(args)
     if args.points < 1:
         raise UsageError("--points must be >= 1")
@@ -311,16 +329,18 @@ def _cmd_ptd(args) -> int:
     return 0
 
 
-# model -> its log-moment route, which also marks the orders that the note counts, and the note
+# model -> the name of its log-moment route in ``moments``, which also marks the orders that the
+# note counts, and the note
 _NOTED_ROUTES = {
-    "series": (moments._series_log_norm_moment,
-               "series tail bound above float64 precision at {} order(s)"),
-    "saddle": (moments._saddle_log_norm_moment, "saddle point kept leading order at {} order(s) "
+    "series": ("_series_log_norm_moment", "series tail bound above float64 precision at {} order(s)"),
+    "saddle": ("_saddle_log_norm_moment", "saddle point kept leading order at {} order(s) "
                "where its next-order factor is out of range"),
 }
 
 
 def _cmd_moments(args) -> int:
+    from . import moments
+
     _require(args, "--model")
     model = args.model
     qmin = args.qmin if args.qmin is not None else (0.1 if model == "saddle" else 0.0)
@@ -338,7 +358,7 @@ def _cmd_moments(args) -> int:
         route, note = _NOTED_ROUTES[model]
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # counted in the note below
-            values, noted = route(q, _model_params(args, "--model"))
+            values, noted = getattr(moments, route)(q, _model_params(args, "--model"))
         if np.any(noted):
             print(f"note: {note.format(np.count_nonzero(noted))}", file=sys.stderr)
     else:
@@ -351,13 +371,19 @@ def _cmd_moments(args) -> int:
 
 def _cmd_simulate(args) -> int:
     _require(args, "--n", "--seed")
-    cfg = SimConfig(params=_model_params(args), n_events=args.n, seed=args.seed)
+    params = _model_params(args)  # first, so that a model out of its domain is a computation error
+    try:
+        cfg = SimConfig(params=params, n_events=args.n, seed=args.seed)
+    except ValueError as e:
+        raise UsageError(f"--n/--seed: {e}")
     series = generate_series(cfg)
     _write_numeric_csv(_out_path(args.out, "events.csv"), ["dt"], [series.durations])
     return 0
 
 
 def _cmd_estimate(args) -> int:
+    from . import empirical
+
     _require(args, "--input")
     q = _q_grid(args.qmin, args.qmax, args.qstep)
     if args.sojourn_points < 0:
@@ -401,13 +427,14 @@ def _cmd_estimate(args) -> int:
     return 0
 
 
-# kind -> the moment fit it runs, whose own q_range default is the window, or the survival law it fits
+# kind -> the name in ``fitting`` of the moment fit it runs, whose own q_range default is the
+# window, or of the survival law it fits
 _FIT_KINDS = {
-    "mono": fitting.fit_monofractal,
-    "mf": fitting.fit_mf,
-    "hmf": fitting.fit_hmf,
-    "sojourn-qexp": fitting.QExponential,
-    "sojourn-weibull": fitting.Weibull,
+    "mono": "fit_monofractal",
+    "mf": "fit_mf",
+    "hmf": "fit_hmf",
+    "sojourn-qexp": "QExponential",
+    "sojourn-weibull": "Weibull",
 }
 
 
@@ -428,9 +455,11 @@ def _fit_result_doc(result) -> dict:
 
 
 def _cmd_fit(args) -> int:
+    from . import fitting
+
     _require(args, "--kind", "--input")
     out = args.out and _out_path(args.out, "")
-    kind, fit = args.kind, _FIT_KINDS[args.kind]
+    kind, fit = args.kind, getattr(fitting, _FIT_KINDS[args.kind])
     if isinstance(fit, type):  # a survival law
         if args.qmin is not None or args.qmax is not None:
             raise UsageError(f"--qmin/--qmax set a moment-order window; --kind {kind} fits every t row")
@@ -465,8 +494,8 @@ def _scaled_q_values(curve: QMomentCurve, spec: dict, shared: dict) -> np.ndarra
     q = curve.q_grid
     values = np.full(q.shape, np.nan)
     pos = q > 0
-    values[pos] = empirical.scale_q(
-        q[pos], moments.HMFParams(**spec["hmf"]), moments.HMFParams(**shared["reference"]["hmf"])
+    values[pos] = _lib.scale_q(
+        q[pos], _lib.HMFParams(**spec["hmf"]), _lib.HMFParams(**shared["reference"]["hmf"])
     )
     return values
 
@@ -476,15 +505,15 @@ def _scaled_q_values(curve: QMomentCurve, spec: dict, shared: dict) -> np.ndarra
 # every dataset meets; a requested quantity a dataset misses is a usage error.
 _COLLAPSE_QUANTITIES = {
     "ratio": ("ln_tau", "theta", "per-dataset ln_tau and a global theta",
-              lambda c, d, g: empirical.rescaled_log_moment(c, math.exp(d["ln_tau"]), g["theta"])),
+              lambda c, d, g: _lib.rescaled_log_moment(c, math.exp(d["ln_tau"]), g["theta"])),
     "mono": ("ln_tau", None, "ln_tau",
-             lambda c, d, g: empirical.mono_collapse(c, math.exp(d["ln_tau"]))),
+             lambda c, d, g: _lib.mono_collapse(c, math.exp(d["ln_tau"]))),
     "mf": ("mf", None, "an mf parameter block",
-           lambda c, d, g: empirical.mf_collapse(c, moments.MFParams(**d["mf"]))),
+           lambda c, d, g: _lib.mf_collapse(c, _lib.MFParams(**d["mf"]))),
     "hmf": ("hmf", None, "an hmf parameter block",
-            lambda c, d, g: empirical.hmf_collapse(c, moments.HMFParams(**d["hmf"]))),
+            lambda c, d, g: _lib.hmf_collapse(c, _lib.HMFParams(**d["hmf"]))),
     "transform": ("hmf", None, "an hmf parameter block",
-                  lambda c, d, g: empirical.transformed_moment(c, moments.HMFParams(**d["hmf"]))),
+                  lambda c, d, g: _lib.transformed_moment(c, _lib.HMFParams(**d["hmf"]))),
     "scaled-q": ("hmf", "reference", "hmf blocks and a reference dataset", _scaled_q_values),
 }
 

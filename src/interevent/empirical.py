@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -25,7 +26,9 @@ from .core import (
     _lgamma1p,
     _shape_like,
 )
-from .moments import HMFParams, MFParams
+
+if TYPE_CHECKING:  # annotations only, so estimating a curve does not load the moment laws
+    from .moments import HMFParams, MFParams
 
 __all__ = [
     "DEFAULT_Q_GRID",

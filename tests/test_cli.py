@@ -264,8 +264,13 @@ _ESTIMATE = ["estimate", "--input", "events.csv", "--out-moments", "m.csv", "--o
     [*_ESTIMATE, "--gap-cutoff", "-1"],
     [*_ESTIMATE, "--min-duration", "-1"],
     [*_ESTIMATE, "--min-duration", "nan"],
+    ["simulate", "--weight", "delta", "--n", "0", "--seed", "1", "--out", "sim.csv"],
+    ["simulate", "--weight", "delta", "--n", "-5", "--seed", "1", "--out", "sim.csv"],
+    ["simulate", "--weight", "delta", "--n", "5", "--seed", "-1", "--out", "sim.csv"],
+    ["simulate", "--weight", "delta", "--n", "5", "--seed", str(2 ** 64), "--out", "sim.csv"],
 ], ids=["sojourn-points", "estimate-qmax", "moments-qmax", "ptd-tmax", "gap-cutoff", "min-duration",
-        "min-duration-nan"])
+        "min-duration-nan", "simulate-n-0", "simulate-n-negative", "simulate-seed-negative",
+        "simulate-seed-2**64"])
 def test_flag_values_checked_before_any_work_are_usage_errors(tmp_path, args):
     (tmp_path / "events.csv").write_text("dt\n1.0\n2.0\n4.0\n")
     r = run_cli(args, tmp_path)
@@ -273,6 +278,15 @@ def test_flag_values_checked_before_any_work_are_usage_errors(tmp_path, args):
     assert r.stdout == ""
     assert r.stderr.startswith("usage error: ") and r.stderr.count("\n") == 1, r.stderr
     assert sorted(os.listdir(tmp_path)) == ["events.csv"]
+
+
+def test_simulate_model_out_of_domain_is_computation_error_before_n_is_checked(tmp_path):
+    r = run_cli(["simulate", "--weight", "stretched", "--sigma", "-1", "--alpha", "1.5",
+                 "--n", "0", "--seed", "1", "--out", "sim.csv"], tmp_path)
+    assert r.returncode == 1
+    lines = r.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error\tModelDomainError\t"), r.stderr
+    assert os.listdir(tmp_path) == []
 
 
 def test_estimate_skips_orders_whose_log_gamma_overflows(tmp_path):
@@ -572,6 +586,30 @@ def test_table_without_usable_rows_is_usage_error(tmp_path, args, text, message)
     assert r.stderr == f"usage error: in.csv: {message}\n"
 
 
+_FIT_MF = ["fit", "--kind", "mf", "--out", "f.json"]
+_CURVE = "q,log_norm_moment\n" + "".join(f"{qi / 10},{qi / 20}\n" for qi in range(36))
+
+
+@pytest.mark.parametrize("args, data, message", [
+    # a decimal comma makes a row wider than the header; it was read as its first field
+    (["estimate", "--out-moments", "m.csv"], b"dt\n1\n2,5\n4\n", "malformed numeric data ("),
+    (["estimate", "--out-moments", "m.csv"], b"dt\n1,5\n2,5\n", "data rows have 2 field(s), the header 1"),
+    (_FIT_MF, _CURVE.replace("\n1.0,", "\n1,0,").encode(), "malformed numeric data ("),
+    (["estimate", "--out-moments", "m.csv"], b"dt\n1\n\xff\n4\n", "not valid "),
+    # past the first block that the header read decodes
+    (["estimate", "--out-moments", "m.csv"], b"dt\n" + b"1\n" * 20_000 + b"\xff\n", "not valid "),
+    (_FIT_MF, b"\xff" + _CURVE.encode(), "not valid "),
+], ids=["decimal-comma", "every-row-wide", "curve-decimal-comma", "estimate-bad-byte",
+        "estimate-late-bad-byte", "fit-bad-byte"])
+def test_malformed_input_file_is_usage_error(tmp_path, args, data, message):
+    (tmp_path / "in.csv").write_bytes(data)
+    r = run_cli([*args, "--input", "in.csv"], tmp_path)
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert r.stderr.startswith(f"usage error: in.csv: {message}") and r.stderr.count("\n") == 1, r.stderr
+    assert os.listdir(tmp_path) == ["in.csv"]
+
+
 @pytest.mark.parametrize("kind", ["sojourn-weibull", "sojourn-qexp"])
 @pytest.mark.parametrize("flags", [["--qmin", "1"], ["--qmax", "2"]])
 def test_sojourn_fit_rejects_order_window(tmp_path, kind, flags):
@@ -644,11 +682,12 @@ def test_help_exits_zero(tmp_path):
 # its heavy submodules that interpreter has loaded.
 _IMPORT_PROBE = """
 import json, sys
-from interevent import cli
+import interevent
 for argv in json.loads(sys.argv[1]):
-    assert cli.run(argv) == 0, argv
+    assert interevent.cli.run(argv) == 0, argv
 heavy = ("scipy", "scipy.special", "scipy.integrate", "scipy.optimize", "numpy.polynomial")
 print(json.dumps([m for m in heavy if m in sys.modules]))
+print(json.dumps([m.partition(".")[2] for m in sys.modules if m.startswith("interevent.")]))
 """
 
 _SIMULATE = ["simulate", "--weight", "stretched", "--sigma", "1", "--alpha", "1.5",
@@ -656,10 +695,17 @@ _SIMULATE = ["simulate", "--weight", "stretched", "--sigma", "1", "--alpha", "1.
 _ESTIMATE = ["estimate", "--input", "ev.csv", "--out-moments", "mom.csv", "--out-sojourn", "soj.csv"]
 
 
-def _scipy_submodules_after(commands, tmp_path):
+def _modules_after(commands, tmp_path):
+    """The heavy modules, and the set of the package's submodules, loaded by a fresh
+    interpreter that imports the package and runs ``commands``."""
     r = run_cli([json.dumps(commands)], tmp_path, cmd=[sys.executable, "-c", _IMPORT_PROBE])
     assert r.returncode == 0, r.stderr
-    return json.loads(r.stdout.splitlines()[-1])
+    heavy, ours = map(json.loads, r.stdout.splitlines()[-2:])
+    return heavy, set(ours)
+
+
+def _scipy_submodules_after(commands, tmp_path):
+    return _modules_after(commands, tmp_path)[0]
 
 
 def test_import_loads_no_scipy_submodule(tmp_path):
@@ -694,3 +740,21 @@ def test_fit_loads_no_scipy_submodule(tmp_path):
     assert _scipy_submodules_after(fits, tmp_path) == []
     for kind in ("mf", "hmf", "sojourn-weibull"):
         assert json.loads((tmp_path / f"{kind}.json").read_text())["converged"], kind
+
+
+_FIT_LOADS = {"cli", "core", "densities", "fitting", "moments", "simulate"}
+
+
+@pytest.mark.parametrize("command, loaded", [
+    (None, {"core"}),
+    (_SIMULATE, {"cli", "core", "simulate"}),
+    (_ESTIMATE, {"cli", "core", "empirical", "simulate"}),
+    (["fit", "--kind", "mf", "--input", "mom.csv", "--out", "f.json"], _FIT_LOADS),
+    (["fit", "--kind", "sojourn-weibull", "--input", "soj.csv", "--out", "f.json"], _FIT_LOADS),
+    (["ptd", "--weight", "stretched", "--sigma", "1", "--alpha", "1.5", "--points", "20",
+      "--out", "ptd.csv"], {"cli", "core", "densities", "moments", "simulate"}),
+], ids=["import", "simulate", "estimate", "fit-mf", "fit-sojourn-weibull", "ptd-stretched"])
+def test_each_command_loads_only_the_submodules_it_runs(tmp_path, monkeypatch, command, loaded):
+    monkeypatch.chdir(tmp_path)
+    assert cli.run(_SIMULATE) == 0 and cli.run(_ESTIMATE) == 0  # the inputs, made in this process
+    assert _modules_after([command] if command else [], tmp_path)[1] == loaded

@@ -27,3 +27,28 @@ def test_no_public_name_aliases_another():
         else:
             seen[id(obj)] = name
     assert not aliases, aliases
+
+
+def test_every_public_name_is_its_home_submodules_object():
+    star = {}
+    exec("from interevent import *", star)
+    for name in iv.__all__:
+        if name != "__version__":
+            home = importlib.import_module(f"interevent.{iv._HOME[name]}")
+            assert getattr(iv, name) is getattr(home, name) is star[name], name
+
+
+@pytest.mark.parametrize("module", sorted(iv._EXPORTS))
+def test_each_lazy_table_entry_is_exported_by_its_submodule(module):
+    home = importlib.import_module(f"interevent.{module}")
+    assert getattr(iv, module) is home
+    assert set(iv._EXPORTS[module]) <= set(home.__all__)
+
+
+def test_dir_lists_every_public_name():
+    assert set(iv.__all__) <= set(dir(iv))
+
+
+def test_unknown_attribute_names_the_module():
+    with pytest.raises(AttributeError, match="module 'interevent' has no attribute 'no_such_name'"):
+        iv.no_such_name
