@@ -37,7 +37,7 @@ import math
 import os
 import sys
 import warnings
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 
@@ -108,52 +108,38 @@ def _write_numeric_csv(path: str, header: list[str], columns: list[np.ndarray]) 
             fh.write("\r\n".join(lines))
 
 
-def _undecodable(path: str, e: UnicodeDecodeError) -> UsageError:
-    # the exception's own text quotes the whole block it was decoding
-    return UsageError(f"{path}: not valid {e.encoding} text ({e.reason})")
+def _read_columns(path: str, expected: list[str] = (), finite: list[str] = ()) -> dict[str, np.ndarray]:
+    """Every column of a numeric CSV by its header name, read in one pass.
 
-
-def _read_header(path: str) -> list[str]:
-    with open(path, newline="") as fh:
-        try:
-            first = next(csv.reader(fh))
-        except StopIteration:
-            raise UsageError(f"empty input file: {path}")
-        except UnicodeDecodeError as e:
-            raise _undecodable(path, e)
-    return [cell.strip() for cell in first]
-
-
-def _read_columns(
-    path: str, expected: list[str], optional: list[str] = (), finite: list[str] = ()
-) -> dict[str, np.ndarray]:
-    """The ``expected`` columns of a numeric CSV, and those of ``optional`` it has.
-
-    A file without data rows, with a row whose field count is not the
-    header's, or with a non-finite value in a column named in ``finite``, is a
-    usage error.
+    A header without a name in ``expected``, a file without data rows or not
+    valid text, a row whose field count is not the header's, or a non-finite
+    value in a column named in ``finite``, is a usage error.
     """
-    header = _read_header(path)
-    for name in expected:
-        if name not in header:
-            raise UsageError(
-                f"{path}: expected column '{name}', found header {header}"
-            )
     try:
-        with warnings.catch_warnings():
-            # reported below as a usage error rather than printed
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-            # every field is read, so that a row wider than the header is an error, not cut
-            data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        with open(path, newline="") as fh:
+            header = next(csv.reader(fh), None)
+            if header is None:
+                raise UsageError(f"empty input file: {path}")
+            header = [cell.strip() for cell in header]
+            for name in expected:
+                if name not in header:
+                    raise UsageError(f"{path}: expected column '{name}', found header {header}")
+            with warnings.catch_warnings():
+                # reported below as a usage error rather than printed
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+                # every field is read, so that a row wider than the header is an error, not cut
+                data = np.loadtxt(fh, delimiter=",", ndmin=2)
     except UnicodeDecodeError as e:
-        raise _undecodable(path, e)
+        # the exception's own text quotes the whole block it was decoding
+        raise UsageError(f"{path}: not valid {e.encoding} text ({e.reason})")
     except ValueError as e:
-        raise UsageError(f"{path}: malformed numeric data ({e})")
+        # numpy ends its text for a ragged row with advice on an argument of its own
+        raise UsageError(f"{path}: malformed numeric data ({str(e).partition('; use `usecols`')[0]})")
     if not len(data):
         raise UsageError(f"{path}: no data rows")
     if data.shape[1] != len(header):
         raise UsageError(f"{path}: data rows have {data.shape[1]} field(s), the header {len(header)}")
-    cols = {h: data[:, header.index(h)] for h in header if h in (*expected, *optional)}
+    cols = dict(zip(header, data.T))
     for name in finite:
         if name in cols and not np.all(np.isfinite(cols[name])):
             raise UsageError(f"{path}: column '{name}' has a non-finite value")
@@ -161,9 +147,7 @@ def _read_columns(
 
 
 def _read_curve(path: str) -> QMomentCurve:
-    cols = _read_columns(
-        path, ["q", "log_norm_moment"], optional=["stderr", "n_samples"], finite=["n_samples"]
-    )
+    cols = _read_columns(path, ["q", "log_norm_moment"], finite=["n_samples"])
     n_samples = int(cols["n_samples"][0]) if "n_samples" in cols else 0
     try:
         return QMomentCurve(
@@ -187,9 +171,11 @@ def _require(args: argparse.Namespace, *names: str) -> None:
         raise UsageError(f"missing required flag(s): {', '.join(missing)}")
 
 
-def _add_weight_flags(
-    p: argparse.ArgumentParser, flag: str = "--weight", choices=("delta", "uniform", "laplace", "stretched")
-) -> None:
+# --weight name -> its family; the series, gaussian and saddle routes of --model are stretched weights
+_WEIGHTS = {"delta": Delta, "uniform": Uniform, "laplace": Laplace, "stretched": StretchedExp}
+
+
+def _add_weight_flags(p: argparse.ArgumentParser, flag: str = "--weight", choices=tuple(_WEIGHTS)) -> None:
     p.add_argument(flag, choices=choices)
     p.add_argument("--mu", type=float, default=0.0)
     p.add_argument("--sigma", type=float)
@@ -199,34 +185,34 @@ def _add_weight_flags(
     p.add_argument("--beta", type=float, default=1.0)
 
 
+def _build(cls, args: argparse.Namespace, choice: str):
+    """``cls`` made from the flags that its dataclass fields name (``--half-width`` for
+    ``half_width``); ``choice`` names the flag value that asked for it."""
+    values = {f.name: getattr(args, f.name) for f in fields(cls)}
+    missing = [f"--{name.replace('_', '-')}" for name, value in values.items() if value is None]
+    if missing:
+        raise UsageError(f"{choice} needs {', '.join(missing)}")
+    return cls(**values)
+
+
 def _model_params(args: argparse.Namespace, flag: str = "--weight") -> ModelParams:
-    """The model named by ``flag``; any kind past delta, uniform and laplace is
-    a stretched weight (``stretched``, or the ``series``/``gaussian``/``saddle`` routes)."""
+    """The model named by ``flag``: a family of ``_WEIGHTS``, or a stretched weight."""
     _require(args, flag)
     kind = getattr(args, flag.lstrip("-"))
-    if kind == "delta":
-        weight = Delta(mu=args.mu)
-    elif kind == "uniform":
-        if args.half_width is None:
-            raise UsageError(f"--half-width is required for {flag} {kind}")
-        weight = Uniform(half_width=args.half_width)
-    elif kind == "laplace":
-        if args.sigma is None:
-            raise UsageError(f"--sigma is required for {flag} {kind}")
-        weight = Laplace(sigma=args.sigma)
-    else:
-        alpha = 2.0 if (kind == "gaussian" and args.alpha is None) else args.alpha
-        if args.sigma is None or alpha is None:
-            raise UsageError(f"--sigma and --alpha are required for {flag} {kind}")
-        if kind == "gaussian" and alpha != 2.0:
+    if kind == "gaussian":
+        if args.alpha is None:
+            args.alpha = 2.0
+        elif args.alpha != 2.0:
             raise UsageError("--model gaussian requires alpha = 2")
-        weight = StretchedExp(mu=args.mu, sigma=args.sigma, alpha=alpha)
+    weight = _build(_WEIGHTS.get(kind, StretchedExp), args, f"{flag} {kind}")
     return ModelParams(weight=weight, tau0=args.tau0, beta=args.beta)
 
 
 def _q_grid(qmin: float, qmax: float, qstep: float) -> np.ndarray:
     if not (0 < qstep < math.inf and qmax > qmin and math.isfinite((qmax - qmin) / qstep)):
         raise UsageError("need finite qmin < qmax and qstep > 0")
+    if not qmin > -1:
+        raise UsageError(f"need qmin > -1, as <t^q> and Gamma(1 + q) diverge at q = -1; got {qmin}")
     n = int(math.floor((qmax - qmin) / qstep + 1e-9)) + 1
     q = qmin + qstep * np.arange(n)
     q[np.abs(q) < 1e-12] = 0.0
@@ -348,12 +334,7 @@ def _cmd_moments(args) -> int:
 
     if model in ("mf", "hmf"):
         law = moments.MFParams if model == "mf" else moments.HMFParams
-        names = [f.name for f in fields(law)]
-        given = [getattr(args, name) for name in names]
-        if None in given:
-            flags = [f"--{name}" for name in names]
-            raise UsageError(f"--model {model} needs {', '.join(flags[:-1])} and {flags[-1]}")
-        values = law(*given).log_norm_moment(q)
+        values = _build(law, args, f"--model {model}").log_norm_moment(q)
     elif model in _NOTED_ROUTES:
         route, note = _NOTED_ROUTES[model]
         with warnings.catch_warnings():
@@ -388,20 +369,19 @@ def _cmd_estimate(args) -> int:
     q = _q_grid(args.qmin, args.qmax, args.qstep)
     if args.sojourn_points < 0:
         raise UsageError("--sojourn-points must be >= 0 (0 writes no survival file)")
-    header = _read_header(args.input)
-    if header[:1] not in (["t"], ["dt"]):
-        raise UsageError(f"{args.input}: event CSV header must be 't' or 'dt', got {header}")
-    kind = "timestamps" if header[0] == "t" else "durations"
     try:
-        opts = empirical.IngestOptions(
-            input_kind=kind, gap_cutoff=args.gap_cutoff, min_duration=args.min_duration
-        )
+        opts = empirical.IngestOptions(gap_cutoff=args.gap_cutoff, min_duration=args.min_duration)
     except ValueError as e:
         raise UsageError(f"--gap-cutoff/--min-duration: {e}")
-    data = _read_columns(args.input, header[:1])[header[0]]
+    cols = _read_columns(args.input)
+    column = next(iter(cols))
+    if column not in ("t", "dt"):
+        raise UsageError(f"{args.input}: event CSV header must be 't' or 'dt', got {list(cols)}")
+    if column == "t":
+        opts = replace(opts, input_kind="timestamps")
     out_moments = _out_path(args.out_moments, "moments.csv")
     out_sojourn = _out_path(args.out_sojourn, "sojourn.csv") if args.sojourn_points > 0 else None
-    series = empirical.ingest(data, opts)
+    series = empirical.ingest(cols[column], opts)
     for reason, count in series.dropped.items():
         print(f"note: dropped {count} record(s): {reason}", file=sys.stderr)
     curve = empirical.empirical_qmoments(series, q)
@@ -465,13 +445,17 @@ def _cmd_fit(args) -> int:
             raise UsageError(f"--qmin/--qmax set a moment-order window; --kind {kind} fits every t row")
         cols = _read_columns(args.input, ["t", "psi"], finite=["t", "psi"])
         t, psi = cols["t"], cols["psi"]
-        keep = psi > 0
+        keep = psi != 0
         if not keep.all():
             print(
                 f"note: dropped {int((~keep).sum())} zero-survival row(s) before fitting",
                 file=sys.stderr,
             )
             t, psi = t[keep], psi[keep]
+        try:
+            fitting._survival_points(t, psi, fit)
+        except ValueError as e:
+            raise UsageError(f"{args.input}: {e}")
         result = fitting.fit_sojourn(t, psi, fit)
     else:
         curve = _read_curve(args.input)
@@ -528,12 +512,21 @@ def _cmd_collapse(args) -> int:
         raise UsageError("collapse requires --config with a dataset table")
     cfg = args.config_table  # loaded and checked by _apply_config_defaults
     datasets = cfg.get("datasets")
-    if not datasets:
+    if not (isinstance(datasets, list) and datasets):
         raise UsageError("config must list at least one dataset")
+    names = set()
+    for d in datasets:
+        if not (isinstance(d, dict) and all(isinstance(d.get(k), str) for k in ("name", "curve"))):
+            raise UsageError("each dataset must be an object with a string 'name' and 'curve'")
+        if d["name"] in names:
+            raise UsageError(f"dataset name '{d['name']}' is used more than once")
+        names.add(d["name"])
+        if not os.path.isfile(d["curve"]):
+            raise UsageError(f"curve file does not exist: {d['curve']}")
     shared = {"theta": cfg.get("theta"), "reference": None}
     ref_name = cfg.get("reference")
     if ref_name is not None:
-        matches = [d for d in datasets if d.get("name") == ref_name]
+        matches = [d for d in datasets if d["name"] == ref_name]
         if not matches:
             raise UsageError(f"reference dataset '{ref_name}' not found in config")
         shared["reference"] = matches[0]
@@ -546,23 +539,19 @@ def _cmd_collapse(args) -> int:
     ]
     if not quantities:
         raise UsageError("no collapse quantity is computable from the config")
-
-    curves = {}
-    for d in datasets:
-        if "name" not in d or "curve" not in d:
-            raise UsageError("each dataset needs 'name' and 'curve' keys")
-        if not os.path.isfile(d["curve"]):
-            raise UsageError(f"curve file does not exist: {d['curve']}")
-        curves[d["name"]] = _read_curve(d["curve"])
-
     for quantity in quantities:
-        _, _, what, compute = _COLLAPSE_QUANTITIES[quantity]
+        for d in datasets:
+            if not _collapse_ready(quantity, d, shared):
+                what = _COLLAPSE_QUANTITIES[quantity][2]
+                raise UsageError(f"dataset {d['name']}: '{quantity}' needs {what}")
+
+    curves = {d["name"]: _read_curve(d["curve"]) for d in datasets}
+    for quantity in quantities:
+        compute = _COLLAPSE_QUANTITIES[quantity][3]
         rows = []
         skipped = 0
         for d in datasets:
             name = d["name"]
-            if not _collapse_ready(quantity, d, shared):
-                raise UsageError(f"dataset {name}: '{quantity}' needs {what}")
             curve = curves[name]
             values = compute(curve, d, shared)
             for qi, vi in zip(curve.q_grid, values):
@@ -616,15 +605,12 @@ def run(argv) -> int:
     """Parse ``argv`` (without the program name), execute, return the exit code."""
     parser, registry = _build_parser()
     try:
-        args = parser.parse_args(list(argv))
-    except SystemExit as e:
-        return 0 if e.code in (0, None) else 2
-    try:
-        if getattr(args, "config", None):
-            try:
+        try:
+            args = parser.parse_args(list(argv))
+            if args.config:
                 args = _apply_config_defaults(parser, registry, args, list(argv))
-            except SystemExit as e:
-                return 0 if e.code in (0, None) else 2
+        except SystemExit as e:  # argparse has printed its message
+            return 0 if e.code in (0, None) else 2
         path = getattr(args, "input", None)
         if path is not None and not os.path.isfile(path):
             raise UsageError(f"input file does not exist: {path}")

@@ -353,15 +353,9 @@ def fit_hmf(curve: QMomentCurve, q_range=(0.0, 20.0)) -> FitResult:
 _SURVIVAL_LAWS = (QExponential, Weibull, StretchedSojourn)
 
 
-def fit_sojourn(t_grid, psi_values, model_class) -> FitResult:
-    """Least squares on ``ln Psi`` for one of the survival model classes.
-
-    ``model_class`` is :class:`QExponential`, :class:`Weibull` or
-    :class:`StretchedSojourn`.  The returned ``q_domain`` holds the fitted
-    t-range.  A q-exponential fit at the exponential limit ``q_ts -> 1`` is
-    flagged ``q_ts_at_lower_boundary``, as :func:`_nls` flags every estimate
-    that ends on its bound.
-    """
+def _survival_points(t_grid, psi_values, model_class):
+    """The points of a survival function that ``model_class`` can be fitted to, as arrays;
+    ``ValueError`` names the first rule they break."""
     t = np.asarray(t_grid, dtype=float)
     psi = np.asarray(psi_values, dtype=float)
     if t.ndim != 1 or psi.shape != t.shape:
@@ -374,8 +368,21 @@ def fit_sojourn(t_grid, psi_values, model_class) -> FitResult:
         raise ValueError("psi_values must lie in (0, 1]")
     if np.any(np.diff(psi) > 0):
         raise ValueError("psi_values must be nonincreasing")
-    if model_class not in _SURVIVAL_LAWS:
-        raise TypeError(f"unknown survival model class: {model_class!r}")
     if len(t) < len(fields(model_class)):
         raise ValueError("fewer points than parameters")
+    return t, psi
+
+
+def fit_sojourn(t_grid, psi_values, model_class) -> FitResult:
+    """Least squares on ``ln Psi`` for one of the survival model classes.
+
+    ``model_class`` is :class:`QExponential`, :class:`Weibull` or
+    :class:`StretchedSojourn`.  The returned ``q_domain`` holds the fitted
+    t-range.  A q-exponential fit at the exponential limit ``q_ts -> 1`` is
+    flagged ``q_ts_at_lower_boundary``, as :func:`_nls` flags every estimate
+    that ends on its bound.
+    """
+    if model_class not in _SURVIVAL_LAWS:
+        raise TypeError(f"unknown survival model class: {model_class!r}")
+    t, psi = _survival_points(t_grid, psi_values, model_class)
     return _nls(model_class, t, np.log(psi), np.ones_like(t), False, (float(t[0]), float(t[-1])))

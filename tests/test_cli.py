@@ -268,9 +268,18 @@ _ESTIMATE = ["estimate", "--input", "events.csv", "--out-moments", "m.csv", "--o
     ["simulate", "--weight", "delta", "--n", "-5", "--seed", "1", "--out", "sim.csv"],
     ["simulate", "--weight", "delta", "--n", "5", "--seed", "-1", "--out", "sim.csv"],
     ["simulate", "--weight", "delta", "--n", "5", "--seed", str(2 ** 64), "--out", "sim.csv"],
+    [*_ESTIMATE, "--qmin", "-2"],
+    ["moments", "--model", "saddle", "--sigma", "1", "--alpha", "1.5", "--qmin", "-2", "--out", "m.csv"],
+    ["moments", "--model", "mf", "--alpha", "2", "--c0", "0", "--b", "0.3", "--qmin", "-2", "--out", "m.csv"],
+    ["moments", "--model", "hmf", "--alpha", "1.8", "--c0", "0", "--b", "0.3", "--b1", "0.2", "--qmin", "-1",
+     "--qmax", "1", "--out", "m.csv"],
+    ["moments", "--model", "delta", "--qmin", "-2", "--out", "m.csv"],
+    ["moments", "--model", "series", "--sigma", "1", "--alpha", "1.5", "--qmin", "-1.5", "--out", "m.csv"],
 ], ids=["sojourn-points", "estimate-qmax", "moments-qmax", "ptd-tmax", "gap-cutoff", "min-duration",
         "min-duration-nan", "simulate-n-0", "simulate-n-negative", "simulate-seed-negative",
-        "simulate-seed-2**64"])
+        "simulate-seed-2**64", "estimate-qmin-below-minus-1", "saddle-qmin-below-minus-1",
+        "mf-qmin-below-minus-1", "hmf-qmin-minus-1", "delta-qmin-below-minus-1",
+        "series-qmin-below-minus-1"])
 def test_flag_values_checked_before_any_work_are_usage_errors(tmp_path, args):
     (tmp_path / "events.csv").write_text("dt\n1.0\n2.0\n4.0\n")
     r = run_cli(args, tmp_path)
@@ -278,6 +287,29 @@ def test_flag_values_checked_before_any_work_are_usage_errors(tmp_path, args):
     assert r.stdout == ""
     assert r.stderr.startswith("usage error: ") and r.stderr.count("\n") == 1, r.stderr
     assert sorted(os.listdir(tmp_path)) == ["events.csv"]
+
+
+@pytest.mark.parametrize("args, message", [
+    (["ptd", "--weight", "uniform", "--out", "d.csv"], "--weight uniform needs --half-width"),
+    (["simulate", "--weight", "laplace", "--n", "5", "--seed", "1", "--out", "e.csv"],
+     "--weight laplace needs --sigma"),
+    (["ptd", "--weight", "stretched", "--sigma", "1", "--out", "d.csv"], "--weight stretched needs --alpha"),
+    (["moments", "--model", "mf", "--alpha", "2", "--out", "m.csv"], "--model mf needs --c0, --b"),
+    (["moments", "--model", "hmf", "--out", "m.csv"], "--model hmf needs --alpha, --c0, --b, --b1"),
+], ids=["ptd-uniform", "simulate-laplace", "ptd-stretched", "moments-mf", "moments-hmf"])
+def test_missing_model_flags_are_named_in_one_usage_error(tmp_path, args, message):
+    r = run_cli(args, tmp_path)
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert r.stderr == f"usage error: {message}\n"
+    assert os.listdir(tmp_path) == []
+
+
+def test_config_key_supplies_a_model_flag(tmp_path):
+    (tmp_path / "c.json").write_text(json.dumps({"weight": "uniform", "half_width": 0.5}))
+    r = run_cli(["ptd", "--config", "c.json", "--points", "5", "--out", "d.csv"], tmp_path)
+    assert r.returncode == 0, r.stderr
+    assert len(read_csv(tmp_path / "d.csv")[1]) == 5
 
 
 def test_simulate_model_out_of_domain_is_computation_error_before_n_is_checked(tmp_path):
@@ -486,6 +518,29 @@ def test_collapse_quantity_without_inputs_is_usage_error(tmp_path):
     assert r.returncode == 2
 
 
+def _collapse_config(tmp_path, datasets):
+    for name, value in (("one", 1.0), ("five", 5.0)):
+        (tmp_path / f"{name}.csv").write_text(f"q,log_norm_moment\n0.5,{value / 2}\n1.0,{value}\n")
+    (tmp_path / "c.json").write_text(json.dumps({"datasets": datasets}))
+    return sorted(os.listdir(tmp_path))
+
+
+@pytest.mark.parametrize("datasets, args, message", [
+    ([{"name": "x", "curve": "one.csv", "ln_tau": 0.0}, {"name": "x", "curve": "five.csv", "ln_tau": 0.0}],
+     [], "dataset name 'x' is used more than once"),
+    ([{"name": "x", "curve": "one.csv", "ln_tau": 0.0}], ["--quantities", "mono", "mf"],
+     "dataset x: 'mf' needs an mf parameter block"),
+    ([1], [], "each dataset must be an object with a string 'name' and 'curve'"),
+], ids=["duplicate-name", "quantity-not-computable", "dataset-not-an-object"])
+def test_collapse_checks_its_dataset_table_before_any_output(tmp_path, datasets, args, message):
+    before = _collapse_config(tmp_path, datasets)
+    r = run_cli(["collapse", "--config", "c.json", *args], tmp_path)
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert r.stderr == f"usage error: {message}\n"
+    assert sorted(os.listdir(tmp_path)) == before
+
+
 def _write_curve(path, ln_tau):
     with open(path, "w") as fh:
         fh.write("q,log_norm_moment\n")
@@ -567,6 +622,23 @@ def test_fit_rejects_non_finite_survival_as_usage_error(tmp_path, kind, column, 
     assert r.stderr == f"usage error: soj.csv: column '{column}' has a non-finite value\n"
 
 
+@pytest.mark.parametrize("t, psi, message", [
+    ([0.1, 0.5, 0.3, 2.0], [0.9, 0.6, 0.4, 0.1], "t_grid must be nonnegative and strictly increasing"),
+    ([0.1, 0.5, 1.0, 2.0], [1.2, 0.6, 0.4, 0.1], "psi_values must lie in (0, 1]"),
+    ([0.1, 0.5, 1.0, 2.0], [0.9, 0.4, 0.6, 0.1], "psi_values must be nonincreasing"),
+    # only zero-survival rows are dropped; a negative one was dropped with them
+    ([0.1, 0.5, 1.0, 2.0], [0.9, -0.5, 0.3, 0.1], "psi_values must lie in (0, 1]"),
+], ids=["t-not-increasing", "psi-above-1", "psi-increasing", "psi-negative"])
+@pytest.mark.parametrize("kind", ["sojourn-weibull", "sojourn-qexp"])
+def test_fit_rejects_survival_that_is_not_a_survival_function_as_usage_error(tmp_path, kind, t, psi, message):
+    (tmp_path / "soj.csv").write_text("t,psi\n" + "".join(f"{a},{b}\n" for a, b in zip(t, psi)))
+    r = run_cli(["fit", "--kind", kind, "--input", "soj.csv", "--out", "f.json"], tmp_path)
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert r.stderr == f"usage error: soj.csv: {message}\n"
+    assert os.listdir(tmp_path) == ["soj.csv"]
+
+
 _NAN_N_SAMPLES = "q,log_norm_moment,stderr,n_samples\n" + "".join(
     f"{qi},{0.5 * qi + 0.05 * qi ** 1.5},1e-3,nan\n" for qi in np.round(np.arange(0, 36) * 0.1, 10)
 )
@@ -607,6 +679,7 @@ def test_malformed_input_file_is_usage_error(tmp_path, args, data, message):
     assert r.returncode == 2
     assert r.stdout == ""
     assert r.stderr.startswith(f"usage error: in.csv: {message}") and r.stderr.count("\n") == 1, r.stderr
+    assert "usecols" not in r.stderr  # numpy's advice names an argument the user cannot pass
     assert os.listdir(tmp_path) == ["in.csv"]
 
 
