@@ -38,7 +38,7 @@ def main():
     fig, ax = plt.subplots(figsize=(6, 4.5))
     ax.errorbar(emp.q_grid, emp.log_norm_moment, yerr=emp.stderr, fmt=".", ms=4, label="empirical")
     ax.plot(q, ana.log_norm_moment, "-", lw=1, label="analytic")
-    fitted = iv.mf_curve(q, iv.MFParams(alpha=fit.estimate("alpha"), c0=fit.estimate("c0"), b=fit.estimate("b")))
+    fitted = iv.model_curve(q, iv.MFParams(alpha=fit.estimate("alpha"), c0=fit.estimate("c0"), b=fit.estimate("b")))
     ax.plot(q, fitted.log_norm_moment, "--", lw=1, label="fitted law")
     ax.set_xlabel("q")
     ax.set_ylabel("log normalized q-moment")

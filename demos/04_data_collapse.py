@@ -25,7 +25,7 @@ def main():
     print(f"{'set':8s}{'alpha':>7s}{'c0':>8s}{'b':>7s}{'b1':>8s}   max |collapse - (1-e^-x)|")
     collapsed = {}
     for name, p in PARAM_SETS.items():
-        curve = iv.mf_curve(q, p)
+        curve = iv.model_curve(q, p)
         x = p.b1 * q ** (1.0 / (p.alpha - 1.0))
         y = iv.hmf_collapse(curve, p)
         gap = np.max(np.abs(y - (1.0 - np.exp(-x))))
@@ -37,7 +37,6 @@ def main():
     print("q-axis mapping onto the dji reference (moment value preserved):")
     for name, p in PARAM_SETS.items():
         q_ref = iv.scale_q(np.array([5.0]), p, ref)[0]
-        own = iv.log_moment_mf(5.0, p) - p.c0 * 5.0
         # the mapped order reproduces the same saturation argument
         mapped = ref.b1 * q_ref ** (1.0 / (ref.alpha - 1.0))
         print(f"  {name:8s} q = 5.0 -> q_ref = {q_ref:8.3f}   saturation arg {p.b1 * 5.0 ** (1 / (p.alpha - 1)):.4f} == {mapped:.4f}")
@@ -51,7 +50,7 @@ def main():
         return
     fig, (ax1, ax2) = plt.subplots(1, 2, figsize=(10, 4.2))
     for name, p in PARAM_SETS.items():
-        ax1.plot(q, iv.mf_curve(q, p).log_norm_moment, lw=1, label=name)
+        ax1.plot(q, iv.model_curve(q, p).log_norm_moment, lw=1, label=name)
         x, y = collapsed[name]
         ax2.plot(x, y, lw=1, label=name)
     xs = np.linspace(0, 4, 200)

@@ -41,9 +41,8 @@ _EXPORTS = {
     ),
     "moments": (
         "HMFParams", "MFParams", "SaddlePointResult", "Scales", "SeriesMomentResult",
-        "fd_relation", "iq_quadrature", "log_iq_quadrature", "log_moment_mf", "log_norm_moment",
-        "mf_curve", "model_curve", "moment", "moment_mf", "moment_stretched_series",
-        "monofractal_curve", "saddlepoint_iq", "scales",
+        "fd_relation", "iq_quadrature", "log_iq_quadrature", "log_norm_moment", "model_curve",
+        "moment", "moment_stretched_series", "saddlepoint_iq", "scales",
     ),
     "simulate": ("SimConfig", "generate_series", "sample_interevent"),
     "cli": (),

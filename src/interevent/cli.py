@@ -32,6 +32,7 @@ from __future__ import annotations
 import argparse
 import csv
 import inspect
+import itertools
 import json
 import math
 import os
@@ -59,10 +60,6 @@ class UsageError(Exception):
 # ---------------------------------------------------------------------------
 # IO helpers
 # ---------------------------------------------------------------------------
-
-
-def _fmt(x: float) -> str:
-    return repr(float(x))
 
 
 def _out_path(given: str | None, default_name: str) -> str:
@@ -108,33 +105,61 @@ def _write_numeric_csv(path: str, header: list[str], columns: list[np.ndarray]) 
             fh.write("\r\n".join(lines))
 
 
+def _loadtxt(rows) -> np.ndarray | None:
+    # the numeric rows of a file handle or a list of lines, or None where numpy rejects a row; no
+    # data is an empty array, reported by the caller rather than printed
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        try:
+            # every field is read, so that a row wider than the others is an error, not cut
+            return np.loadtxt(rows, delimiter=",", ndmin=2)
+        except UnicodeDecodeError:
+            raise
+        except ValueError:
+            return None
+
+
+def _malformed_line(fh, skip: int) -> str:
+    """The first line past the ``skip`` header lines of ``fh`` that :func:`_loadtxt` rejects, by its
+    file line number and text: each block of lines is read after the last one with data, against
+    the first data row's field count, and the first block that fails is halved down to its line."""
+    fh.seek(0)
+    rows, head, line = itertools.islice(fh, skip, None), [], skip + 1
+    for block in iter(lambda: list(itertools.islice(rows, _CSV_BLOCK_ROWS)), []):
+        if _loadtxt(head + block) is None:
+            lo, hi = 0, len(block)  # head + block[:lo] reads, head + block[:hi] does not
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                lo, hi = (lo, mid) if _loadtxt(head + block[:mid]) is None else (mid, hi)
+            return f"line {line + hi - 1}: {block[hi - 1].rstrip()[:40]!r}"
+        head, line = (block if len(_loadtxt(block)) else head), line + len(block)
+    return "a row that does not read as numbers"
+
+
 def _read_columns(path: str, expected: list[str] = (), finite: list[str] = ()) -> dict[str, np.ndarray]:
     """Every column of a numeric CSV by its header name, read in one pass.
 
     A header without a name in ``expected``, a file without data rows or not
-    valid text, a row whose field count is not the header's, or a non-finite
-    value in a column named in ``finite``, is a usage error.
+    valid text, a row whose field count is not the header's or the other
+    rows', or a non-finite value in a column named in ``finite``, is a usage
+    error; a malformed row is named by its file line, the header being line 1.
     """
     try:
         with open(path, newline="") as fh:
-            header = next(csv.reader(fh), None)
+            reader = csv.reader(fh)
+            header = next(reader, None)
             if header is None:
                 raise UsageError(f"empty input file: {path}")
             header = [cell.strip() for cell in header]
             for name in expected:
                 if name not in header:
                     raise UsageError(f"{path}: expected column '{name}', found header {header}")
-            with warnings.catch_warnings():
-                # reported below as a usage error rather than printed
-                warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-                # every field is read, so that a row wider than the header is an error, not cut
-                data = np.loadtxt(fh, delimiter=",", ndmin=2)
+            data = _loadtxt(fh)
+            if data is None:
+                raise UsageError(f"{path}: malformed numeric data ({_malformed_line(fh, reader.line_num)})")
     except UnicodeDecodeError as e:
         # the exception's own text quotes the whole block it was decoding
         raise UsageError(f"{path}: not valid {e.encoding} text ({e.reason})")
-    except ValueError as e:
-        # numpy ends its text for a ragged row with advice on an argument of its own
-        raise UsageError(f"{path}: malformed numeric data ({str(e).partition('; use `usecols`')[0]})")
     if not len(data):
         raise UsageError(f"{path}: no data rows")
     if data.shape[1] != len(header):
@@ -150,12 +175,8 @@ def _read_curve(path: str) -> QMomentCurve:
     cols = _read_columns(path, ["q", "log_norm_moment"], finite=["n_samples"])
     n_samples = int(cols["n_samples"][0]) if "n_samples" in cols else 0
     try:
-        return QMomentCurve(
-            q_grid=cols["q"],
-            log_norm_moment=cols["log_norm_moment"],
-            n_samples=n_samples,
-            stderr=cols.get("stderr"),
-        )
+        return QMomentCurve(q_grid=cols["q"], log_norm_moment=cols["log_norm_moment"],
+                            n_samples=n_samples, stderr=cols.get("stderr"))
     except ValueError as e:
         raise UsageError(f"{path}: {e}")
 
@@ -185,14 +206,23 @@ def _add_weight_flags(p: argparse.ArgumentParser, flag: str = "--weight", choice
     p.add_argument("--beta", type=float, default=1.0)
 
 
-def _build(cls, args: argparse.Namespace, choice: str):
-    """``cls`` made from the flags that its dataclass fields name (``--half-width`` for
-    ``half_width``); ``choice`` names the flag value that asked for it."""
-    values = {f.name: getattr(args, f.name) for f in fields(cls)}
-    missing = [f"--{name.replace('_', '-')}" for name, value in values.items() if value is None]
+def _build(cls, values, what: str, spell=lambda name: f"--{name.replace('_', '-')}"):
+    """``cls`` made from the entries of the mapping ``values`` that its dataclass fields name;
+    ``what`` names what asked for it, and ``spell`` writes a field's name in a usage error for
+    one that is missing or not a number (``--half-width`` for ``half_width``)."""
+    names = [f.name for f in fields(cls)]
+    missing = [spell(name) for name in names if values.get(name) is None]
     if missing:
-        raise UsageError(f"{choice} needs {', '.join(missing)}")
-    return cls(**values)
+        raise UsageError(f"{what} needs {', '.join(missing)}")
+    for name in names:
+        _number(values[name], f"{what}: {spell(name)}")
+    return cls(**{name: values[name] for name in names})
+
+
+def _number(value, what: str) -> None:
+    # a JSON true or false is not a number here, although bool is an int
+    if type(value) not in (int, float):
+        raise UsageError(f"{what} must be a number, got {value!r}")
 
 
 def _model_params(args: argparse.Namespace, flag: str = "--weight") -> ModelParams:
@@ -204,7 +234,7 @@ def _model_params(args: argparse.Namespace, flag: str = "--weight") -> ModelPara
             args.alpha = 2.0
         elif args.alpha != 2.0:
             raise UsageError("--model gaussian requires alpha = 2")
-    weight = _build(_WEIGHTS.get(kind, StretchedExp), args, f"{flag} {kind}")
+    weight = _build(_WEIGHTS.get(kind, StretchedExp), vars(args), f"{flag} {kind}")
     return ModelParams(weight=weight, tau0=args.tau0, beta=args.beta)
 
 
@@ -315,6 +345,9 @@ def _cmd_ptd(args) -> int:
     return 0
 
 
+# moment law (a --model value, and a collapse dataset's block key) -> its class's name in ``moments``
+_LAWS = {"mf": "MFParams", "hmf": "HMFParams"}
+
 # model -> the name of its log-moment route in ``moments``, which also marks the orders that the
 # note counts, and the note
 _NOTED_ROUTES = {
@@ -332,10 +365,7 @@ def _cmd_moments(args) -> int:
     qmin = args.qmin if args.qmin is not None else (0.1 if model == "saddle" else 0.0)
     q = _q_grid(qmin, args.qmax, args.qstep)
 
-    if model in ("mf", "hmf"):
-        law = moments.MFParams if model == "mf" else moments.HMFParams
-        values = _build(law, args, f"--model {model}").log_norm_moment(q)
-    elif model in _NOTED_ROUTES:
+    if model in _NOTED_ROUTES:
         route, note = _NOTED_ROUTES[model]
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # counted in the note below
@@ -343,8 +373,9 @@ def _cmd_moments(args) -> int:
         if np.any(noted):
             print(f"note: {note.format(np.count_nonzero(noted))}", file=sys.stderr)
     else:
-        params = _model_params(args, "--model")
-        values = moments.model_curve(q, params).log_norm_moment
+        law = (_build(getattr(moments, _LAWS[model]), vars(args), f"--model {model}")
+               if model in _LAWS else _model_params(args, "--model"))
+        values = moments.model_curve(q, law).log_norm_moment
 
     _write_numeric_csv(_out_path(args.out, "moments.csv"), ["q", "log_norm_moment"], [q, values])
     return 0
@@ -385,23 +416,12 @@ def _cmd_estimate(args) -> int:
     for reason, count in series.dropped.items():
         print(f"note: dropped {count} record(s): {reason}", file=sys.stderr)
     curve = empirical.empirical_qmoments(series, q)
-    _write_numeric_csv(
-        out_moments,
-        ["q", "log_norm_moment", "stderr", "n_samples"],
-        [
-            curve.q_grid,
-            curve.log_norm_moment,
-            curve.stderr,
-            np.full(curve.q_grid.shape, float(curve.n_samples)),
-        ],
-    )
+    _write_numeric_csv(out_moments, ["q", "log_norm_moment", "stderr", "n_samples"],
+                       [curve.q_grid, curve.log_norm_moment, curve.stderr,
+                        np.full(curve.q_grid.shape, float(curve.n_samples))])
     if out_sojourn:
-        lo = float(series.durations.min())
-        hi = float(series.durations.max())
-        if lo == hi:
-            grid = np.array([lo])
-        else:
-            grid = np.geomspace(lo, hi, args.sojourn_points)
+        lo, hi = float(series.durations.min()), float(series.durations.max())
+        grid = np.array([lo]) if lo == hi else np.geomspace(lo, hi, args.sojourn_points)
         psi = empirical.empirical_sojourn(series, grid)
         _write_numeric_csv(out_sojourn, ["t", "psi"], [grid, psi])
     return 0
@@ -447,10 +467,8 @@ def _cmd_fit(args) -> int:
         t, psi = cols["t"], cols["psi"]
         keep = psi != 0
         if not keep.all():
-            print(
-                f"note: dropped {int((~keep).sum())} zero-survival row(s) before fitting",
-                file=sys.stderr,
-            )
+            print(f"note: dropped {int((~keep).sum())} zero-survival row(s) before fitting",
+                  file=sys.stderr)
             t, psi = t[keep], psi[keep]
         try:
             fitting._survival_points(t, psi, fit)
@@ -478,28 +496,41 @@ def _scaled_q_values(curve: QMomentCurve, spec: dict, shared: dict) -> np.ndarra
     q = curve.q_grid
     values = np.full(q.shape, np.nan)
     pos = q > 0
-    values[pos] = _lib.scale_q(
-        q[pos], _lib.HMFParams(**spec["hmf"]), _lib.HMFParams(**shared["reference"]["hmf"])
-    )
+    values[pos] = _lib.scale_q(q[pos], spec["hmf"], shared["reference"]["hmf"])
     return values
 
 
 # quantity -> (dataset key it needs, config value it also needs or None, that
 # need in words, its values), in output order.  Auto-detection emits each quantity
 # every dataset meets; a requested quantity a dataset misses is a usage error.
+# A dataset's mf and hmf keys hold the laws built from its blocks.
 _COLLAPSE_QUANTITIES = {
     "ratio": ("ln_tau", "theta", "per-dataset ln_tau and a global theta",
               lambda c, d, g: _lib.rescaled_log_moment(c, math.exp(d["ln_tau"]), g["theta"])),
     "mono": ("ln_tau", None, "ln_tau",
              lambda c, d, g: _lib.mono_collapse(c, math.exp(d["ln_tau"]))),
-    "mf": ("mf", None, "an mf parameter block",
-           lambda c, d, g: _lib.mf_collapse(c, _lib.MFParams(**d["mf"]))),
-    "hmf": ("hmf", None, "an hmf parameter block",
-            lambda c, d, g: _lib.hmf_collapse(c, _lib.HMFParams(**d["hmf"]))),
+    "mf": ("mf", None, "an mf parameter block", lambda c, d, g: _lib.mf_collapse(c, d["mf"])),
+    "hmf": ("hmf", None, "an hmf parameter block", lambda c, d, g: _lib.hmf_collapse(c, d["hmf"])),
     "transform": ("hmf", None, "an hmf parameter block",
-                  lambda c, d, g: _lib.transformed_moment(c, _lib.HMFParams(**d["hmf"]))),
+                  lambda c, d, g: _lib.transformed_moment(c, d["hmf"])),
     "scaled-q": ("hmf", "reference", "hmf blocks and a reference dataset", _scaled_q_values),
 }
+
+
+def _dataset_spec(d: dict) -> dict:
+    """A checked collapse dataset, its mf and hmf blocks built into laws by :func:`_build`."""
+    if "ln_tau" in d:
+        _number(d["ln_tau"], f"dataset {d['name']}: ln_tau")
+    spec = dict(d)
+    for key in [key for key in _LAWS if key in d]:
+        law, what = getattr(_lib, _LAWS[key]), f"dataset {d['name']}: {key} block"
+        if not isinstance(d[key], dict):
+            raise UsageError(f"{what} must be an object")
+        unknown = sorted(d[key].keys() - {f.name for f in fields(law)})
+        if unknown:
+            raise UsageError(f"{what} has unknown field(s) {', '.join(map(repr, unknown))}")
+        spec[key] = _build(law, d[key], what, repr)
+    return spec
 
 
 def _collapse_ready(quantity: str, spec: dict, shared: dict) -> bool:
@@ -523,7 +554,10 @@ def _cmd_collapse(args) -> int:
         names.add(d["name"])
         if not os.path.isfile(d["curve"]):
             raise UsageError(f"curve file does not exist: {d['curve']}")
+    datasets = [_dataset_spec(d) for d in datasets]
     shared = {"theta": cfg.get("theta"), "reference": None}
+    if shared["theta"] is not None:
+        _number(shared["theta"], "theta")
     ref_name = cfg.get("reference")
     if ref_name is not None:
         matches = [d for d in datasets if d["name"] == ref_name]
@@ -556,7 +590,7 @@ def _cmd_collapse(args) -> int:
             values = compute(curve, d, shared)
             for qi, vi in zip(curve.q_grid, values):
                 if math.isfinite(vi):
-                    rows.append([name, _fmt(qi), _fmt(vi)])
+                    rows.append([name, repr(float(qi)), repr(float(vi))])
                 else:
                     skipped += 1
         path = _out_path(None, f"{args.out_prefix}.{quantity}.csv")

@@ -289,6 +289,15 @@ class ModelParams:
         if not (self.beta > 0 and math.isfinite(self.beta)):
             raise ModelDomainError("beta must be positive and finite")
 
+    def log_norm_moment(self, q: np.ndarray) -> np.ndarray:
+        """``ln(<t^q> / Gamma(1+q)) = q ln(tau0) + ln E[exp(q beta eps)]`` elementwise on an array
+        of orders: exact 0 at q = 0, one ``log_mgf`` call on the others."""
+        out = np.zeros(q.shape)
+        nz = q != 0.0
+        if nz.any():  # <t^0> = 1 also where every other moment diverges
+            out[nz] = q[nz] * math.log(self.tau0) + self.weight.log_mgf(q[nz] * self.beta)
+        return out
+
 
 # ---------------------------------------------------------------------------
 # Result containers

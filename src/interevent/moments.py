@@ -1,4 +1,4 @@
-"""Analytic q-moments of waiting times for every weight family.
+"""Analytic q-moments of waiting times for every weight family and moment law.
 
 All moments share the structure ``<t^q> = Gamma(1+q) * tau0^q * W(q)`` where
 ``W`` is the weight's moment-generating factor in the depth variable.  The
@@ -7,6 +7,12 @@ summed up to a term count set by the order and the weight alone, a
 saddle-point approximation of its generating integral, the closed
 multifractal (MF) law it implies, and a heuristic saturating variant (HMF)
 whose exponent turns monofractal at large order.
+
+Each law answers ``law.log_norm_moment(q)``: a :class:`ModelParams` through its
+weight, and :class:`MFParams` and :class:`HMFParams` through their closed forms.
+:func:`log_norm_moment`, :func:`moment` and :func:`model_curve` take any of
+them; the monofractal curve ``q ln(tau)`` is the model with a ``Delta(mu=ln_tau)``
+weight.
 """
 
 from __future__ import annotations
@@ -35,24 +41,9 @@ from .core import (
 )
 
 __all__ = [
-    "MFParams",
-    "HMFParams",
-    "SaddlePointResult",
-    "SeriesMomentResult",
-    "Scales",
-    "iq_quadrature",
-    "log_iq_quadrature",
-    "moment_stretched_series",
-    "saddlepoint_iq",
-    "moment_mf",
-    "log_moment_mf",
-    "fd_relation",
-    "scales",
-    "moment",
-    "log_norm_moment",
-    "model_curve",
-    "mf_curve",
-    "monofractal_curve",
+    "MFParams", "HMFParams", "SaddlePointResult", "SeriesMomentResult", "Scales", "iq_quadrature",
+    "log_iq_quadrature", "moment_stretched_series", "saddlepoint_iq", "fd_relation", "scales",
+    "moment", "log_norm_moment", "model_curve",
 ]
 
 
@@ -411,25 +402,6 @@ def _saddle_log_norm_moment(q, params: ModelParams):
     return np.multiply(q, _log_scale(params)) + res.log_value - w.log_norm, res.leading
 
 
-# ---------------------------------------------------------------------------
-# MF / HMF moment laws
-# ---------------------------------------------------------------------------
-
-
-def log_moment_mf(q, p: MFParams):
-    """``ln <t^q> = ln Gamma(1+q) + p.log_norm_moment(q)``, for an MF or HMF law, for a scalar
-    ``q`` or elementwise for an array of orders."""
-    q = np.asarray(q, dtype=float)
-    _check_order(q)
-    return _shape_like(_lgamma1p(q.ravel()) + p.log_norm_moment(q.ravel()), q)
-
-
-def moment_mf(q, p: MFParams):
-    """``<t^q> = exp(log_moment_mf(q, p))``, for an MF or HMF law; ``inf`` where it overflows."""
-    with np.errstate(over="ignore"):
-        return _shape_like(np.exp(log_moment_mf(np.ravel(q), p)), np.asarray(q))
-
-
 def fd_relation(sigma: float, alpha: float, beta: float) -> float:
     """Depth offset ``mu = k sigma^(alpha/(alpha-1))`` that merges the two scales.
 
@@ -463,50 +435,32 @@ def scales(params: ModelParams) -> Scales:
 
 
 # ---------------------------------------------------------------------------
-# Dispatcher and curve builders
+# Any law: log moment, moment and curve
 # ---------------------------------------------------------------------------
 
 
-def log_norm_moment(q, params: ModelParams):
-    """``ln(<t^q> / Gamma(1+q)) = q ln(tau0) + ln E[exp(q beta eps)]`` for any weight family, for
-    a scalar ``q`` or elementwise on an array of orders: exact 0 at q = 0, one ``log_mgf`` call."""
+def log_norm_moment(q, params):
+    """``ln(<t^q> / Gamma(1+q))`` of a law, for a scalar ``q`` or elementwise on an array of
+    orders: ``params.log_norm_moment`` on the orders, which must be finite and above -1.  The law
+    is a :class:`ModelParams` (any weight family), an :class:`MFParams` or an :class:`HMFParams`."""
     q = np.asarray(q, dtype=float)
     _check_order(q)
-    s = q.ravel()
-    out = np.zeros(s.shape)
-    nz = s != 0.0
-    if nz.any():  # <t^0> = 1 also where every other moment diverges
-        out[nz] = s[nz] * math.log(params.tau0) + params.weight.log_mgf(s[nz] * params.beta)
-    return _shape_like(out, q)
+    return _shape_like(params.log_norm_moment(q.ravel()), q)
 
 
-def moment(q, params: ModelParams):
-    """``<t^q>`` for any weight family, for a scalar ``q`` or elementwise for an array of orders:
-    closed form, or for the stretched weight with alpha != 2 the generating integral by the
-    fixed tanh-sinh rule of :func:`log_iq_quadrature`; ``inf`` where it overflows."""
+def moment(q, params):
+    """``<t^q> = Gamma(1+q) exp(log_norm_moment(q, params))`` of any law, for a scalar ``q`` or
+    elementwise for an array of orders; ``inf`` where it overflows.  For a model it is a closed
+    form, or for the stretched weight with alpha != 2 the generating integral by the fixed
+    tanh-sinh rule of :func:`log_iq_quadrature`."""
     q = np.asarray(q, dtype=float)
     log_m = log_norm_moment(q.ravel(), params) + _lgamma1p(q.ravel())
     with np.errstate(over="ignore"):
         return _shape_like(np.exp(log_m), q)
 
 
-def _as_q_grid(q_grid) -> np.ndarray:
-    return np.atleast_1d(np.asarray(q_grid, dtype=float))
-
-
-def model_curve(q_grid, params: ModelParams) -> QMomentCurve:
-    """Analytic normalized log-moment curve for a weight family: :func:`log_norm_moment` on it."""
-    q = _as_q_grid(q_grid)
+def model_curve(q_grid, params) -> QMomentCurve:
+    """The normalized log-moment curve of any law: :func:`log_norm_moment` on the grid.  The
+    monofractal curve ``q ln(tau)`` is that of ``ModelParams(Delta(mu=ln_tau))``."""
+    q = np.atleast_1d(np.asarray(q_grid, dtype=float))
     return QMomentCurve(q_grid=q, log_norm_moment=log_norm_moment(q, params), n_samples=0)
-
-
-def mf_curve(q_grid, p: MFParams) -> QMomentCurve:
-    """The normalized log-moment curve of an MF law, or of an HMF law."""
-    q = _as_q_grid(q_grid)
-    return QMomentCurve(q_grid=q, log_norm_moment=p.log_norm_moment(q), n_samples=0)
-
-
-def monofractal_curve(q_grid, ln_tau: float) -> QMomentCurve:
-    """Pure single-scale curve ``ln(<t^q>/Gamma(1+q)) = q ln(tau)``."""
-    q = _as_q_grid(q_grid)
-    return QMomentCurve(q_grid=q, log_norm_moment=q * float(ln_tau), n_samples=0)

@@ -121,7 +121,7 @@ def test_gaussian_weight_exactness():
             weight=iv.StretchedExp(mu=0.25, sigma=sb, alpha=2.0), tau0=1.3, beta=1.0
         )
         closed = iv.moment(q, p)
-        via_mf = iv.moment_mf(
+        via_mf = iv.moment(
             q, iv.MFParams(alpha=2.0, c0=math.log(1.3) + 0.25, b=sb * sb / 4.0)
         )
         assert np.all(np.abs(via_mf / closed - 1.0) < 1e-12), sb
@@ -187,7 +187,7 @@ def test_simulation_recovers_gaussian_moments():
 def test_hmf_roundtrip_all_rows():
     q = np.round(np.arange(1, 201) * 0.1, 12)
     for name, (alpha, c0, b, b1) in HMF_ROWS.items():
-        curve = iv.mf_curve(q, iv.HMFParams(alpha, c0, b, b1))
+        curve = iv.model_curve(q, iv.HMFParams(alpha, c0, b, b1))
         fit = iv.fit_hmf(curve, (0.1, 20.0))
         assert fit.converged, name
         for key, truth in zip(("alpha", "c0", "b", "b1"), (alpha, c0, b, b1)):
@@ -200,15 +200,15 @@ def test_collapse_exactness():
     pos = q > 0
     for alpha, c0, b, b1 in HMF_ROWS.values():
         p = iv.HMFParams(alpha, c0, b, b1)
-        fh = iv.hmf_collapse(iv.mf_curve(q, p), p)
+        fh = iv.hmf_collapse(iv.model_curve(q, p), p)
         x = b1 * np.abs(q) ** (1.0 / (alpha - 1.0))
         assert np.abs(fh[pos] - (-np.expm1(-x[pos]))).max() < 1e-6
     for alpha, c0, b in MF_ROWS.values():
         p = iv.MFParams(alpha, c0, b)
-        fm = iv.mf_collapse(iv.mf_curve(q, p), p)
+        fm = iv.mf_collapse(iv.model_curve(q, p), p)
         x = b * np.abs(q) ** (1.0 / (alpha - 1.0))
         assert np.abs(fm[pos] - x[pos]).max() < 1e-10
-    mono = iv.monofractal_curve(q, 1.7)
+    mono = iv.model_curve(q, iv.ModelParams(iv.Delta(mu=1.7)))
     ff = iv.mono_collapse(mono, float(np.exp(1.7)))
     assert np.abs(ff[pos] - 1.0).max() < 1e-12
 

@@ -518,26 +518,54 @@ def test_collapse_quantity_without_inputs_is_usage_error(tmp_path):
     assert r.returncode == 2
 
 
-def _collapse_config(tmp_path, datasets):
+def _collapse_config(tmp_path, datasets, **top):
     for name, value in (("one", 1.0), ("five", 5.0)):
         (tmp_path / f"{name}.csv").write_text(f"q,log_norm_moment\n0.5,{value / 2}\n1.0,{value}\n")
-    (tmp_path / "c.json").write_text(json.dumps({"datasets": datasets}))
+    (tmp_path / "c.json").write_text(json.dumps({"datasets": datasets, **top}))
     return sorted(os.listdir(tmp_path))
 
 
-@pytest.mark.parametrize("datasets, args, message", [
+_MF = {"alpha": 2, "c0": 0, "b": 0.3}
+
+
+@pytest.mark.parametrize("datasets, top, args, message", [
     ([{"name": "x", "curve": "one.csv", "ln_tau": 0.0}, {"name": "x", "curve": "five.csv", "ln_tau": 0.0}],
-     [], "dataset name 'x' is used more than once"),
-    ([{"name": "x", "curve": "one.csv", "ln_tau": 0.0}], ["--quantities", "mono", "mf"],
+     {}, [], "dataset name 'x' is used more than once"),
+    ([{"name": "x", "curve": "one.csv", "ln_tau": 0.0}], {}, ["--quantities", "mono", "mf"],
      "dataset x: 'mf' needs an mf parameter block"),
-    ([1], [], "each dataset must be an object with a string 'name' and 'curve'"),
-], ids=["duplicate-name", "quantity-not-computable", "dataset-not-an-object"])
-def test_collapse_checks_its_dataset_table_before_any_output(tmp_path, datasets, args, message):
-    before = _collapse_config(tmp_path, datasets)
+    ([1], {}, [], "each dataset must be an object with a string 'name' and 'curve'"),
+    ([{"name": "x", "curve": "one.csv", "mf": {"alpha": 2, "c": 0}}], {}, [],
+     "dataset x: mf block has unknown field(s) 'c'"),
+    ([{"name": "x", "curve": "one.csv", "mf": {**_MF, "alpha": "x"}}], {}, [],
+     "dataset x: mf block: 'alpha' must be a number, got 'x'"),
+    ([{"name": "x", "curve": "one.csv", "hmf": _MF}], {}, [], "dataset x: hmf block needs 'b1'"),
+    ([{"name": "x", "curve": "one.csv", "mf": [2, 0, 0.3]}], {}, [], "dataset x: mf block must be an object"),
+    # a bad block is found although the quantities asked for do not use it
+    ([{"name": "x", "curve": "one.csv", "ln_tau": 1.0, "mf": {**_MF, "b": True}}], {},
+     ["--quantities", "mono"], "dataset x: mf block: 'b' must be a number, got True"),
+    ([{"name": "x", "curve": "one.csv", "ln_tau": "x"}], {}, [], "dataset x: ln_tau must be a number, got 'x'"),
+    ([{"name": "x", "curve": "one.csv", "ln_tau": 1.0}], {"theta": "x"}, [],
+     "theta must be a number, got 'x'"),
+], ids=["duplicate-name", "quantity-not-computable", "dataset-not-an-object", "unknown-field",
+        "field-not-a-number", "missing-field", "block-not-an-object", "unused-block",
+        "ln-tau-not-a-number", "theta-not-a-number"])
+def test_collapse_checks_its_dataset_table_before_any_output(tmp_path, datasets, top, args, message):
+    before = _collapse_config(tmp_path, datasets, **top)
     r = run_cli(["collapse", "--config", "c.json", *args], tmp_path)
     assert r.returncode == 2
     assert r.stdout == ""
     assert r.stderr == f"usage error: {message}\n"
+    assert sorted(os.listdir(tmp_path)) == before
+
+
+def test_collapse_law_out_of_its_domain_is_a_computation_error(tmp_path):
+    # a well-formed block whose law does not exist fails as `moments --model mf` does, and before
+    # the mono table, which comes first and does not use the block, is written
+    before = _collapse_config(tmp_path, [{"name": "x", "curve": "one.csv", "ln_tau": 1.0,
+                                          "mf": {**_MF, "alpha": 1}}])
+    r = run_cli(["collapse", "--config", "c.json"], tmp_path)
+    assert r.returncode == 1
+    assert r.stderr == "error\tModelDomainError\talpha must exceed 1\n"
     assert sorted(os.listdir(tmp_path)) == before
 
 
@@ -664,15 +692,20 @@ _CURVE = "q,log_norm_moment\n" + "".join(f"{qi / 10},{qi / 20}\n" for qi in rang
 
 @pytest.mark.parametrize("args, data, message", [
     # a decimal comma makes a row wider than the header; it was read as its first field
-    (["estimate", "--out-moments", "m.csv"], b"dt\n1\n2,5\n4\n", "malformed numeric data ("),
+    (["estimate", "--out-moments", "m.csv"], b"dt\n1\n2,5\n4\n", "malformed numeric data (line 3: '2,5')\n"),
+    (["estimate", "--out-moments", "m.csv"], b"dt\n1\nx\n", "malformed numeric data (line 3: 'x')\n"),
+    # past the first block of rows that the error path reads alone, and after a blank line
+    (["estimate", "--out-moments", "m.csv"], b"dt\r\n\r\n" + b"1\r\n" * 5000 + b"1e\r\n",
+     "malformed numeric data (line 5003: '1e')\n"),
     (["estimate", "--out-moments", "m.csv"], b"dt\n1,5\n2,5\n", "data rows have 2 field(s), the header 1"),
-    (_FIT_MF, _CURVE.replace("\n1.0,", "\n1,0,").encode(), "malformed numeric data ("),
+    (_FIT_MF, _CURVE.replace("\n1.0,", "\n1,0,").encode(),
+     "malformed numeric data (line 12: '1,0,0.5')\n"),
     (["estimate", "--out-moments", "m.csv"], b"dt\n1\n\xff\n4\n", "not valid "),
     # past the first block that the header read decodes
     (["estimate", "--out-moments", "m.csv"], b"dt\n" + b"1\n" * 20_000 + b"\xff\n", "not valid "),
     (_FIT_MF, b"\xff" + _CURVE.encode(), "not valid "),
-], ids=["decimal-comma", "every-row-wide", "curve-decimal-comma", "estimate-bad-byte",
-        "estimate-late-bad-byte", "fit-bad-byte"])
+], ids=["decimal-comma", "bad-cell", "late-bad-cell", "every-row-wide", "curve-decimal-comma",
+        "estimate-bad-byte", "estimate-late-bad-byte", "fit-bad-byte"])
 def test_malformed_input_file_is_usage_error(tmp_path, args, data, message):
     (tmp_path / "in.csv").write_bytes(data)
     r = run_cli([*args, "--input", "in.csv"], tmp_path)

@@ -301,7 +301,7 @@ def test_qmoments_effective_sample_size():
 
 def test_rescaled_log_moment():
     q = np.array([0.0, 1.0, 2.0])
-    curve = iv.monofractal_curve(q, 2.0)
+    curve = iv.model_curve(q, iv.ModelParams(iv.Delta(mu=2.0)))
     theta = math.exp(3.0)
     out = iv.rescaled_log_moment(curve, math.exp(2.0), theta)
     # substituting theta for tau scales the line to slope ln(theta)
@@ -311,7 +311,7 @@ def test_rescaled_log_moment():
 
 def test_mono_collapse():
     q = np.array([0.0, 1.0, 4.0])
-    curve = iv.monofractal_curve(q, 1.7)
+    curve = iv.model_curve(q, iv.ModelParams(iv.Delta(mu=1.7)))
     out = iv.mono_collapse(curve, math.exp(1.7))
     assert math.isnan(out[0])
     assert out[1] == pytest.approx(1.0, abs=1e-14)
@@ -324,7 +324,7 @@ def test_mono_collapse():
 def test_mf_collapse_properties():
     q = np.linspace(0.0, 4.0, 41)
     p = iv.MFParams(alpha=1.8, c0=-1.0, b=0.6)
-    curve = iv.mf_curve(q, p)
+    curve = iv.model_curve(q, p)
     out = iv.mf_collapse(curve, p)
     assert math.isnan(out[0])
     x = 0.6 * q[1:] ** (1.0 / 0.8)
@@ -334,7 +334,7 @@ def test_mf_collapse_properties():
 def test_hmf_collapse_and_transform():
     q = np.linspace(0.0, 20.0, 201)
     p = iv.HMFParams(alpha=1.91, c0=-3.0, b=2.5, b1=0.33)
-    curve = iv.mf_curve(q, p)
+    curve = iv.model_curve(q, p)
     out = iv.hmf_collapse(curve, p)
     x = 0.33 * q[1:] ** (1.0 / 0.91)
     assert np.allclose(out[1:], -np.expm1(-x), atol=1e-12)

@@ -10,9 +10,14 @@ from interevent import core, fitting
 from interevent.core import _BLOCK
 
 
+def _monofractal(q, ln_tau):
+    # the single-scale curve q ln(tau): the model with a point-mass weight at ln(tau)
+    return iv.model_curve(q, iv.ModelParams(iv.Delta(mu=ln_tau)))
+
+
 def test_monofractal_fit_exact():
     q = np.linspace(0.0, 20.0, 201)
-    curve = iv.monofractal_curve(q, 4.598)
+    curve = _monofractal(q, 4.598)
     fit = iv.fit_monofractal(curve, (10.0, 20.0))
     assert fit.converged
     assert fit.estimate("ln_tau") == pytest.approx(4.598, rel=1e-12)
@@ -41,7 +46,7 @@ def test_monofractal_on_hmf_curve_regression():
     # large-q regression on a saturating curve approaches c0 + b/b1 from below
     p = iv.HMFParams(alpha=1.91, c0=-3.0, b=2.5, b1=0.33)
     q = np.round(np.arange(0, 201) * 0.1, 12)
-    fit = iv.fit_monofractal(iv.mf_curve(q, p), (10.0, 20.0))
+    fit = iv.fit_monofractal(iv.model_curve(q, p), (10.0, 20.0))
     plateau = p.c0 + p.b / p.b1
     est = fit.estimate("ln_tau")
     assert est < plateau
@@ -52,7 +57,7 @@ def _roundtrip_curve(truth, q_max, sd, seed):
     """``truth``'s curve on ``[0, q_max]`` at step 0.1, with seeded noise of standard error
     ``sd`` that the curve carries, or exact and unweighted where ``sd`` is 0."""
     q = np.round(np.arange(0, int(round(10 * q_max)) + 1) * 0.1, 12)
-    vals = iv.mf_curve(q, truth).log_norm_moment + np.random.default_rng(seed).normal(0.0, sd, q.shape)
+    vals = iv.model_curve(q, truth).log_norm_moment + np.random.default_rng(seed).normal(0.0, sd, q.shape)
     vals[0] = 0.0
     return iv.QMomentCurve(q_grid=q, log_norm_moment=vals, stderr=np.full(q.shape, sd) if sd else None)
 
@@ -76,7 +81,7 @@ def test_mf_fit_roundtrip(truth, q_max, sd, tol):
 
 def test_fit_reports_optimizer_diagnostics():
     q = np.round(np.arange(0, 36) * 0.1, 12)
-    mf = iv.fit_mf(iv.mf_curve(q, iv.MFParams(alpha=1.85, c0=-1.5, b=0.9)), (0.0, 3.5))
+    mf = iv.fit_mf(iv.model_curve(q, iv.MFParams(alpha=1.85, c0=-1.5, b=0.9)), (0.0, 3.5))
     t = np.geomspace(0.01, 50.0, 80)
     weibull = iv.fit_sojourn(t, np.exp(iv.Weibull(1.53, 0.459).log_survival(t)), iv.Weibull)
     for fit in (mf, weibull):
@@ -89,20 +94,20 @@ def test_fit_reports_optimizer_diagnostics():
     p = qw ** (alpha / (alpha - 1.0))
     jac = np.column_stack([-b * p * np.log(qw) / (alpha - 1.0) ** 2, qw, p])
     assert mf.jac_cond == pytest.approx(np.linalg.cond(jac), rel=1e-6)
-    mono = iv.fit_monofractal(iv.monofractal_curve(q, 1.0), (1.0, 3.5))
+    mono = iv.fit_monofractal(_monofractal(q, 1.0), (1.0, 3.5))
     assert (mono.nfev, mono.status, mono.jac_cond) == (None, None, None)
 
 
 def test_mf_fit_requires_enough_points():
     q = np.array([0.0, 0.5, 1.0, 1.5])
-    curve = iv.mf_curve(q, iv.MFParams(alpha=2.0, c0=0.0, b=0.3))
+    curve = iv.model_curve(q, iv.MFParams(alpha=2.0, c0=0.0, b=0.3))
     with pytest.raises(ValueError):
         iv.fit_mf(curve, (0.0, 1.5))
 
 
 def test_hmf_fit_rejects_purely_linear_curve():
     q = np.linspace(0.0, 20.0, 201)
-    curve = iv.monofractal_curve(q, 2.0)
+    curve = _monofractal(q, 2.0)
     with pytest.raises(ValueError, match="linear"):
         iv.fit_hmf(curve, (0.0, 20.0))
 
@@ -372,14 +377,14 @@ def test_fit_flags_undefined_stderr_without_residual_dof():
 def test_fit_window_excludes_zero_order():
     # a curve whose q=0 point is pinned at zero must not distort the fit
     q = np.linspace(0.0, 20.0, 201)
-    curve = iv.monofractal_curve(q, 3.0)
+    curve = _monofractal(q, 3.0)
     full = iv.fit_monofractal(curve, (0.0, 20.0))
     assert full.estimate("ln_tau") == pytest.approx(3.0, rel=1e-12)
 
 
 def test_fit_range_outside_grid_errors():
     q = np.linspace(0.0, 5.0, 51)
-    curve = iv.monofractal_curve(q, 3.0)
+    curve = _monofractal(q, 3.0)
     with pytest.raises(ValueError):
         iv.fit_monofractal(curve, (10.0, 20.0))
 

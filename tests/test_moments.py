@@ -331,8 +331,8 @@ _GRID_2D = np.array([[-0.5, 0.1, 0.7], [2.0, 9.5, 20.0]])
 _ROUTES = {
     "series": lambda q: iv.moment_stretched_series(q, _stretched(1.5, 1.0, 1.3, 0.8, mu=0.2)),
     "saddle": lambda q: iv.saddlepoint_iq(q, 1.5, 1.2),
-    "log_moment_mf": lambda q: iv.log_moment_mf(q, iv.HMFParams(alpha=1.8, c0=-0.3, b=0.6, b1=0.25)),
-    "moment_mf": lambda q: iv.moment_mf(q, iv.MFParams(alpha=1.8, c0=-0.3, b=0.6)),
+    "log_norm_moment-hmf": lambda q: iv.log_norm_moment(q, iv.HMFParams(alpha=1.8, c0=-0.3, b=0.6, b1=0.25)),
+    "moment-mf": lambda q: iv.moment(q, iv.MFParams(alpha=1.8, c0=-0.3, b=0.6)),
 }
 
 
@@ -382,7 +382,7 @@ def test_moment_routes_raise_at_their_first_bad_order():
     with pytest.raises(ModelDomainError, match="q must be finite"):
         iv.saddlepoint_iq(np.array([[1.0, np.nan], [0.0, 2.0]]), 1.5, 1.0)
     with pytest.raises(DivergentMomentError, match=r"got q = -1\.0"):
-        iv.log_moment_mf(np.array([0.5, -1.0]), iv.MFParams(alpha=1.8, c0=0.0, b=0.6))
+        iv.log_norm_moment(np.array([0.5, -1.0]), iv.MFParams(alpha=1.8, c0=0.0, b=0.6))
 
 
 @pytest.mark.parametrize("q, below, alpha", [(2000.0, 1000.0, 1.01), (2e103, 1e102, 1.5)])
@@ -437,18 +437,19 @@ def test_mf_and_hmf_formulas():
     p = iv.MFParams(alpha=1.8, c0=-1.0, b=0.6)
     q = 2.3
     expected = math.lgamma(1 + q) + q * (-1.0) + 0.6 * q ** (1.8 / 0.8)
-    assert math.log(iv.moment_mf(q, p)) == pytest.approx(expected, rel=1e-12)
+    assert math.log(iv.moment(q, p)) == pytest.approx(expected, rel=1e-12)
 
     h = iv.HMFParams(alpha=1.8, c0=-1.0, b=0.6, b1=0.25)
     phi = h.exponent(q)
     assert phi == pytest.approx((1.0 / 0.25) * (1.0 - math.exp(-0.25 * q ** (1 / 0.8))) * q, rel=1e-12)
-    assert iv.log_moment_mf(q, h) == pytest.approx(math.lgamma(1 + q) - q + 0.6 * phi, rel=1e-12)
+    assert iv.log_norm_moment(q, h) + math.lgamma(1 + q) == pytest.approx(
+        math.lgamma(1 + q) - q + 0.6 * phi, rel=1e-12)
 
 
 def test_hmf_reduces_to_mf_for_small_saturation():
     q = np.linspace(0.1, 5.0, 25)
-    mf = iv.mf_curve(q, iv.MFParams(alpha=1.7, c0=0.3, b=0.5))
-    hmf = iv.mf_curve(q, iv.HMFParams(alpha=1.7, c0=0.3, b=0.5, b1=1e-9))
+    mf = iv.model_curve(q, iv.MFParams(alpha=1.7, c0=0.3, b=0.5))
+    hmf = iv.model_curve(q, iv.HMFParams(alpha=1.7, c0=0.3, b=0.5, b1=1e-9))
     assert np.allclose(mf.log_norm_moment, hmf.log_norm_moment, rtol=0, atol=1e-6)
 
 
@@ -477,9 +478,9 @@ def test_curve_builders_pin_zero():
     assert c.log_norm_moment[1] == pytest.approx(
         0.5 * math.log(2.0) - math.log(1 - 0.0625), rel=1e-12
     )
-    mf = iv.mf_curve(q, iv.MFParams(alpha=2.0, c0=0.0, b=0.25))
+    mf = iv.model_curve(q, iv.MFParams(alpha=2.0, c0=0.0, b=0.25))
     assert mf.log_norm_moment[0] == 0.0
-    mono = iv.monofractal_curve(q, 1.7)
+    mono = iv.model_curve(q, iv.ModelParams(iv.Delta(mu=1.7)))
     assert mono.log_norm_moment[2] == pytest.approx(1.7)
 
 
@@ -532,6 +533,31 @@ def test_moment_entry_points_on_a_grid_equal_their_scalar_calls(p):
     assert iv.model_curve(q[0], p).log_norm_moment.tobytes() == iv.log_norm_moment(q[0], p).tobytes()
 
 
+_LAWS = {"mf": iv.MFParams(alpha=1.8, c0=-0.3, b=0.6),
+         "hmf": iv.HMFParams(alpha=1.91, c0=-3.0, b=2.5, b1=0.33)}
+
+
+@pytest.mark.parametrize("law", _LAWS.values(), ids=_LAWS.keys())
+def test_a_moment_law_takes_the_one_path_bit_for_bit(law):
+    # the curve is the law's own log_norm_moment, and the moment Gamma(1+q) exp of it
+    for q in (iv.DEFAULT_Q_GRID, np.array([-0.9, -0.5, -1e-3, 0.0, 0.7, 3.0]), np.array([0.0])):
+        assert iv.model_curve(q, law).log_norm_moment.tobytes() == law.log_norm_moment(q).tobytes()
+        log_gamma = np.array([math.lgamma(1.0 + x) for x in q.tolist()])
+        assert iv.moment(q, law).tobytes() == np.exp(log_gamma + law.log_norm_moment(q)).tobytes()
+    assert iv.moment(0.0, law) == 1.0 and iv.log_norm_moment(0.0, law) == 0.0
+
+
+@pytest.mark.parametrize("ln_tau", [1.7, -2.3, 0.0, -0.0])
+def test_delta_weight_curve_is_the_monofractal_line(ln_tau):
+    # q ln(tau) as floats, and bit for bit where it is not zero; q = 0 gives +0.0 for any ln(tau)
+    q = np.r_[-0.5, iv.DEFAULT_Q_GRID]
+    got = iv.model_curve(q, iv.ModelParams(iv.Delta(mu=ln_tau))).log_norm_moment
+    line = q * ln_tau
+    assert got.tolist() == line.tolist()
+    assert got[line != 0.0].tobytes() == line[line != 0.0].tobytes()
+    assert got[q == 0.0].tobytes() == np.zeros(1).tobytes()
+
+
 def test_iq_quadrature_on_a_grid_equals_its_scalar_calls():
     # ln I(7) at beta*sigma = 3 is about 1370, past the float range: I is inf there, with no warning
     q = np.array([[0.0, -0.5, 2.0], [4.0, 5.0, 7.0]])
@@ -543,9 +569,10 @@ def test_iq_quadrature_on_a_grid_equals_its_scalar_calls():
     assert whole[1, 2] == math.inf and math.isfinite(whole[1, 1])
 
 
+@pytest.mark.parametrize("p", [ONE_PATH["delta"], iv.MFParams(alpha=1.8, c0=0.0, b=0.6)],
+                         ids=["delta", "mf"])
 @pytest.mark.parametrize("fn", [iv.moment, iv.log_norm_moment, iv.model_curve])
-def test_order_grid_error_names_its_first_bad_order(fn):
-    p = ONE_PATH["delta"]
+def test_order_grid_error_names_its_first_bad_order(fn, p):
     with pytest.raises(DivergentMomentError, match=r"got q = -3\.0\)"):
         fn(np.array([-3.0, -1.0, 0.5]), p)
     with pytest.raises(DivergentMomentError, match=r"got q = nan\)"):
@@ -565,9 +592,9 @@ def test_uniform_log_moment_keeps_its_digits_near_zero_reach(hw, q, expected):
     assert iv.log_norm_moment(q, p) == pytest.approx(expected, rel=1e-14, abs=0.0)
 
 
-def test_moment_mf_is_finite_up_to_the_float_range():
+def test_moment_of_an_mf_law_is_finite_up_to_the_float_range():
     # ln <t^q> = 709.5 here, and exp is finite up to about 709.78
     p = iv.MFParams(alpha=2.0, c0=0.0, b=1.0)
     q = 25.49303523102282
-    assert iv.log_moment_mf(q, p) == 709.5
-    assert iv.moment_mf(q, p) == math.exp(709.5)
+    assert iv.log_norm_moment(q, p) + math.lgamma(1 + q) == 709.5
+    assert iv.moment(q, p) == math.exp(709.5)
