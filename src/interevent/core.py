@@ -1,4 +1,4 @@
-"""Shared types, the weight families, and gamma-family special functions.
+"""Shared types, the weight families, and the stretched mixture integral.
 
 The generative picture: each waiting period sits in a trap of depth ``eps``
 drawn from a fixed weight density, and the waiting time is exponential with
@@ -11,18 +11,18 @@ the other modules call.
 Every layer hands a family a whole grid: ``log_mgf`` takes an array of
 arguments and ``mixture`` an array of times, psi at ``k = 1`` and Psi at
 ``k = 0``.  The closed forms are numpy on that array.  The stretched family's
-psi, Psi and ln I(q) are one integral, :func:`_peak_nodes`, which takes arrays
-of points: its peak and cut searches run on every point in lockstep, and one
-tanh-sinh rule is summed over all their panels, ``_BLOCK`` points at a time.
+psi, Psi and ln I(q), and the Laplace weight's psi and Psi (the stretched
+weight at ``alpha = 1``), are one integral, :func:`_peak_nodes`, which takes
+arrays of points: its peak and cut searches run on every point in lockstep, and
+one tanh-sinh rule is summed over all their panels, ``_BLOCK`` points at a time.
 A single point is a batch of one, and :func:`_shape_like` hands it back as a scalar.
 
 Log-gamma values come from ``math.lgamma`` (through :func:`_lgamma`).  No
 module of the package imports ``scipy`` at import time: only the Uniform
-survival kernel and the scaled incomplete gammas of the Laplace closed forms
-call SciPy's ufuncs (``exp1``, ``gammainc``, ``gammaincc``), and they import
-``scipy.special`` where they call it.  ``import interevent``, ``simulate``,
-``estimate``, every fit and the stretched family's quadrature therefore load
-no SciPy module.
+survival kernel calls a SciPy ufunc (``exp1``), and it imports
+``scipy.special`` where it calls it.  ``import interevent``, ``simulate``,
+``estimate``, every fit and the stretched family's quadrature, and so the
+Laplace densities, therefore load no SciPy module.
 """
 
 from __future__ import annotations
@@ -50,8 +50,6 @@ __all__ = [
     "QMomentCurve",
     "FitResult",
     "EventSeries",
-    "scaled_lower_incomplete_gamma",
-    "scaled_upper_incomplete_gamma",
 ]
 
 
@@ -162,9 +160,14 @@ class Uniform:
         out = np.ones(x.shape)
         pos = x > 0.0
         if db < 1e-3:
-            # below db = 1e-3 the E1 difference cancels; integrate exp(-x/tau(eps)) on tanh-sinh nodes
+            # below db = 1e-3 the E1 difference cancels; integrate exp(-x/tau(eps)) on tanh-sinh
+            # nodes, _BLOCK times at a time
             rates = np.exp(-db * _TS_NODES) / tau0
-            out[pos] = (np.exp(np.multiply.outer(-x[pos], rates)) * _TS_WEIGHTS).sum(1) / 2.0
+            xp = x[pos]
+            for i in range(0, xp.size, _BLOCK):
+                rows = np.exp(np.multiply.outer(-xp[i:i + _BLOCK], rates))
+                xp[i:i + _BLOCK] = (rows * _TS_WEIGHTS).sum(1)
+            out[pos] = xp / 2.0
         else:
             from scipy.special import exp1
 
@@ -194,16 +197,11 @@ class Laplace:
         return rng.laplace(0.0, self.sigma, size)
 
     def mixture(self, x: np.ndarray, tau0: float, beta: float, k: int) -> np.ndarray:
-        # (S_lower(k + 1/sb, z) + S_upper(k - 1/sb, z)) / (2 sb tau0**k) at z = x/tau0; at z = 0 (x = 0,
-        # or x/tau0 underflowing), psi's limit 1/(tau0 (1 - sb^2)), infinite from sb = 1, and Psi's 1
+        # the stretched weight's rule at alpha = 1; at x/tau0 = 0 (x = 0, or x/tau0 underflowing) the
+        # exact limits: psi's 1/(tau0 (1 - sb^2)), infinite from sb = 1, and Psi's 1
+        out = StretchedExp(0.0, self.sigma, 1.0).mixture(x, tau0, beta, k)
         sb = beta * self.sigma
-        at_zero = (1.0 / (tau0 * (1.0 - sb * sb)) if sb < 1 else math.inf) if k else 1.0
-        out = np.full(x.shape, at_zero)
-        z = x / tau0
-        pos = z > 0.0
-        val = scaled_lower_incomplete_gamma(k + 1.0 / sb, z[pos])
-        val += scaled_upper_incomplete_gamma(k - 1.0 / sb, z[pos])
-        out[pos] = val / (2.0 * sb * tau0 ** k)
+        out[x / tau0 == 0.0] = (1.0 / (tau0 * (1.0 - sb * sb)) if sb < 1 else math.inf) if k else 1.0
         return out
 
 
@@ -428,7 +426,7 @@ class EventSeries:
 
 
 # ---------------------------------------------------------------------------
-# Gamma-family special functions
+# Log-gamma and shape helpers
 # ---------------------------------------------------------------------------
 
 
@@ -452,82 +450,6 @@ def _shape_like(values, arr: np.ndarray):
     return values.item() if arr.ndim == 0 else values.reshape(arr.shape)
 
 
-def scaled_lower_incomplete_gamma(a: float, z):
-    """``z**(-a) * gamma_lower(a, z)`` for ``a > 0``, ``z >= 0``, elementwise in ``z``.
-
-    The scaled form stays finite for small z (limit ``1/a``), which is what
-    the mixed-density closed forms consume directly.
-    """
-    if not a > 0:
-        raise ModelDomainError("scaled lower incomplete gamma requires a > 0")
-    arr = np.asarray(z, dtype=float)
-    if np.any(arr < 0):
-        raise ModelDomainError("z must be nonnegative")
-
-    def series(z):
-        # exp(-z) sum_k z^k / (a (a+1) ... (a+k)) on every z in lockstep.  The terms fall, so one
-        # below 1e-17 of its sum, and every later one, rounds away: a finished sum stays bit for bit
-        term = np.full(z.shape, 1.0 / a)
-        total = term.copy()
-        for k in range(1, 10_002):
-            term *= z / (a + k)
-            total += term
-            if np.all(term < total * 1e-17):
-                break
-        return np.exp(-z) * total
-
-    def ratio(z):
-        from scipy.special import gammainc
-
-        return np.exp(_lgamma(a) + np.log(gammainc(a, z)) - a * np.log(z))
-
-    z = arr.ravel()
-    return _shape_like(np.piecewise(z, [z < a + 1.0], [series, ratio]), arr)
-
-
-def _log_scaled_upper_positive(a: float, z: np.ndarray) -> np.ndarray:
-    # ln(z**(-a) Gamma_upper(a, z)) for a > 0 and an array of z > 0
-    from scipy.special import gammaincc
-
-    q = gammaincc(a, z)
-    # where q underflowed: the leading asymptotic term z^(a-1) e^(-z) of the upper tail
-    out, ok = -z - np.log(z), q > 0.0
-    out[ok] = _lgamma(a) + np.log(q[ok]) - a * np.log(z[ok])
-    return out
-
-
-def scaled_upper_incomplete_gamma(a: float, z):
-    """``z**(-a) * Gamma_upper(a, z)`` for ``z > 0`` and any real ``a``, elementwise in ``z``.
-
-    Orders ``a <= 0`` are reached by the upward recurrence
-    ``S(a) = (z * S(a+1) - exp(-z)) / a`` from a base order in ``(0, 1]``
-    (or the exponential integral at order 0); the scaling keeps every
-    intermediate bounded.  The first step starts from ``z * S(base)``, taken
-    in logs, which is finite at a subnormal z where ``S(base)`` is not.
-    """
-    arr = np.asarray(z, dtype=float)
-    if not np.all((arr > 0) & np.isfinite(arr)):
-        raise ModelDomainError("scaled upper incomplete gamma requires z > 0")
-    z = arr.ravel()
-    if a > 0:
-        return _shape_like(np.exp(_log_scaled_upper_positive(a, z)), arr)
-    # climb from base = a + m with m = ceil(-a) steps, base in (0, 1] or 0
-    m = math.ceil(-a)
-    base = a + m
-    if base == 0.0:
-        from scipy.special import exp1
-
-        s = exp1(z)
-        zs = z * s
-    else:
-        zs = np.exp(np.log(z) + _log_scaled_upper_positive(base, z))
-    ez = np.exp(-z)
-    for j in range(1, m + 1):
-        s = (zs - ez) / (base - j)
-        zs = z * s
-    return _shape_like(s, arr)
-
-
 # ---------------------------------------------------------------------------
 # The stretched mixture integral
 # ---------------------------------------------------------------------------
@@ -543,13 +465,14 @@ _LOG_CUT = 40.0
 _BLOCK = 128
 
 
-def _crossing(f, x, step, level):
+def _crossing(f, x, step, level, tol):
     """Where ``f(v)[0]`` crosses ``level`` on each row, with ``f(v)[1]`` its slope.
 
     Every row walks from ``x`` in doubling steps until its value changes side
     of ``level``, then takes Newton steps from the nearer end of that bracket,
-    bisecting whenever one leaves the bracket or fails to halve the last step.
-    The rows move in lockstep; a row that has finished keeps its values.
+    bisecting whenever one leaves the bracket or fails to halve the last step,
+    until a step is below ``tol * (1 + |v|)``.  The rows move in lockstep; a
+    row that has finished keeps its values.
     """
     fx, sx = f(x)
     above = fx >= level
@@ -573,7 +496,7 @@ def _crossing(f, x, step, level):
         t = np.where((sv != 0.0) & np.isfinite(sv), v - (fv - level) / sv, np.nan)
         inside = (np.minimum(a, b) <= t) & (t <= np.maximum(a, b)) & (np.abs(t - v) <= 0.5 * dx)
         t = np.where(inside, t, 0.5 * (a + b))
-        done = live & (np.abs(t - v) <= 1e-12 * (1.0 + np.abs(v)))
+        done = live & (np.abs(t - v) <= tol * (1.0 + np.abs(v)))
         out[done] = t[done]
         live &= ~done
         if not live.any():
@@ -653,7 +576,9 @@ def _peak_nodes(alpha: float, shift, c, bs: float):
                           log_c, shift)
 
         zero = np.zeros(side.size)
-        vp = _crossing(slope, zero, np.where(slope(zero)[0] >= 0.0, 1.0, -1.0), 0.0)
+        # the peak places panel ends, and the weights are taken relative to the top node, so it
+        # needs no more than a step of 1e-8
+        vp = _crossing(slope, zero, np.where(slope(zero)[0] >= 0.0, 1.0, -1.0), 0.0, 1e-8)
         yp, ap = side * np.exp(vp), np.exp(alpha * vp)
         log_ep = log_c - bs * yp
         gp = vp - ap - shift * yp - np.exp(log_ep)
@@ -677,9 +602,12 @@ def _peak_nodes(alpha: float, shift, c, bs: float):
         g2r = g2[r]
         d = np.where(g2r < 0.0, np.sqrt(2.0 * _LOG_CUT / np.abs(g2r)), 1.0)
         # a first step below the spacing of floats at v_peak might not reach in 64 doublings a
-        # peak that sits between two floats
+        # peak that sits between two floats.  Toward y = 0 (w < 0) G rises with slope near 1, so
+        # the inner walk starts at the cut's depth.  A cut off by 1e-4 moves a panel end where the
+        # integrand is e^-40 of its peak
         d = np.maximum(d, 1e-15 * (1.0 + np.abs(vp[r])))
-        cuts = _crossing(value, np.zeros(2 * r.size), np.concatenate([-d, d]), -_LOG_CUT)
+        cuts = _crossing(value, np.zeros(2 * r.size), np.concatenate([-np.maximum(d, _LOG_CUT), d]),
+                         -_LOG_CUT, 1e-4)
         lo, hi = cuts[:r.size], cuts[r.size:]
         mid = np.zeros((2, r.size))
         if any_c:

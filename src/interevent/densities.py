@@ -8,9 +8,10 @@ with ``tau(eps) = tau0 * exp(beta * eps)``, and the survival function
 ``Psi(t)`` is the same integral without the factor ``1/tau(eps)``.  Each weight
 class in :mod:`.core` supplies both as one method, ``mixture(x, tau0, beta, k)``
 at ``k = 1`` and ``k = 0``, and :func:`ptd` and :func:`sojourn` pass it the whole
-raveled grid in one call: closed forms in numpy for Delta, Uniform and Laplace
-weights, and for the stretched-exponential weight a fixed tanh-sinh rule on each
-side of the weight's centre, whose peak and cut searches run on the whole grid at once.
+raveled grid in one call: closed forms in numpy for Delta and Uniform weights,
+and for the stretched-exponential weight a fixed tanh-sinh rule on each side of
+the weight's centre, whose peak and cut searches run on the whole grid at once.
+The Laplace weight is the stretched weight at ``alpha = 1`` and takes that rule.
 """
 
 from __future__ import annotations
@@ -79,7 +80,12 @@ def ptd(t, params: ModelParams):
     (Laplace weight with beta*sigma >= 1, stretched weight with alpha <= 1
     in its divergent range).  The stretched weight is integrated numerically
     by one fixed tanh-sinh rule, within 1e-13 relative of 30-digit references
-    at the pinned points; the other families are closed forms.
+    at the pinned points.  The Laplace weight takes the same rule at
+    ``alpha = 1``, measured within 2.8e-12 of 30-digit references at its
+    pins and 5e-11 over beta*sigma 0.1 to 2 and t 3 to 100 (the worst near
+    t = 20, where the closed form it replaced was within 1e-15 except where
+    1/(beta*sigma) is near an integer).  Delta and Uniform weights are
+    closed forms.
     """
     return _map_times(lambda x: params.weight.mixture(x, params.tau0, params.beta, 1), t)
 

@@ -832,10 +832,16 @@ def test_stretched_ptd_loads_no_scipy_module(tmp_path):
     assert _scipy_submodules_after([ptd], tmp_path) == []
 
 
-def test_laplace_ptd_loads_special_functions(tmp_path):
-    # the Laplace closed forms call scipy's incomplete gammas and exponential integral, and
-    # scipy.special itself imports numpy.polynomial
+def test_laplace_ptd_loads_no_scipy_module(tmp_path):
+    # the Laplace weight goes through the stretched family's rule at alpha = 1
     ptd = ["ptd", "--weight", "laplace", "--sigma", "0.5", "--points", "20", "--out", "ptd.csv"]
+    assert _scipy_submodules_after([ptd], tmp_path) == []
+
+
+def test_uniform_ptd_loads_special_functions(tmp_path):
+    # the Uniform survival calls scipy's exponential integral, and scipy.special itself imports
+    # numpy.polynomial
+    ptd = ["ptd", "--weight", "uniform", "--half-width", "1", "--points", "20", "--out", "ptd.csv"]
     assert _scipy_submodules_after([ptd], tmp_path) == ["scipy", "scipy.special", "numpy.polynomial"]
 
 

@@ -1,9 +1,5 @@
-import math
-
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from interevent.core import (
     Delta,
@@ -15,65 +11,7 @@ from interevent.core import (
     QMomentCurve,
     StretchedExp,
     Uniform,
-    scaled_lower_incomplete_gamma,
-    scaled_upper_incomplete_gamma,
 )
-
-# Reference values from 30-digit arbitrary-precision quadrature / gammainc.
-S_LOW_TABLE = [
-    (2.5, 1.0, 0.20053759629003473411),
-    (2.5, 40.0, 0.00013136698163432634365),
-    (0.5, 0.3, 1.8167857540655010711),
-    (1.5, 700.0, 4.7851756120762769461e-5),
-    (5.0, 0.01, 0.1983404554033559462),
-]
-S_UP_TABLE = [
-    (1.5, 2.0, 0.081924172616529358016),
-    (0.5, 0.3, 1.4192574335273310189),
-    (-0.5, 1.0, 0.17814771178156069019),
-    (-1.0, 1.0, 0.14849550677592204792),
-    (-2.3, 0.7, 0.1521200540083176893),
-    (0.0, 1.0, 0.21938393439552027368),
-    (-1.0, 0.02, 0.91310451764056111161),
-    (2.0, 800.0, 4.5905742842598866531e-351),
-    (-3.0, 0.5, 0.16524282585834806497),
-]
-
-
-@pytest.mark.parametrize("a,z,expected", S_LOW_TABLE)
-def test_scaled_lower_gamma_reference(a, z, expected):
-    got = scaled_lower_incomplete_gamma(a, z)
-    assert got == pytest.approx(expected, rel=1e-13)
-
-
-@pytest.mark.parametrize("a,z,expected", S_UP_TABLE)
-def test_scaled_upper_gamma_reference(a, z, expected):
-    got = scaled_upper_incomplete_gamma(a, z)
-    assert got == pytest.approx(expected, rel=1e-12)
-
-
-@given(
-    a=st.floats(0.1, 20.0),
-    z=st.floats(1e-3, 50.0),
-)
-@settings(max_examples=200, deadline=None)
-def test_lower_plus_upper_is_gamma(a, z):
-    total = (scaled_lower_incomplete_gamma(a, z) + scaled_upper_incomplete_gamma(a, z)) * z**a
-    assert total == pytest.approx(math.gamma(a), rel=1e-10)
-
-
-@given(
-    a=st.floats(-5.0, 5.0),
-    z=st.floats(0.05, 30.0),
-)
-@settings(max_examples=200, deadline=None)
-def test_scaled_upper_recurrence(a, z):
-    # S(a, z) = (z * S(a+1, z) - e^{-z}) / a holds for a != 0
-    if abs(a) < 1e-3:
-        return
-    lhs = scaled_upper_incomplete_gamma(a, z)
-    rhs = (z * scaled_upper_incomplete_gamma(a + 1.0, z) - math.exp(-z)) / a
-    assert lhs == pytest.approx(rhs, rel=1e-8, abs=1e-300)
 
 
 def test_weight_validation():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -113,6 +114,30 @@ def test_laplace_sojourn_reference(sb):
     p = _laplace(sb)
     for t, expected in LAPLACE_SOJ[sb]:
         assert iv.sojourn(t, p) == pytest.approx(expected, rel=1e-12)
+
+
+# 30-digit mpmath of the same mixture on windows split at 0 and at the integrand's peak,
+# (beta*sigma, t, psi, Psi): 1/(beta*sigma) next to an integer, where an upward incomplete-gamma
+# recurrence divides by nearly zero, and a narrow weight far out in t
+LAPLACE_NEAR_INTEGER = [
+    (0.49999999999999994, 0.3, 0.73574434985225795427, 0.71044530560586741425),
+    (0.49999999999999994, 1.0, 0.30909830091871044864, 0.37393308485487549209),
+    (0.49999999999999994, 10.0, 0.0019982914490346080658, 0.0099985547702792079842),
+    (0.04, 60.0, 1.1366404672130036925e-20, 2.7279373767445736904e-20),
+    (0.08, 30.0, 1.2240845451241012226e-10, 2.9380736780130210524e-10),
+]
+
+
+@pytest.mark.parametrize("sb,t,psi,survival", LAPLACE_NEAR_INTEGER)
+@pytest.mark.parametrize("name", ["ptd", "sojourn"])
+def test_laplace_near_an_integer_inverse_width(name, sb, t, psi, survival):
+    expected = psi if name == "ptd" else survival
+    assert getattr(iv, name)(t, _laplace(sb)) == pytest.approx(expected, rel=1e-11, abs=0.0)
+
+
+@pytest.mark.parametrize("sb", [0.24999999999999997, 0.33333333333333326, 0.49999999999999994])
+def test_laplace_density_stays_positive_near_an_integer_inverse_width(sb):
+    assert iv.ptd(np.geomspace(0.01, 100.0, 401), _laplace(sb)).min() > 0.0
 
 
 @pytest.mark.parametrize("hw", [0.5, 2.0])
@@ -246,12 +271,31 @@ def test_uniform_narrow_width_mpmath_reference(hw, t, expected):
     assert iv.sojourn(t, _uniform(hw)) == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
+def test_narrow_uniform_survival_peak_allocation_stays_linear():
+    # guard against a (times x nodes) matrix: with N = 5*10^4 times the quadrature fallback must
+    # stay under 4 length-N arrays, and its blocks give the bytes of single-block calls
+    n = 50_000
+    t = np.geomspace(0.01, 50.0, n)
+    p = _uniform(5e-4)
+    tracemalloc.start()
+    try:
+        iv.sojourn(t, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * n * 8
+    grid = t[::97]
+    assert grid.size > _BLOCK
+    whole = p.weight.mixture(grid, 1.0, 1.0, 0)
+    blocks = [p.weight.mixture(grid[i:i + _BLOCK], 1.0, 1.0, 0) for i in range(0, grid.size, _BLOCK)]
+    assert whole.tobytes() == np.concatenate(blocks).tobytes()
+
+
 @pytest.mark.parametrize("t", [5e-324, 1e-312])
 def test_laplace_at_a_subnormal_time(t):
-    # z**(-a) Gamma(a, z) at the recurrence's base order overflows here though the step's
-    # z**(1-a) Gamma(a, z) does not.  Below beta*sigma = 1/2 the density is at its t -> 0 limit
-    # 1/(1 - (beta*sigma)**2) to rounding; above, it is finite and rising to inf at 0
-    assert iv.ptd(t, _laplace(0.4921875)) == 1.3196939186467982
+    # below beta*sigma = 1/2 the density is at its t -> 0 limit 1/(1 - (beta*sigma)**2) to
+    # rounding; above, it is finite and rising to inf at 0
+    assert iv.ptd(t, _laplace(0.4921875)) == pytest.approx(1.0 / (1.0 - 0.4921875**2), rel=5e-16)
     for sb in np.linspace(0.05, 3.0, 600).tolist():
         psi = iv.ptd(t, _laplace(sb))
         if sb < 0.5:

@@ -81,7 +81,7 @@ def test_density_and_moment_api_takes_no_tolerance(call):
 
 
 # weights whose maps take every branch: the Uniform series below u = 1e-8 and the narrow-width
-# quadrature, both sides of the incomplete gammas' series cut, and a density infinite at 0
+# quadrature, Laplace densities finite and infinite at 0, and the stretched rule
 ONE_PATH = [
     iv.Delta(mu=0.3),
     iv.Uniform(half_width=1.5),
@@ -100,6 +100,19 @@ def test_kernels_on_a_grid_equal_their_batches_of_one(weight):
         whole = weight.mixture(t, 1.3, 0.9, k)
         ones = [weight.mixture(t[i:i + 1], 1.3, 0.9, k) for i in range(t.size)]
         assert whole.tobytes() == np.concatenate(ones).tobytes()
+
+
+@pytest.mark.parametrize("weight", [w for w in ONE_PATH if isinstance(w, iv.Laplace)], ids=repr)
+def test_laplace_is_the_stretched_weight_at_alpha_one(weight):
+    # one rule for both: bit for bit wherever t/tau0 > 0, and the exact limit at the origin
+    t = np.array([0.0, 5e-324, 1e-9, 0.3, 1.7, 6.0, 50.0, 700.0])
+    sb = 0.9 * weight.sigma
+    for k, at_zero in ((1, 1.0 / (1.3 * (1.0 - sb * sb)) if sb < 1 else np.inf), (0, 1.0)):
+        got = weight.mixture(t, 1.3, 0.9, k)
+        stretched = iv.StretchedExp(0.0, weight.sigma, 1.0).mixture(t, 1.3, 0.9, k)
+        pos = t / 1.3 > 0.0
+        assert got[pos].tobytes() == stretched[pos].tobytes()
+        assert np.array_equal(got[~pos], np.full((~pos).sum(), at_zero))
 
 
 @pytest.mark.parametrize("weight", ONE_PATH, ids=repr)
