@@ -80,7 +80,8 @@ def ptd(t, params: ModelParams):
     (Laplace weight with beta*sigma >= 1, stretched weight with alpha <= 1
     in its divergent range).  The stretched weight is integrated numerically
     by one fixed tanh-sinh rule, within 1e-13 relative of 30-digit references
-    at the pinned points.  The Laplace weight takes the same rule at
+    at short and long times, but off up to 1.8e-11 at mid times (beta*sigma
+    = 0.6, t = 24, alpha 1.2 and 1.5).  The Laplace weight takes the same rule at
     ``alpha = 1``, measured within 2.8e-12 of 30-digit references at its
     pins and 5e-11 over beta*sigma 0.1 to 2 and t 3 to 100 (the worst near
     t = 20, where the closed form it replaced was within 1e-15 except where
@@ -117,7 +118,7 @@ def ptd_tail(t, params: ModelParams):
 
 def sojourn(t, params: ModelParams):
     """Survival probability ``Psi(t) = P(waiting time > t)``, in [0, 1], to :func:`ptd`'s accuracy."""
-    # cancellation in the E1/quadrature branches can overshoot by ~1e-13
+    # the Uniform E1 difference cancels and overshoots 1 by up to 1.2e-12 (beta*half_width = 1e-3)
     return _map_times(
         lambda x: np.clip(params.weight.mixture(x, params.tau0, params.beta, 0), 0.0, 1.0), t)
 

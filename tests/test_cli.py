@@ -784,15 +784,16 @@ def test_help_exits_zero(tmp_path):
         assert cmd in r.stdout
 
 
-# Runs CLI commands in one fresh interpreter, then prints which of scipy and
-# its heavy submodules that interpreter has loaded.
+# Runs CLI commands in one fresh interpreter in which scipy cannot be imported, so that any
+# import of it fails the command, then prints whether numpy.polynomial was loaded and which of
+# the package's submodules were.
 _IMPORT_PROBE = """
 import json, sys
+sys.modules["scipy"] = None
 import interevent
 for argv in json.loads(sys.argv[1]):
     assert interevent.cli.run(argv) == 0, argv
-heavy = ("scipy", "scipy.special", "scipy.integrate", "scipy.optimize", "numpy.polynomial")
-print(json.dumps([m for m in heavy if m in sys.modules]))
+print(json.dumps("numpy.polynomial" in sys.modules))
 print(json.dumps([m.partition(".")[2] for m in sys.modules if m.startswith("interevent.")]))
 """
 
@@ -802,56 +803,46 @@ _ESTIMATE = ["estimate", "--input", "ev.csv", "--out-moments", "mom.csv", "--out
 
 
 def _modules_after(commands, tmp_path):
-    """The heavy modules, and the set of the package's submodules, loaded by a fresh
-    interpreter that imports the package and runs ``commands``."""
+    """Whether numpy.polynomial was loaded, and the set of the package's submodules loaded, by a
+    fresh interpreter without scipy that imports the package and runs ``commands``."""
     r = run_cli([json.dumps(commands)], tmp_path, cmd=[sys.executable, "-c", _IMPORT_PROBE])
     assert r.returncode == 0, r.stderr
-    heavy, ours = map(json.loads, r.stdout.splitlines()[-2:])
-    return heavy, set(ours)
+    polynomial, ours = map(json.loads, r.stdout.splitlines()[-2:])
+    return polynomial, set(ours)
 
 
-def _scipy_submodules_after(commands, tmp_path):
-    return _modules_after(commands, tmp_path)[0]
+_MODEL_FLAGS = {"delta": ["--mu", "1.7"], "uniform": ["--half-width", "1"], "laplace": ["--sigma", "0.04"],
+                "stretched": ["--sigma", "1", "--alpha", "1.5"]}
+_COLLAPSE = {"datasets": [{"name": "a", "curve": "mom.csv", "mf": {"alpha": 2, "c0": 0, "b": 0.3},
+                           "hmf": {"alpha": 1.91, "c0": -3, "b": 2.5, "b1": 0.33}}]}
 
 
-def test_import_loads_no_scipy_submodule(tmp_path):
-    assert _scipy_submodules_after([], tmp_path) == []
-
-
-def test_simulate_loads_no_scipy_submodule(tmp_path):
-    assert _scipy_submodules_after([_SIMULATE], tmp_path) == []
-
-
-def test_estimate_loads_no_scipy_module(tmp_path):
-    assert _scipy_submodules_after([_SIMULATE, _ESTIMATE], tmp_path) == []
-
-
-def test_stretched_ptd_loads_no_scipy_module(tmp_path):
-    ptd = ["ptd", "--weight", "stretched", "--sigma", "1", "--alpha", "1.5", "--points", "20",
-           "--out", "ptd.csv"]
-    assert _scipy_submodules_after([ptd], tmp_path) == []
-
-
-def test_laplace_ptd_loads_no_scipy_module(tmp_path):
-    # the Laplace weight goes through the stretched family's rule at alpha = 1
-    ptd = ["ptd", "--weight", "laplace", "--sigma", "0.5", "--points", "20", "--out", "ptd.csv"]
-    assert _scipy_submodules_after([ptd], tmp_path) == []
-
-
-def test_uniform_ptd_loads_special_functions(tmp_path):
-    # the Uniform survival calls scipy's exponential integral, and scipy.special itself imports
-    # numpy.polynomial
-    ptd = ["ptd", "--weight", "uniform", "--half-width", "1", "--points", "20", "--out", "ptd.csv"]
-    assert _scipy_submodules_after([ptd], tmp_path) == ["scipy", "scipy.special", "numpy.polynomial"]
-
-
-def test_fit_loads_no_scipy_submodule(tmp_path):
-    _scipy_submodules_after([_SIMULATE, _ESTIMATE], tmp_path)
-    fits = [["fit", "--kind", kind, "--input", src, "--out", f"{kind}.json"]
-            for kind, src in (("mf", "mom.csv"), ("hmf", "mom.csv"), ("sojourn-weibull", "soj.csv"))]
-    assert _scipy_submodules_after(fits, tmp_path) == []
+@pytest.mark.parametrize("commands", [
+    [],
+    [_SIMULATE],
+    [_ESTIMATE],
+    [["fit", "--kind", kind, "--input", "soj.csv" if kind.startswith("sojourn") else "mom.csv",
+      "--out", f"{kind}.json"] for kind in cli._FIT_KINDS],
+    [["ptd", "--weight", w, *flags, "--points", "20", "--out", f"ptd-{w}.csv"]
+     for w, flags in _MODEL_FLAGS.items()],
+    [["moments", "--model", m, *_MODEL_FLAGS.get(m, _MODEL_FLAGS["stretched"]), "--out", f"{m}.csv"]
+     for m in ("delta", "uniform", "laplace", "series", "saddle")]
+    + [["moments", "--model", "gaussian", "--sigma", "1", "--alpha", "2", "--out", "gaussian.csv"],
+       ["moments", "--model", "mf", "--alpha", "2", "--c0", "0", "--b", "0.3", "--out", "mf.csv"],
+       ["moments", "--model", "hmf", "--alpha", "1.91", "--c0", "-3", "--b", "2.5", "--b1", "0.33",
+        "--out", "hmf.csv"]],
+    [["collapse", "--config", "collapse.json", "--out-prefix", "cc"]],
+], ids=["import", "simulate", "estimate", "fit", "ptd", "moments", "collapse"])
+def test_every_command_runs_without_scipy(tmp_path, monkeypatch, commands):
+    # numpy is the only runtime dependency: each command, every fit kind, the ptd of each weight
+    # family (the Uniform survival's exponential integral included) and every moments model
+    monkeypatch.chdir(tmp_path)
+    assert cli.run(_SIMULATE) == 0 and cli.run(_ESTIMATE) == 0  # the inputs, made in this process
+    (tmp_path / "collapse.json").write_text(json.dumps(_COLLAPSE))
+    assert _modules_after(commands, tmp_path)[0] is False
     for kind in ("mf", "hmf", "sojourn-weibull"):
-        assert json.loads((tmp_path / f"{kind}.json").read_text())["converged"], kind
+        if (tmp_path / f"{kind}.json").exists():
+            assert json.loads((tmp_path / f"{kind}.json").read_text())["converged"], kind
 
 
 _FIT_LOADS = {"cli", "core", "densities", "fitting", "moments", "simulate"}

@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 
@@ -11,6 +12,7 @@ from interevent.core import (
     QMomentCurve,
     StretchedExp,
     Uniform,
+    _exp1,
 )
 
 
@@ -100,3 +102,14 @@ def test_event_series_validation():
         EventSeries(durations=np.array([1.0, -1.0]), source="unit")
     with pytest.raises(ValueError):
         EventSeries(durations=np.array([1.0, np.nan]), source="unit")
+
+
+def test_exp1_matches_mpmath():
+    # a log grid from 1e-300 to 700, dense about the switch from the series to the continued
+    # fraction at z = 1.  On these points scipy.special.exp1 is within 1.65e-15 of 40-digit mpmath
+    # and _exp1 within 5.2e-16; the bound is 1.5 times scipy's
+    z = np.concatenate([np.geomspace(1e-300, 700.0, 1500), np.geomspace(0.25, 4.0, 801)])
+    with mpmath.workdps(40):
+        rel = [float(abs(mpmath.mpf(v) / mpmath.e1(x) - 1)) for v, x in zip(_exp1(z).tolist(), z.tolist())]
+    assert max(rel) < 2.4e-15
+    assert _exp1(np.array([0.0]))[0] == np.inf

@@ -2,6 +2,7 @@ import math
 import tracemalloc
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -271,6 +272,39 @@ def test_uniform_narrow_width_mpmath_reference(hw, t, expected):
     assert iv.sojourn(t, _uniform(hw)) == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
+@pytest.mark.parametrize("hw", [1e-6, 1e-9, 1e-12, 1e-15, 1e-17, 1e-300, 5e-324])
+def test_uniform_narrow_width_density_mpmath_reference(hw):
+    # the closed form (exp(-t/tau_plus) - exp(-t/tau_minus))/(2 hw t) at 400 digits, enough for the
+    # difference at hw = 5e-324, and its limit sinh(hw)/hw at t = 0.  The worst error measured is
+    # 3.6e-15 (hw = 1e-12, t = 40); a rate gap taken as 1/tau_minus - 1/tau_plus cancels, off 2.7e-11
+    # at hw = 1e-6 and returning 0 from hw = 1e-17
+    t = [0.0, 1e-9, 0.3, 5.0, 40.0]
+    got = iv.ptd(np.array(t), _uniform(hw))
+    with mpmath.workdps(400):
+        db = mpmath.mpf(hw)
+        ref = [mpmath.sinh(db) / db if x == 0 else
+               (mpmath.exp(-x / mpmath.exp(db)) - mpmath.exp(-x * mpmath.exp(db))) / (2 * db * x) for x in t]
+        rel = [float(abs(g / r - 1)) for g, r in zip(got.tolist(), ref)]
+    assert max(rel) < 1e-14, rel
+
+
+@pytest.mark.parametrize("hw", [1e-3, 0.01, 0.5, 2.0, 20.0])
+def test_uniform_survival_at_a_subnormal_time_is_one(hw):
+    # 1 - Psi <= t/tau_minus, so Psi is 1 to the last bit; E1 of a ratio t/tau that is a subnormal
+    # (or 0) gave anything from 0 to 0.9999 there, or NaN
+    t = np.array([5e-324, 1e-323, 1e-320, 1e-310])
+    for tau0 in (0.3, 1.0, 3.0):
+        assert np.array_equal(iv.sojourn(t, iv.ModelParams(weight=iv.Uniform(half_width=hw), tau0=tau0)),
+                              np.ones(t.size)), tau0
+
+
+def test_uniform_density_where_beta_times_half_width_underflows():
+    # 0.4 * 5e-324 rounds to 0: the weight is a point mass at 0, where a gap over 2 beta half_width
+    # was 0/0
+    t = np.array([0.0, 0.3, 5.0])
+    assert np.array_equal(iv.ptd(t, iv.ModelParams(weight=iv.Uniform(half_width=5e-324), beta=0.4)), np.exp(-t))
+
+
 def test_narrow_uniform_survival_peak_allocation_stays_linear():
     # guard against a (times x nodes) matrix: with N = 5*10^4 times the quadrature fallback must
     # stay under 4 length-N arrays, and its blocks give the bytes of single-block calls
@@ -391,6 +425,24 @@ def test_stretched_mixture_mpmath_reference(alpha, t, psi, surv):
     p = iv.ModelParams(weight=iv.StretchedExp(mu=0.0, sigma=1.0, alpha=alpha))
     assert iv.ptd(t, p) == pytest.approx(psi, rel=1e-8)
     assert iv.sojourn(t, p) == pytest.approx(surv, rel=1e-8)
+
+
+# Mid times, where the rule is furthest off: 30-digit mpmath of the same mixture on windows split
+# at 0 and at the integrand's peak, cut 90 below it (a 40-digit check on wider windows agrees to
+# 2e-31); mu = 0, sigma = 0.6, tau0 = beta = 1.  Measured off by +4.8e-12 and +5.7e-12 at
+# alpha = 1.5, -1.9e-12 and -1.8e-11 at alpha = 1.2, and within 3.1e-15 at t = 5 and 60.
+STRETCHED_MID_TIME = [
+    # (alpha, t, psi, Psi)
+    (1.5, 24.0, 1.898893576637710739709e-5, 1.057754374447014801782e-4),
+    (1.2, 24.0, 8.909202792779149354049e-5, 8.151080465028156978347e-4),
+]
+
+
+@pytest.mark.parametrize("alpha, t, psi, surv", STRETCHED_MID_TIME)
+def test_stretched_mid_time_mpmath_reference(alpha, t, psi, surv):
+    p = iv.ModelParams(weight=iv.StretchedExp(mu=0.0, sigma=0.6, alpha=alpha))
+    assert iv.ptd(t, p) == pytest.approx(psi, rel=3e-11, abs=0.0)
+    assert iv.sojourn(t, p) == pytest.approx(surv, rel=3e-11, abs=0.0)
 
 
 # Heavy weights, alpha <= 1/2: the kernel's step at t = tau(eps) sits far from
