@@ -15,13 +15,12 @@ as ``interevent.fitting`` imports its module when first looked up.
 
 import importlib
 
-from . import core
-
 __version__ = "0.1.0"
 
-# submodule -> the public names it defines; ``core`` is imported above, every
-# other submodule by the first lookup of one of its names or of itself.  The
-# command-line module ``cli`` exports nothing here.
+# submodule -> the public names it defines, the one list of them: each submodule
+# builds its ``__all__`` from its entry, so the table comes before ``core`` is
+# imported below; every other submodule is imported by the first lookup of one
+# of its names or of itself.  The command-line module ``cli`` exports nothing here.
 _EXPORTS = {
     "core": (
         "AsymptoticRangeWarning", "Delta", "DivergentMomentError", "EventSeries", "FitResult",
@@ -50,6 +49,8 @@ _EXPORTS = {
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __all__ = [*sorted(_HOME), "__version__"]
+
+from . import core  # noqa: E402  (core reads _EXPORTS while it loads)
 
 
 def __getattr__(name: str):

@@ -30,24 +30,10 @@ from typing import Union
 
 import numpy as np
 
-__all__ = [
-    "ModelDomainError",
-    "DivergentMomentError",
-    "NoFiniteMeanError",
-    "UnsupportedModelError",
-    "IngestError",
-    "SeriesTruncationWarning",
-    "AsymptoticRangeWarning",
-    "Delta",
-    "Uniform",
-    "Laplace",
-    "StretchedExp",
-    "Weight",
-    "ModelParams",
-    "QMomentCurve",
-    "FitResult",
-    "EventSeries",
-]
+from . import _EXPORTS
+
+# the package's table lists the public names once; the type alias ``Weight`` is this module's own
+__all__ = [*_EXPORTS["core"], "Weight"]
 
 
 class ModelDomainError(ValueError):
@@ -190,10 +176,14 @@ class Uniform:
                 xp[i:i + _BLOCK] = (rows * _TS_WEIGHTS).sum(1)
             out[pos] = xp / 2.0
         else:
-            # 1 - Psi <= x/tau_minus, so Psi is 1 below x/tau_minus = 1e-17, where x/tau_plus may be a
-            # subnormal (or 0) whose log has lost its digits
-            pos = x / tau_minus >= 1e-17
-            out[pos] = (_exp1(x[pos] / tau_plus) - _exp1(x[pos] / tau_minus)) / (2.0 * db)
+            # E1(a) - E1(b), a = x/tau_plus, b = x/tau_minus = a e^(2 db): up to b = 1 it cancels, and is
+            # 2 db - (Ein(b) - Ein(a)), series terms c_k b^k (1 - e^(-2 k db)) that neither cancel nor
+            # overflow (nor take the log of a subnormal a); above b = 1 it is _exp1(a) - _exp1(b)
+            b = x / tau_minus
+            low = b <= 1.0
+            powers = np.arange(_EIN_SERIES.size - 1, -1, -1)
+            out[low] = 1.0 - np.polyval(_EIN_SERIES * -np.expm1(-2.0 * db * powers), b[low]) / (2.0 * db)
+            out[~low] = (_exp1(x[~low] / tau_plus) - _exp1(b[~low])) / (2.0 * db)
         return out
 
 

@@ -17,6 +17,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from . import _EXPORTS
 from .core import (
     EventSeries,
     IngestError,
@@ -30,19 +31,7 @@ from .core import (
 if TYPE_CHECKING:  # annotations only, so estimating a curve does not load the moment laws
     from .moments import HMFParams, MFParams
 
-__all__ = [
-    "DEFAULT_Q_GRID",
-    "IngestOptions",
-    "ingest",
-    "empirical_qmoments",
-    "empirical_sojourn",
-    "rescaled_log_moment",
-    "mono_collapse",
-    "mf_collapse",
-    "hmf_collapse",
-    "transformed_moment",
-    "scale_q",
-]
+__all__ = list(_EXPORTS["empirical"])
 
 # 0 to 20 in steps of 0.1, q = 0 pinned exactly
 DEFAULT_Q_GRID = np.linspace(0.0, 20.0, 201)

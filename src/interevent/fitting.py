@@ -23,19 +23,12 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from . import _EXPORTS
 from .core import FitResult, ModelDomainError, ModelParams, QMomentCurve, StretchedExp, _log_peak_quad
 from .densities import sojourn as _sojourn  # noqa: F401  kept for bench/workloads.py, which patches this name
 from .moments import HMFParams, MFParams
 
-__all__ = [
-    "QExponential",
-    "Weibull",
-    "StretchedSojourn",
-    "fit_monofractal",
-    "fit_mf",
-    "fit_hmf",
-    "fit_sojourn",
-]
+__all__ = list(_EXPORTS["fitting"])
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _EXPORTS
 from .core import (
     AsymptoticRangeWarning,
     DivergentMomentError,
@@ -40,11 +41,7 @@ from .core import (
     log_iq_quadrature,
 )
 
-__all__ = [
-    "MFParams", "HMFParams", "SaddlePointResult", "SeriesMomentResult", "Scales", "iq_quadrature",
-    "log_iq_quadrature", "moment_stretched_series", "saddlepoint_iq", "fd_relation", "scales",
-    "moment", "log_norm_moment", "model_curve",
-]
+__all__ = list(_EXPORTS["moments"])
 
 
 # ---------------------------------------------------------------------------
@@ -373,12 +370,9 @@ def saddlepoint_iq(q, alpha: float, beta_sigma: float) -> SaddlePointResult:
         correction = 1.0 + k / (lam * r_gamma) if k else np.ones(s.shape)
         leading = np.abs(correction - 1.0) > SADDLE_CORRECTION_BOUND
         prefactor = np.where(leading, prefactor, prefactor * correction)
+        # -lam h_x0 only where aq**gamma overflows: it raises r's rounding error to the power gamma
         lead = exponent_coeff * aq ** gamma
-        # aq**gamma overflows before the product does; there lam (alpha-1) |x0|**alpha is the same
-        over = np.isinf(lead)
-        lead[over] = lam * (alpha - 1.0) * r_gamma[over]
-        lead[big] = -lam * h_x0[big]
-        log_value = np.log(prefactor) + lead
+        log_value = np.log(prefactor) + np.where(np.isinf(lead), -lam * h_x0, lead)
         value = np.exp(log_value)
     finite = np.isfinite([log_value, x0, h_x0, h2_x0]).all(axis=0)
     if not finite.all():

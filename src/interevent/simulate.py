@@ -17,9 +17,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _EXPORTS
 from .core import EventSeries, ModelParams
 
-__all__ = ["BLOCK", "SimConfig", "sample_interevent", "generate_series"]
+# the package's table lists the public names once; the block size is this module's own
+__all__ = [*_EXPORTS["simulate"], "BLOCK"]
 
 BLOCK = 1 << 20
 

@@ -1,3 +1,5 @@
+import math
+
 import mpmath
 import numpy as np
 import pytest
@@ -12,7 +14,10 @@ from interevent.core import (
     QMomentCurve,
     StretchedExp,
     Uniform,
+    _crossing,
     _exp1,
+    _lgamma,
+    _lgamma1p,
 )
 
 
@@ -113,3 +118,19 @@ def test_exp1_matches_mpmath():
         rel = [float(abs(mpmath.mpf(v) / mpmath.e1(x) - 1)) for v, x in zip(_exp1(z).tolist(), z.tolist())]
     assert max(rel) < 2.4e-15
     assert _exp1(np.array([0.0]))[0] == np.inf
+
+
+def test_lgamma_overflows_to_inf():
+    # math.lgamma raises OverflowError above about 2.56e305; the batch keeps its finite neighbours
+    assert _lgamma(1e306) == math.inf
+    assert _lgamma(2.5e305) == math.lgamma(2.5e305)
+    assert np.array_equal(_lgamma1p(np.array([1e306, 1.0, 2.0])), [math.inf, 0.0, math.lgamma(3.0)])
+
+
+def test_crossing_raises_where_no_crossing_is_found():
+    # a log-integrand that never reaches the level: 64 doublings of the step, then an error
+    def flat(v):
+        return np.zeros_like(v), np.zeros_like(v)
+
+    with pytest.raises(ArithmeticError, match="no crossing"):
+        _crossing(flat, np.array([0.0, 1.0]), np.array([1.0, -1.0]), 1.0, 1e-12)

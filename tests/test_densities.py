@@ -298,6 +298,20 @@ def test_uniform_survival_at_a_subnormal_time_is_one(hw):
                               np.ones(t.size)), tau0
 
 
+@pytest.mark.parametrize("hw, bound", [(1e-3, 2e-13), (1.5e-3, 2e-13), (0.01, 1e-13)])
+def test_uniform_survival_just_above_the_narrow_width_switch(hw, bound):
+    # (E1(t/tau_plus) - E1(t/tau_minus))/(2 hw) at 40 digits, where it is a normal float.  Up to
+    # t/tau_minus = 1 the E1 difference cancels, off 1.41e-12, 7.3e-13 and 1.2e-13 at these widths;
+    # its Ein series in t/tau_minus is within 1.34e-13, 1.24e-13 and 8.3e-14
+    t = np.geomspace(1e-6, 1e3, 301)
+    got = iv.sojourn(t, _uniform(hw))
+    with mpmath.workdps(40):
+        db = mpmath.mpf(hw)
+        ref = [(mpmath.e1(x / mpmath.exp(db)) - mpmath.e1(x / mpmath.exp(-db))) / (2 * db) for x in t.tolist()]
+        rel = [float(abs(g / r - 1)) for g, r in zip(got.tolist(), ref) if r > 1e-300]
+    assert max(rel) < bound
+
+
 def test_uniform_density_where_beta_times_half_width_underflows():
     # 0.4 * 5e-324 rounds to 0: the weight is a point mass at 0, where a gap over 2 beta half_width
     # was 0/0

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import interevent as iv
-from interevent.simulate import BLOCK, sample_interevent
+from interevent.simulate import BLOCK, _positive_uniform, sample_interevent
 
 
 def _delta(tau0=1.0):
@@ -95,6 +95,30 @@ def test_interevent_transform():
     assert np.all(t > 0)
     scalar = sample_interevent(params, rng)
     assert isinstance(scalar, float) and scalar > 0
+
+
+class _ScriptedGenerator:
+    """Stands in for a ``Generator`` whose ``random`` calls return ``draws`` in turn, recording the
+    size each call asked for."""
+
+    def __init__(self, *draws):
+        self.draws = list(draws)
+        self.sizes = []
+
+    def random(self, size=None):
+        self.sizes.append(size)
+        return self.draws.pop(0)
+
+
+def test_positive_uniform_redraws_zeros_in_place():
+    # a zero would give the waiting time -ln(0) = inf: each is drawn again, as many at a time as
+    # are still zero, until none is
+    rng = _ScriptedGenerator(np.array([0.5, 0.0, 0.25, 0.0]), np.array([0.0, 0.75]), np.array([0.125]))
+    assert np.array_equal(_positive_uniform(rng, 4), [0.5, 0.125, 0.25, 0.75])
+    assert rng.sizes == [4, 2, 1] and not rng.draws
+    rng = _ScriptedGenerator(0.0, 0.0, 0.375)
+    assert _positive_uniform(rng, None) == 0.375
+    assert rng.sizes == [None, None, None] and not rng.draws
 
 
 def test_laplace_survival_matches_analytic():
